@@ -167,12 +167,12 @@ func BenchmarkWorldEnumerationFig1(b *testing.B) {
 	}
 }
 
-func BenchmarkDeriveSetFig1(b *testing.B) {
+func BenchmarkDeriveFig1(b *testing.B) {
 	w := workflow.Fig1()
 	costs := privacy.Uniform(w.Schema().Names()...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sv.DeriveSet(w, 2, costs, nil); err != nil {
+		if _, err := sv.Derive(w, sv.DeriveOptions{Gamma: 2, Costs: costs}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,12 @@
 //	secureview -in instance.json -solver greedy -variant cardinality
 //	secureview -in instance.json -solver bb -timeout 2s
 //	secureview -gen mega-shared -solver portfolio   # solve a generated class
+//	secureview -wf workflow.json -solver greedy     # derive, solve and publish a view
+//
+// -wf takes a workflow spec document (internal/spec), records every
+// execution, derives the requirement lists (Theorems 4/8) and publishes the
+// secure view. It accepts every registry solver that handles the set
+// variant, and -timeout bounds its solve as it does for -in and -gen.
 package main
 
 import (
@@ -96,13 +102,13 @@ func main() {
 		inPath      = flag.String("in", "", "instance JSON file (- for stdin)")
 		wfPath      = flag.String("wf", "", "workflow spec JSON file (see internal/spec); derives and solves")
 		genClass    = flag.String("gen", "", "solve a generated class instead of -in: a problem class (incl. mega-*), a workflow topology class, or a corpus entry ID (optionally corpus:<id>)")
-		solver      = flag.String("solver", "exact", fmt.Sprintf("one of %v (internal/solve registry); -wf mode supports exact | greedy | lp", solve.Names()))
+		solver      = flag.String("solver", "exact", fmt.Sprintf("one of %v (internal/solve registry); -wf solves the set variant", solve.Names()))
 		variant     = flag.String("variant", "set", "set | cardinality")
 		showDemo    = flag.Bool("demo", false, "print an example instance and exit")
 		showSolvers = flag.Bool("solvers", false, "list registered solvers with their declared capabilities and exit")
 		seed        = flag.Int64("seed", 1, "randomized-rounding seed (cardinality lp)")
 		parallel    = flag.Int("parallel", 0, "subset-search worker-pool size (0 = GOMAXPROCS)")
-		timeout     = flag.Duration("timeout", 0, "-in solve deadline (0 = none); on expiry the best incumbent, if any, is printed as a partial result")
+		timeout     = flag.Duration("timeout", 0, "solve deadline (0 = none); on expiry the best incumbent, if any, is printed as a partial result and the exit status is 3")
 	)
 	flag.Parse()
 	search.SetDefaultParallelism(*parallel)
@@ -117,10 +123,19 @@ func main() {
 		return
 	}
 	if *wfPath != "" {
+		ctx := context.Background()
 		if *timeout > 0 {
-			fmt.Fprintln(os.Stderr, "secureview: note: -timeout applies to -in instance solving; -wf mode runs unbounded")
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, *timeout)
+			defer cancel()
 		}
-		runWorkflowMode(*wfPath, *solver)
+		partial, err := runWorkflowMode(ctx, os.Stdout, *wfPath, *solver)
+		if err != nil {
+			fatal(err)
+		}
+		if partial {
+			os.Exit(3)
+		}
 		return
 	}
 	if *inPath == "" && *genClass == "" {
@@ -221,56 +236,53 @@ func main() {
 
 // runWorkflowMode loads a concrete workflow spec, records all executions,
 // derives requirement lists from standalone analysis (Theorem 4/8) and
-// publishes a secure view.
-func runWorkflowMode(path, solverName string) {
+// publishes a secure view, printing it to out. The spec resolves through
+// gen.Resolve, so Γ and cost defaults match the server's, and
+// gammaPerModule documents are rejected as they are there. ctx bounds the
+// solve (derivation runs to completion); when its deadline passes, a
+// feasible incumbent is printed and reported as partial.
+func runWorkflowMode(ctx context.Context, out io.Writer, path, solverName string) (partial bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 	doc, err := spec.Parse(raw)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	w, err := doc.Build()
+	rv, err := gen.Resolve(gen.InstanceRef{Spec: doc})
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	gamma := doc.Gamma
-	if gamma == 0 {
-		gamma = 2
-	}
-	costs := privacy.Costs(doc.Costs)
-	if len(costs) == 0 {
-		costs = privacy.Uniform(w.Schema().Names()...)
-	}
-	var sv provenance.Solver
-	switch solverName {
-	case "exact":
-		sv = provenance.SolverExact
-	case "greedy":
-		sv = provenance.SolverGreedy
-	case "lp":
-		sv = provenance.SolverLP
-	default:
-		fatal(fmt.Errorf("unknown solver %q", solverName))
-	}
-	store := provenance.NewStore(w)
+	it := rv.Instance
+	store := provenance.NewStore(it.W)
 	if err := store.RecordAll(1 << 20); err != nil {
-		fatal(err)
+		return false, err
 	}
-	view, err := store.SecureView(gamma, costs, doc.PrivatizeCosts, sv)
-	if err != nil {
-		fatal(err)
+	view, err := store.SecureView(ctx, it.Gamma, it.Costs, it.PrivatizeCosts, solverName)
+	switch {
+	case err == nil:
+	case errors.Is(err, context.DeadlineExceeded) && view != nil:
+		fmt.Fprintln(out, "TIMED OUT — printing the best incumbent found so far (not proven optimal)")
+		partial = true
+	case errors.Is(err, context.DeadlineExceeded):
+		return false, fmt.Errorf("timed out with no feasible incumbent: %w", err)
+	default:
+		return false, err
 	}
 	if err := view.VerifyStandalone(); err != nil {
-		fatal(err)
+		return false, err
 	}
-	fmt.Printf("workflow:    %s (%d modules, %d executions)\n", w.Name(), len(w.Modules()), store.Size())
-	fmt.Printf("Γ:           %d\n", view.Gamma)
-	fmt.Printf("hide:        %v\n", view.HiddenSorted())
-	fmt.Printf("privatize:   %v\n", view.Privatized.Sorted())
-	fmt.Printf("cost:        %.4g\n", view.Cost)
-	fmt.Printf("published view:\n%v", view.Relation())
+	fmt.Fprintf(out, "workflow:    %s (%d modules, %d executions)\n", it.W.Name(), len(it.W.Modules()), store.Size())
+	fmt.Fprintf(out, "Γ:           %d\n", view.Gamma)
+	fmt.Fprintf(out, "hide:        %v\n", view.HiddenSorted())
+	fmt.Fprintf(out, "privatize:   %v\n", view.Privatized.Sorted())
+	fmt.Fprintf(out, "cost:        %.4g\n", view.Cost)
+	if partial {
+		fmt.Fprintf(out, "status:      partial (deadline exceeded)\n")
+	}
+	fmt.Fprintf(out, "published view:\n%v", view.Relation())
+	return partial, nil
 }
 
 // printSolvers renders the registry's declared capability matrix, the CLI

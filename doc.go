@@ -10,17 +10,20 @@
 //	internal/relation    finite relations, projections, joins, FDs
 //	internal/module      modules as finite functions I → O
 //	internal/workflow    DAG wiring, execution, provenance relations
-//	internal/provenance  execution store and privacy-preserving views
+//	internal/provenance  execution store and privacy-preserving views,
+//	                     derived with secureview.Derive and solved by any
+//	                     registry solver through solve.Solve (a cancelled
+//	                     solve's feasible incumbent still yields a view)
 //	internal/privacy     Γ-standalone-privacy (section 3, appendix A)
 //	internal/oracle      compiled integer-coded safety oracle: relations
 //	                     lowered once to uint64 row codes, each Lemma 4 test
 //	                     a few array/bitset ops — compile once per search,
 //	                     share the read-only result across the worker pool
 //	internal/search      bitset subset-search engine: Proposition 1 pruning,
-//	                     cost-ordered exploration, worker pool, memoized
-//	                     oracles; warm starts — a finished run exports its
-//	                     domination frontiers, verdict memo and incumbent as
-//	                     a Frontier, re-imported via Options.Resume (sound
+//	                     cost-ordered exploration, worker pool; warm
+//	                     starts — a finished run exports its domination
+//	                     frontiers, verdict memo and incumbent as a
+//	                     Frontier, re-imported via Options.Resume (sound
 //	                     across cost-only edits: verdicts are cost-free)
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets
@@ -32,10 +35,10 @@
 //	                     approx-labelcover, portfolio) with declared
 //	                     Capabilities, uniform Options and bound-certified
 //	                     Results, fingerprint-keyed Session caches (derived
-//	                     problems, compiled oracle tables, warm-start
-//	                     frontiers; length-prefixed collision-proof hashing,
-//	                     size-accounted LRU eviction, delta derivation
-//	                     re-costing cached problems on cost-only re-derives)
+//	                     problems and warm-start frontiers; length-prefixed
+//	                     collision-proof hashing, size-accounted LRU
+//	                     eviction, delta derivation re-costing cached
+//	                     problems on cost-only re-derives)
 //	                     shared across goroutines, SolveBatch
 //	                     worker-pool front-end with per-job deadlines; every
 //	                     solver observes ctx within one pruning epoch; the

@@ -5,6 +5,7 @@ package secureview
 // world verification of the workflow-privacy guarantee.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -35,11 +36,9 @@ func TestEndToEndFig1AllSolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := privacy.Uniform(w.Schema().Names()...)
-	for _, solver := range []provenance.Solver{
-		provenance.SolverExact, provenance.SolverGreedy, provenance.SolverLP,
-	} {
-		t.Run(solver.String(), func(t *testing.T) {
-			view, err := store.SecureView(2, costs, nil, solver)
+	for _, solver := range []string{"exact", "greedy", "lp"} {
+		t.Run(solver, func(t *testing.T) {
+			view, err := store.SecureView(context.Background(), 2, costs, nil, solver)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +83,7 @@ func TestEndToEndRandomWorkflows(t *testing.T) {
 				t.Fatal(err)
 			}
 			w, costs := it.W, it.Costs
-			p, err := sv.Derive(w, sv.DeriveOptions{Gamma: 2, Costs: costs, Parallel: true})
+			p, err := sv.Derive(w, sv.DeriveOptions{Gamma: 2, Costs: costs})
 			if err != nil {
 				t.Skipf("no safe subsets at Γ=2: %v", err)
 			}
@@ -160,7 +159,7 @@ func TestSpecToViewPipeline(t *testing.T) {
 	if err := store.RecordAll(1 << 10); err != nil {
 		t.Fatal(err)
 	}
-	view, err := store.SecureView(2, privacy.Uniform(w.Schema().Names()...), nil, provenance.SolverExact)
+	view, err := store.SecureView(context.Background(), 2, privacy.Uniform(w.Schema().Names()...), nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,15 +194,15 @@ func TestQuickEndToEndSolverOrdering(t *testing.T) {
 			return false
 		}
 		costs := privacy.Uniform(w.Schema().Names()...)
-		exact, err := store.SecureView(2, costs, nil, provenance.SolverExact)
+		exact, err := store.SecureView(context.Background(), 2, costs, nil, "exact")
 		if err != nil {
 			return true // no safe subset for this random module; fine
 		}
-		lp, err := store.SecureView(2, costs, nil, provenance.SolverLP)
+		lp, err := store.SecureView(context.Background(), 2, costs, nil, "lp")
 		if err != nil {
 			return false
 		}
-		greedy, err := store.SecureView(2, costs, nil, provenance.SolverGreedy)
+		greedy, err := store.SecureView(context.Background(), 2, costs, nil, "greedy")
 		if err != nil {
 			return false
 		}

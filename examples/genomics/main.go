@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -61,8 +62,8 @@ func main() {
 	}
 	privatize := map[string]float64{"normalize": 3, "report": 3}
 
-	for _, solver := range []provenance.Solver{provenance.SolverExact, provenance.SolverGreedy, provenance.SolverLP} {
-		view, err := store.SecureView(4, costs, privatize, solver)
+	for _, solver := range []string{"exact", "greedy", "lp"} {
+		view, err := store.SecureView(context.Background(), 4, costs, privatize, solver)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func main() {
 			solver, view.HiddenSorted(), view.Privatized.Sorted(), view.Cost)
 	}
 
-	view, err := store.SecureView(4, costs, privatize, provenance.SolverExact)
+	view, err := store.SecureView(context.Background(), 4, costs, privatize, "exact")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 
 	// Every attribute is equally valuable to users.
 	costs := privacy.Uniform(w.Schema().Names()...)
-	view, err := store.SecureView(2, costs, nil, provenance.SolverExact)
+	view, err := store.SecureView(context.Background(), 2, costs, nil, "exact")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 	}
 
 	for name, wl := range workloads {
-		view, utility, err := store.SecureViewForWorkload(2, wl, nil, provenance.SolverExact)
+		view, utility, err := store.SecureViewForWorkload(context.Background(), 2, wl, nil, "exact")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -528,7 +528,7 @@ func runE14(quick bool) []*Table {
 	}
 	w := workflow.Fig1()
 	costs := privacy.Uniform(w.Schema().Names()...)
-	p, err := secureview.DeriveSet(w, 2, costs, nil)
+	p, err := secureview.Derive(w, secureview.DeriveOptions{Gamma: 2, Costs: costs})
 	if err != nil {
 		t.Note("derive: %v", err)
 		return []*Table{t}
@@ -945,8 +945,8 @@ func runE22(quick bool) []*Table {
 		workflowSeeds, problemSeeds = 2, 6
 	}
 	// One solve.Session across the sweep: the harness runs entirely through
-	// the internal/solve registry, and derivations/compiled oracles are
-	// shared across instances the way a long-lived service would share them.
+	// the internal/solve registry, and derivations are shared across
+	// instances the way a long-lived service would share them.
 	sess := solve.NewSession()
 	t1 := &Table{
 		Title:  "E22a: differential harness over generated workflow classes",

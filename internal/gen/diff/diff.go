@@ -66,9 +66,8 @@ type Options struct {
 	WorldsBudget uint64
 	// Search tunes the engine runs (worker-pool size).
 	Search search.Options
-	// Session, when non-nil, shares derived problems and compiled oracle
-	// tables across instances and harness runs (nil runs a private session
-	// per instance).
+	// Session, when non-nil, shares derived problems across instances and
+	// harness runs (nil runs a private session per instance).
 	Session *solve.Session
 }
 
@@ -506,9 +505,9 @@ func CheckInstance(it *gen.Instance, opts Options) Result {
 
 // CheckInstanceCtx runs the harness on a generated workflow instance: the
 // standalone engine matrix per private module, the derived set- and
-// cardinality-variant solver matrices (derivations and compiled oracles
-// served through a solve.Session, shared across instances when
-// Options.Session is set), compiled-vs-interpreted oracle agreement, and —
+// cardinality-variant solver matrices (derivations served through a
+// solve.Session, shared across instances when Options.Session is set),
+// compiled-vs-interpreted oracle agreement, and —
 // when small enough — exhaustive possible-world verification of the
 // assembled optimum plus the worlds-vs-assembly cost ordering.
 func CheckInstanceCtx(ctx context.Context, it *gen.Instance, opts Options) Result {
@@ -521,7 +520,7 @@ func CheckInstanceCtx(ctx context.Context, it *gen.Instance, opts Options) Resul
 	r.Instances = 1
 	name := fmt.Sprintf("%s/seed=%d", it.W.Name(), it.Seed)
 
-	r.checkStandalone(name, it, sess, opts)
+	r.checkStandalone(name, it, opts)
 
 	// Derived set-variant instance.
 	pset, errSet := sess.Problem(ctx, it.W, secureview.Set, it.Gamma, it.Costs, it.PrivatizeCosts)
@@ -613,9 +612,9 @@ func CheckRefCtx(ctx context.Context, ref gen.InstanceRef, opts Options) Result 
 // checkStandalone compares, for every private module of the instance, the
 // naive 2^k loop, the pruned engine and the compiled-oracle engine on the
 // standalone min-cost safe subset, and the compiled vs interpreted oracle
-// on every subset. Compiled tables come from the session, so instances
-// sharing module functionality compile once.
-func (r *Result) checkStandalone(name string, it *gen.Instance, sess *solve.Session, opts Options) {
+// on every subset. Each module view is compiled here, directly from its
+// functionality.
+func (r *Result) checkStandalone(name string, it *gen.Instance, opts Options) {
 	for _, m := range it.W.PrivateModules() {
 		if m.Arity() > 12 {
 			r.Skips++
@@ -643,7 +642,7 @@ func (r *Result) checkStandalone(name string, it *gen.Instance, sess *solve.Sess
 			r.violatef("%s/%s: naive optimum %g != engine optimum %g", name, m.Name(), naive.Cost, engine.Cost)
 		}
 
-		comp, err := sess.Compiled(mv)
+		comp, err := mv.Compile()
 		if err != nil {
 			r.Skips++
 			continue

@@ -22,9 +22,9 @@ func TestDifferentialSuite(t *testing.T) {
 	if testing.Short() {
 		workflowSeeds, problemSeeds = 2, 5
 	}
-	// One solve.Session across the whole suite: derived problems and
-	// compiled oracle tables are shared across instances exactly as a
-	// long-lived server would share them across requests.
+	// One solve.Session across the whole suite: derived problems are
+	// shared across instances exactly as a long-lived server would share
+	// them across requests.
 	sess := solve.NewSession()
 	var results []Result
 	for _, cl := range gen.Classes() {

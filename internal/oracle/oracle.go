@@ -231,9 +231,7 @@ func Compile(rel *relation.Relation, inputs, outputs []string) (*Compiled, error
 
 // finish derives everything the queries need from the primary tables
 // (attrs, domains, digits, code index): the dense/packed-word dispatch,
-// the equivalence classes, and the scratch pool. Shared by Compile and the
-// snapshot decoder — both end with exactly this computation, so a decoded
-// oracle is indistinguishable from a freshly compiled one.
+// the equivalence classes, and the scratch pool.
 func (c *Compiled) finish() {
 	n := c.n
 	c.dense = c.prodIn*c.prodOut <= denseMax
@@ -484,34 +482,6 @@ func (c *Compiled) bumpBitsEpoch(sc *callScratch) {
 		sc.bepoch = 1
 	}
 	sc.bVins = sc.bVins[:0]
-}
-
-// MemSize estimates the resident bytes of the compiled tables: digit
-// arrays, the input-code index, attribute names, and one pooled scratch
-// (keys plus the dense stamp tables when enabled). Callers use it for cache
-// accounting; it is an estimate, not exact heap usage.
-func (c *Compiled) MemSize() int64 {
-	size := int64(256) // struct, schema header, pool
-	for _, a := range c.attrs {
-		size += 16 + int64(len(a))
-	}
-	size += 8 * int64(len(c.inDoms)+len(c.outDoms))
-	size += 4 * int64(len(c.inDig)+len(c.outDig))
-	size += 16 * int64(len(c.inCodeRow))
-	// One callScratch: every concurrent safety test pools one, so a shared
-	// oracle typically holds a single reusable copy.
-	size += 8*int64(c.n) + 8*int64(c.n) // keys + vins capacity
-	switch {
-	case c.bitsOK:
-		size += 4 * int64(len(c.rowBits)+len(c.fieldBits))
-		size += 4 << (c.totalBits + c.bshift)    // bKeyStmp
-		size += 2 * (4 << (c.inBits + c.bshift)) // bVinStmp + bCnt
-		size += 4 * int64(c.n) << c.bshift       // bVins capacity
-	case c.dense:
-		size += 4 * int64(c.prodIn*c.prodOut) // keyStamp
-		size += 2 * 4 * int64(c.prodIn)       // vinStamp + cnt
-	}
-	return size
 }
 
 // K returns the universe size (inputs + outputs).

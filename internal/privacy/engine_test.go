@@ -143,31 +143,6 @@ func TestUnsatisfiableCounters(t *testing.T) {
 	}
 }
 
-func TestMemoOracle(t *testing.T) {
-	mv := fig1View()
-	counting := &CountingOracle{Inner: OracleFor(mv, 4)}
-	memo := NewMemoOracle(counting)
-	v := relation.NewNameSet("a1", "a3", "a5")
-	for i := 0; i < 3; i++ {
-		if _, err := memo.IsSafe(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counting.Calls() != 1 {
-		t.Errorf("inner oracle called %d times, want 1", counting.Calls())
-	}
-	if memo.Len() != 1 {
-		t.Errorf("memo holds %d entries, want 1", memo.Len())
-	}
-	// A different set misses.
-	if _, err := memo.IsSafe(relation.NewNameSet("a1")); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Calls() != 2 {
-		t.Errorf("inner oracle called %d times, want 2", counting.Calls())
-	}
-}
-
 // The engine and the assumption-free oracle scan must agree on monotone
 // (real-module) oracles.
 func TestEngineAgreesWithOracleScan(t *testing.T) {

@@ -3,6 +3,7 @@ package privacy
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"secureview/internal/oracle"
 	"secureview/internal/relation"
@@ -323,12 +324,11 @@ func (o compiledOracle) IsSafeBatch(visible []relation.NameSet) ([]bool, error) 
 
 // EngineMinCostWithOracle runs the pruned parallel engine against an
 // arbitrary Safe-View oracle. The oracle MUST be monotone (Proposition 1)
-// and safe for concurrent use — MemoOracle and CountingOracle add their own
-// bookkeeping safely but still delegate concurrently, so they do NOT make a
+// and safe for concurrent use — CountingOracle adds its own bookkeeping
+// safely but still delegates concurrently, so it does NOT make a
 // non-thread-safe inner oracle safe. For adversarial, non-monotone oracles
 // use MinCostSafeSubsetWithOracle, which assumes nothing. The engine asks
-// about each visible set at most once per call, so to amortize answers
-// ACROSS calls, pass the same MemoOracle to each.
+// about each visible set at most once per call.
 func EngineMinCostWithOracle(attrs []string, costs Costs, oracle SafeViewOracle, opts search.Options) (SearchResult, error) {
 	if len(attrs) > search.MaxAttrs {
 		return SearchResult{}, fmt.Errorf("privacy: %d attributes too many", len(attrs))
@@ -366,6 +366,22 @@ func EngineMinCostWithOracle(attrs []string, costs Costs, oracle SafeViewOracle,
 	}
 	return out, nil
 }
+
+// CountingOracle wraps a SafeViewOracle and counts calls. It is safe for
+// concurrent use, so it can sit under the parallel search engine.
+type CountingOracle struct {
+	Inner SafeViewOracle
+	calls atomic.Int64
+}
+
+// IsSafe delegates and increments the call counter.
+func (c *CountingOracle) IsSafe(visible relation.NameSet) (bool, error) {
+	c.calls.Add(1)
+	return c.Inner.IsSafe(visible)
+}
+
+// Calls returns the number of oracle queries made so far.
+func (c *CountingOracle) Calls() int { return int(c.calls.Load()) }
 
 // MinCostSafeSubsetWithOracle solves the standalone Secure-View decision
 // problem using only oracle calls: it asks the oracle about every subset in

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestImportCSVRejectsForgedRows(t *testing.T) {
 
 func TestViewExportCSVHidesColumns(t *testing.T) {
 	s := fig1Store(t)
-	view, err := s.SecureView(2, privacy.Uniform(s.Workflow().Schema().Names()...), nil, SolverExact)
+	view, err := s.SecureView(context.Background(), 2, privacy.Uniform(s.Workflow().Schema().Names()...), nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package provenance
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -20,6 +21,7 @@ import (
 	"secureview/internal/privacy"
 	"secureview/internal/relation"
 	"secureview/internal/secureview"
+	"secureview/internal/solve"
 	"secureview/internal/workflow"
 )
 
@@ -64,33 +66,6 @@ func (s *Store) Size() int { return s.rel.Len() }
 // Relation returns the full provenance relation (owner-side access).
 func (s *Store) Relation() *relation.Relation { return s.rel }
 
-// Solver selects the optimization algorithm for SecureView.
-type Solver int
-
-const (
-	// SolverExact uses branch and bound (optimal; exponential worst case).
-	SolverExact Solver = iota
-	// SolverGreedy uses the per-module greedy ((γ+1)-approximation under
-	// bounded data sharing, Theorem 7).
-	SolverGreedy
-	// SolverLP uses LP rounding (the ℓmax-approximation of Theorem 6 /
-	// appendix C.4).
-	SolverLP
-)
-
-// String names the solver.
-func (s Solver) String() string {
-	switch s {
-	case SolverExact:
-		return "exact"
-	case SolverGreedy:
-		return "greedy"
-	case SolverLP:
-		return "lp"
-	}
-	return "unknown"
-}
-
 // View is a published privacy-preserving projection of the provenance
 // relation.
 type View struct {
@@ -112,51 +87,36 @@ type View struct {
 
 // SecureView computes a Γ-private view: it derives per-module requirement
 // lists from standalone analysis (Theorem 4 / Theorem 8 assembly), solves
-// the Secure-View optimization with the chosen solver, verifies the
-// solution, and returns the projected view.
-func (s *Store) SecureView(gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64, solver Solver) (*View, error) {
-	prob, err := secureview.DeriveSet(s.w, gamma, costs, privatizeCosts)
-	if err != nil {
-		return nil, err
-	}
-	return s.solveAndBuild(prob, gamma, solver)
-}
-
-// deriveRecorded builds the Secure-View instance from the projections of
-// the recorded executions (see SecureViewRecorded).
-func deriveRecorded(s *Store, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*secureview.Problem, error) {
-	return secureview.Derive(s.w, secureview.DeriveOptions{
+// the Secure-View optimization with the named internal/solve registry
+// solver (set constraints, default budgets), verifies the solution, and
+// returns the projected view.
+//
+// ctx bounds the solve. When the solver stops early (deadline or budget)
+// but carries a feasible incumbent out, SecureView returns the view of that
+// incumbent together with the error, as solve.Result.Partial does;
+// otherwise a non-nil error comes with a nil view.
+func (s *Store) SecureView(ctx context.Context, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64, solver string) (*View, error) {
+	prob, err := secureview.Derive(s.w, secureview.DeriveOptions{
 		Gamma:          gamma,
 		Costs:          costs,
 		PrivatizeCosts: privatizeCosts,
-		Recorded:       s.rel,
 	})
-}
-
-// finishView solves the instance with the exact solver and packages the
-// view.
-func (s *Store) finishView(prob *secureview.Problem, gamma uint64) (*View, error) {
-	return s.solveAndBuild(prob, gamma, SolverExact)
-}
-
-func (s *Store) solveAndBuild(prob *secureview.Problem, gamma uint64, solver Solver) (*View, error) {
-	var sol secureview.Solution
-	var err error
-	switch solver {
-	case SolverExact:
-		sol, err = secureview.ExactSet(prob, 1<<22)
-	case SolverGreedy:
-		sol = secureview.Greedy(prob, secureview.Set)
-	case SolverLP:
-		sol, _, err = secureview.SetLPRound(prob)
-	default:
-		err = fmt.Errorf("provenance: unknown solver %v", solver)
-	}
 	if err != nil {
 		return nil, err
 	}
+	return s.solveAndBuild(ctx, prob, gamma, solver)
+}
+
+// solveAndBuild solves the instance through the registry and packages the
+// view, keeping a partial result's incumbent alongside its error.
+func (s *Store) solveAndBuild(ctx context.Context, prob *secureview.Problem, gamma uint64, solver string) (*View, error) {
+	res, solveErr := solve.Solve(ctx, solver, prob, solve.Options{Variant: secureview.Set})
+	if solveErr != nil && !res.Partial {
+		return nil, solveErr
+	}
+	sol := res.Solution
 	if !prob.Feasible(sol, secureview.Set) {
-		return nil, fmt.Errorf("provenance: solver %v produced infeasible solution", solver)
+		return nil, fmt.Errorf("provenance: solver %s produced infeasible solution", solver)
 	}
 	all := relation.NewNameSet(s.w.Schema().Names()...)
 	visible := all.Minus(sol.Hidden)
@@ -179,7 +139,7 @@ func (s *Store) solveAndBuild(prob *secureview.Problem, gamma uint64, solver Sol
 		rel:        projected,
 		w:          s.w,
 		alias:      alias,
-	}, nil
+	}, solveErr
 }
 
 // Relation returns the projected relation R_V the view publishes.

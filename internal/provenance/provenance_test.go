@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -39,9 +40,9 @@ func TestSecureViewFig1(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := privacy.Uniform(s.Workflow().Schema().Names()...)
-	for _, solver := range []Solver{SolverExact, SolverGreedy, SolverLP} {
-		t.Run(solver.String(), func(t *testing.T) {
-			v, err := s.SecureView(2, costs, nil, solver)
+	for _, solver := range []string{"exact", "greedy", "lp"} {
+		t.Run(solver, func(t *testing.T) {
+			v, err := s.SecureView(context.Background(), 2, costs, nil, solver)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,15 +68,15 @@ func TestSecureViewExactNoWorseThanOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := privacy.Uniform(s.Workflow().Schema().Names()...)
-	exact, err := s.SecureView(2, costs, nil, SolverExact)
+	exact, err := s.SecureView(context.Background(), 2, costs, nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := s.SecureView(2, costs, nil, SolverGreedy)
+	greedy, err := s.SecureView(context.Background(), 2, costs, nil, "greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, err := s.SecureView(2, costs, nil, SolverLP)
+	lp, err := s.SecureView(context.Background(), 2, costs, nil, "lp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestQueryRespectsVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := privacy.Uniform(s.Workflow().Schema().Names()...)
-	v, err := s.SecureView(2, costs, nil, SolverExact)
+	v, err := s.SecureView(context.Background(), 2, costs, nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSecureViewWithPublicModulePrivatizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := privacy.Costs{"i0": 5, "u": 1, "v": 5}
-	v, err := s.SecureView(2, costs, map[string]float64{"mpp": 1}, SolverExact)
+	v, err := s.SecureView(context.Background(), 2, costs, map[string]float64{"mpp": 1}, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestExportJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := privacy.Uniform(s.Workflow().Schema().Names()...)
-	v, err := s.SecureView(2, costs, nil, SolverExact)
+	v, err := s.SecureView(context.Background(), 2, costs, nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,30 @@
 package provenance
 
 import (
+	"context"
 	"fmt"
 
 	"secureview/internal/module"
 	"secureview/internal/privacy"
 	"secureview/internal/query"
 	"secureview/internal/relation"
+	"secureview/internal/secureview"
 )
 
 // SecureViewForWorkload computes a Γ-private view whose cost function is
 // derived from an expected query workload: hiding an attribute costs the
 // total weight of the queries it makes unanswerable (section 1's "utility
 // lost to the user"). It returns the view together with the retained
-// utility — the fraction of workload weight still answerable.
-func (s *Store) SecureViewForWorkload(gamma uint64, wl query.Workload, privatizeCosts map[string]float64, solver Solver) (*View, float64, error) {
+// utility — the fraction of workload weight still answerable. Solver and
+// partial results behave as in SecureView.
+func (s *Store) SecureViewForWorkload(ctx context.Context, gamma uint64, wl query.Workload, privatizeCosts map[string]float64, solver string) (*View, float64, error) {
 	if err := wl.Validate(s.w.Schema()); err != nil {
 		return nil, 0, err
 	}
 	const epsilon = 1e-3
 	costs := wl.Costs(s.w.Schema(), epsilon)
-	view, err := s.SecureView(gamma, costs, privatizeCosts, solver)
-	if err != nil {
+	view, err := s.SecureView(ctx, gamma, costs, privatizeCosts, solver)
+	if view == nil {
 		return nil, 0, err
 	}
 	answerable, total := wl.AnswerableWeight(view.Visible)
@@ -29,7 +32,7 @@ func (s *Store) SecureViewForWorkload(gamma uint64, wl query.Workload, privatize
 	if total > 0 {
 		utility = answerable / total
 	}
-	return view, utility, nil
+	return view, utility, err
 }
 
 // Answer evaluates a workload query against the view, refusing queries that
@@ -69,15 +72,20 @@ func AuditRecorded(s *Store, v *View) error {
 	return nil
 }
 
-// SecureViewRecorded is like SecureView but derives every module's
-// requirement list from the projections of the *recorded* executions
-// rather than from full module domains. Views computed this way are only
-// guaranteed for the current log; re-audit with AuditRecorded after
-// recording more executions.
-func (s *Store) SecureViewRecorded(gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*View, error) {
-	prob, err := deriveRecorded(s, gamma, costs, privatizeCosts)
+// SecureViewRecorded is like SecureView with the exact solver, but derives
+// every module's requirement list from the projections of the *recorded*
+// executions rather than from full module domains. Views computed this way
+// are only guaranteed for the current log; re-audit with AuditRecorded
+// after recording more executions.
+func (s *Store) SecureViewRecorded(ctx context.Context, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*View, error) {
+	prob, err := secureview.Derive(s.w, secureview.DeriveOptions{
+		Gamma:          gamma,
+		Costs:          costs,
+		PrivatizeCosts: privatizeCosts,
+		Recorded:       s.rel,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return s.finishView(prob, gamma)
+	return s.solveAndBuild(ctx, prob, gamma, "exact")
 }

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestSecureViewForWorkloadProtectsHotQueries(t *testing.T) {
 		{Query: query.Query{Name: "final", Project: []string{"a6", "a7"}}, Weight: 100},
 		{Query: query.Query{Name: "debug", Project: []string{"a3", "a4", "a5"}}, Weight: 1},
 	}
-	view, utility, err := s.SecureViewForWorkload(2, wl, nil, SolverExact)
+	view, utility, err := s.SecureViewForWorkload(context.Background(), 2, wl, nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSecureViewForWorkloadFlipsWithWeights(t *testing.T) {
 	wl := query.Workload{
 		{Query: query.Query{Name: "mid", Project: []string{"a3", "a4", "a5"}}, Weight: 100},
 	}
-	view, _, err := s.SecureViewForWorkload(2, wl, nil, SolverExact)
+	view, _, err := s.SecureViewForWorkload(context.Background(), 2, wl, nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestAnswerRefusesHiddenQueries(t *testing.T) {
 	wl := query.Workload{
 		{Query: query.Query{Name: "final", Project: []string{"a6", "a7"}}, Weight: 10},
 	}
-	view, _, err := s.SecureViewForWorkload(2, wl, nil, SolverExact)
+	view, _, err := s.SecureViewForWorkload(context.Background(), 2, wl, nil, "exact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAnswerRefusesHiddenQueries(t *testing.T) {
 func TestWorkloadValidateErrorPropagates(t *testing.T) {
 	s := fig1Store(t)
 	bad := query.Workload{{Query: query.Query{Name: "q", Project: []string{"zz"}}, Weight: 1}}
-	if _, _, err := s.SecureViewForWorkload(2, bad, nil, SolverExact); err == nil {
+	if _, _, err := s.SecureViewForWorkload(context.Background(), 2, bad, nil, "exact"); err == nil {
 		t.Error("invalid workload accepted")
 	}
 }
@@ -104,7 +105,7 @@ func TestSecureViewRecordedAndAudit(t *testing.T) {
 	for _, n := range w.Schema().Names() {
 		costs[n] = 1
 	}
-	view, err := s.SecureViewRecorded(2, costs, nil)
+	view, err := s.SecureViewRecorded(context.Background(), 2, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestSecureViewRecordedAndAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := AuditRecorded(s, view); err != nil {
-		view2, err := s.SecureViewRecorded(2, costs, nil)
+		view2, err := s.SecureViewRecorded(context.Background(), 2, costs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestAuditDetectsBreakage(t *testing.T) {
 	for _, n := range w.Schema().Names() {
 		costs[n] = 1
 	}
-	view, err := s.SecureViewRecorded(2, costs, nil)
+	view, err := s.SecureViewRecorded(context.Background(), 2, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

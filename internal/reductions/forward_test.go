@@ -1,4 +1,4 @@
-package reductions
+package reductions_test
 
 // Round-trip tests for the forward reductions: To ∘ From must recover the
 // source combinatorial optimum exactly (the From constructions preserve
@@ -14,6 +14,7 @@ import (
 
 	"secureview/internal/combopt"
 	"secureview/internal/gen"
+	"secureview/internal/reductions"
 	"secureview/internal/secureview"
 )
 
@@ -31,14 +32,14 @@ func TestToFromSetCoverCardinality(t *testing.T) {
 		sc := combopt.RandomSetCover(5+rng.Intn(3), 6+rng.Intn(4), 0.35, rng)
 		srcOpt := len(sc.Exact())
 
-		p := FromSetCoverCardinality(sc)
+		p := reductions.FromSetCoverCardinality(sc)
 		exact, err := secureview.ExactCard(p, 16)
 		if err != nil {
 			t.Fatalf("trial %d: exact: %v", trial, err)
 		}
 		instOpt := p.Cost(exact)
 
-		inst, err := ToSetCover(p, secureview.Cardinality)
+		inst, err := reductions.ToSetCover(p, secureview.Cardinality)
 		if err != nil {
 			t.Fatalf("trial %d: ToSetCover: %v", trial, err)
 		}
@@ -73,14 +74,14 @@ func TestToFromLabelCoverSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		lc := combopt.RandomLabelCover(2, 2, 2, 2, 2, rng)
-		p := FromLabelCoverSet(lc)
+		p := reductions.FromLabelCoverSet(lc)
 		exact, err := secureview.ExactSet(p, 1<<22)
 		if err != nil {
 			t.Fatalf("trial %d: exact: %v", trial, err)
 		}
 		opt := p.Cost(exact)
 
-		inst, err := ToLabelCover(p)
+		inst, err := reductions.ToLabelCover(p)
 		if err != nil {
 			t.Fatalf("trial %d: ToLabelCover: %v", trial, err)
 		}
@@ -135,7 +136,7 @@ func TestToSetCoverCertificates(t *testing.T) {
 				}
 				opt := p.Cost(exact)
 
-				inst, err := ToSetCover(p, v)
+				inst, err := reductions.ToSetCover(p, v)
 				if err != nil {
 					t.Fatalf("%s/%d/%s: ToSetCover: %v", pc.Name, seed, name, err)
 				}
@@ -188,7 +189,7 @@ func TestToLabelCoverCertificates(t *testing.T) {
 				t.Fatalf("%s/%d: exact: %v", pc.Name, seed, err)
 			}
 			opt := p.Cost(exact)
-			inst, err := ToLabelCover(p)
+			inst, err := reductions.ToLabelCover(p)
 			if err != nil {
 				t.Fatalf("%s/%d: ToLabelCover: %v", pc.Name, seed, err)
 			}
@@ -230,7 +231,7 @@ func TestToLabelCoverRejectsPublicModules(t *testing.T) {
 		if !hasPublic {
 			continue
 		}
-		if _, err := ToLabelCover(p); err == nil {
+		if _, err := reductions.ToLabelCover(p); err == nil {
 			t.Fatal("ToLabelCover accepted a public-module instance")
 		}
 		return

@@ -254,24 +254,6 @@ func Batched(oracle Oracle) BatchOracle {
 	}
 }
 
-// Memoize wraps an oracle with a concurrency-safe memo so repeated queries
-// for the same visible mask (e.g. across engine calls sharing one oracle)
-// are answered once. Errors are not memoized.
-func Memoize(oracle Oracle) Oracle {
-	var memo sync.Map
-	return func(v Mask) (bool, error) {
-		if r, ok := memo.Load(v); ok {
-			return r.(bool), nil
-		}
-		safe, err := oracle(v)
-		if err != nil {
-			return false, err
-		}
-		memo.Store(v, safe)
-		return safe, nil
-	}
-}
-
 // DefaultFrontierCap is the Proposition 1 domination-store bound used when
 // Options.FrontierCap is zero.
 const DefaultFrontierCap = 256

@@ -384,25 +384,6 @@ func TestMinimalSafeHiddenMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestMemoize(t *testing.T) {
-	var calls atomic.Int64
-	oracle := Memoize(func(v Mask) (bool, error) {
-		calls.Add(1)
-		return v == 0, nil
-	})
-	for i := 0; i < 3; i++ {
-		if safe, err := oracle(0); err != nil || !safe {
-			t.Fatal("memoized result wrong")
-		}
-		if safe, err := oracle(5); err != nil || safe {
-			t.Fatal("memoized result wrong")
-		}
-	}
-	if calls.Load() != 2 {
-		t.Errorf("inner oracle called %d times, want 2", calls.Load())
-	}
-}
-
 func TestFrontier(t *testing.T) {
 	f := newFrontier(8)
 	f.insertMinimal(0b1100)

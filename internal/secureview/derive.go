@@ -17,19 +17,6 @@ import (
 // skip this instance" from "a derivation bug is being swallowed".
 var ErrInfeasible = errors.New("secureview: infeasible at Γ")
 
-// DeriveSet builds a Secure-View instance (set-constraints variant) from a
-// concrete workflow and privacy target Γ (Γ ≥ 1), following the assembly
-// theorems: each private module's requirement list is its inclusion-minimal
-// safe hidden sets, computed standalone by the pruned search engine
-// (Theorem 4 for all-private workflows, Theorem 8 with privatization for
-// general ones). Solving the returned instance therefore yields a Γ-private
-// view of the whole workflow. It is Derive with default options.
-//
-// privatizeCosts assigns c(m) to public modules (missing names cost 0).
-func DeriveSet(w *workflow.Workflow, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*Problem, error) {
-	return Derive(w, DeriveOptions{Gamma: gamma, Costs: costs, PrivatizeCosts: privatizeCosts})
-}
-
 // DeriveCard builds the cardinality requirement list for one module view:
 // the Pareto-minimal pairs (α, β) such that hiding ANY α inputs and β
 // outputs is safe for Γ. This encoding is sound by construction (every
@@ -133,7 +120,7 @@ func subsetsOfSize(names []string, k int) [][]string {
 	}
 }
 
-// DeriveCardProblem is DeriveSet's counterpart for the cardinality variant:
+// DeriveCardProblem is Derive's counterpart for the cardinality variant:
 // it attaches a sound cardinality list to every private module.
 func DeriveCardProblem(w *workflow.Workflow, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*Problem, error) {
 	p := &Problem{Costs: costs}

@@ -2,12 +2,10 @@ package secureview
 
 import (
 	"fmt"
-	"sync"
 
 	"secureview/internal/module"
 	"secureview/internal/privacy"
 	"secureview/internal/relation"
-	"secureview/internal/search"
 	"secureview/internal/workflow"
 )
 
@@ -31,20 +29,6 @@ type DeriveOptions struct {
 	// recorded executions is the faithful reading for partial logs; note a
 	// view derived from a partial log is only guaranteed for that log.
 	Recorded *relation.Relation
-	// Parallel analyses modules concurrently (the standalone analyses are
-	// independent; the paper's section 3.2 remark observes they are also
-	// amortizable across workflows).
-	Parallel bool
-	// Cache, when non-nil, memoizes per-module standalone analyses across
-	// Derive calls and workflows (the BLAST/FASTA amortization of section
-	// 3.2). Ignored when Recorded is set, since partial-log analyses are
-	// log-specific.
-	Cache *privacy.Cache
-	// Search tunes the per-module subset-search engine (worker-pool size for
-	// the 2^k mask sweep); the zero value uses GOMAXPROCS workers. It
-	// composes with Parallel: Parallel fans out across modules, Search fans
-	// out across each module's candidate subsets.
-	Search search.Options
 }
 
 func (o DeriveOptions) gammaFor(name string) uint64 {
@@ -67,20 +51,21 @@ func (o DeriveOptions) moduleView(w *workflow.Workflow, m *module.Module) (priva
 	return privacy.ModuleView{Rel: proj, Inputs: m.InputNames(), Outputs: m.OutputNames()}, nil
 }
 
-// Derive builds a Secure-View instance (set-constraints variant) under the
-// options. It generalizes DeriveSet with per-module Γ, partial-log
-// derivation and optional parallelism.
+// Derive builds a Secure-View instance (set-constraints variant) from a
+// concrete workflow, following the assembly theorems: each private module's
+// requirement list is its inclusion-minimal safe hidden sets, computed
+// standalone by the pruned search engine (Theorem 4 for all-private
+// workflows, Theorem 8 with privatization for general ones). Solving the
+// returned instance therefore yields a Γ-private view of the whole
+// workflow. Modules are analysed in workflow order; each module's subset
+// sweep already fans out over the engine's worker pool.
 func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 	if opts.Gamma == 0 && len(opts.GammaPerModule) == 0 {
 		return nil, fmt.Errorf("secureview: Derive needs a privacy requirement")
 	}
-	p := &Problem{Costs: opts.Costs}
 	mods := w.Modules()
-	specs := make([]ModuleSpec, len(mods))
-	errs := make([]error, len(mods))
-
-	analyze := func(i int) {
-		m := mods[i]
+	p := &Problem{Costs: opts.Costs, Modules: make([]ModuleSpec, 0, len(mods))}
+	for _, m := range mods {
 		spec := ModuleSpec{
 			Name:    m.Name(),
 			Inputs:  m.InputNames(),
@@ -89,32 +74,23 @@ func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 		if m.Visibility() == module.Public {
 			spec.Public = true
 			spec.PrivatizeCost = opts.PrivatizeCosts[m.Name()]
-			specs[i] = spec
-			return
+			p.Modules = append(p.Modules, spec)
+			continue
 		}
 		gamma := opts.gammaFor(m.Name())
 		if gamma == 0 {
-			errs[i] = fmt.Errorf("secureview: module %s has no privacy requirement", m.Name())
-			return
+			return nil, fmt.Errorf("secureview: module %s has no privacy requirement", m.Name())
 		}
 		mv, err := opts.moduleView(w, m)
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
-		var minimal []relation.NameSet
-		if opts.Cache != nil && opts.Recorded == nil {
-			minimal, err = opts.Cache.MinimalSafeHiddenSetsOpts(mv, gamma, opts.Search)
-		} else {
-			minimal, err = mv.MinimalSafeHiddenSetsOpts(gamma, opts.Search)
-		}
+		minimal, err := mv.MinimalSafeHiddenSets(gamma)
 		if err != nil {
-			errs[i] = fmt.Errorf("secureview: module %s: %w", m.Name(), err)
-			return
+			return nil, fmt.Errorf("secureview: module %s: %w", m.Name(), err)
 		}
 		if len(minimal) == 0 {
-			errs[i] = fmt.Errorf("secureview: module %s has no safe subset for Γ=%d: %w", m.Name(), gamma, ErrInfeasible)
-			return
+			return nil, fmt.Errorf("secureview: module %s has no safe subset for Γ=%d: %w", m.Name(), gamma, ErrInfeasible)
 		}
 		in := relation.NewNameSet(spec.Inputs...)
 		for _, h := range minimal {
@@ -128,29 +104,7 @@ func Derive(w *workflow.Workflow, opts DeriveOptions) (*Problem, error) {
 			}
 			spec.SetList = append(spec.SetList, req)
 		}
-		specs[i] = spec
+		p.Modules = append(p.Modules, spec)
 	}
-
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		for i := range mods {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				analyze(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range mods {
-			analyze(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	p.Modules = specs
 	return p, nil
 }

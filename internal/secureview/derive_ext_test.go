@@ -12,52 +12,6 @@ import (
 	"secureview/internal/workflow"
 )
 
-func TestDeriveMatchesDeriveSet(t *testing.T) {
-	w := workflow.Fig1()
-	costs := privacy.Uniform(w.Schema().Names()...)
-	a, err := DeriveSet(w, 2, costs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Derive(w, DeriveOptions{Gamma: 2, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solA, err := ExactSet(a, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solB, err := ExactSet(b, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cost(solA) != b.Cost(solB) {
-		t.Fatalf("Derive cost %v != DeriveSet cost %v", b.Cost(solB), a.Cost(solA))
-	}
-}
-
-func TestDeriveParallelAgreesWithSequential(t *testing.T) {
-	w := workflow.Fig1()
-	costs := privacy.Uniform(w.Schema().Names()...)
-	seq, err := Derive(w, DeriveOptions{Gamma: 2, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Derive(w, DeriveOptions{Gamma: 2, Costs: costs, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Modules) != len(par.Modules) {
-		t.Fatal("module count differs")
-	}
-	for i := range seq.Modules {
-		if seq.Modules[i].Name != par.Modules[i].Name ||
-			len(seq.Modules[i].SetList) != len(par.Modules[i].SetList) {
-			t.Fatalf("module %d differs between sequential and parallel derivation", i)
-		}
-	}
-}
-
 func TestDerivePerModuleGamma(t *testing.T) {
 	w := workflow.Fig1()
 	costs := privacy.Uniform(w.Schema().Names()...)
@@ -147,9 +101,8 @@ func TestDeriveFromRecordedPartialLog(t *testing.T) {
 	}
 }
 
-// Property: for random two-layer workflows, parallel and sequential
-// derivation produce identical instances, and the exact optimum is safe for
-// every module standalone.
+// Property: for random two-layer workflows, the exact optimum of the
+// derived instance is safe for every module standalone.
 func TestQuickDeriveConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -160,17 +113,12 @@ func TestQuickDeriveConsistency(t *testing.T) {
 			return false
 		}
 		costs := privacy.Uniform(w.Schema().Names()...)
-		seq, err1 := Derive(w, DeriveOptions{Gamma: 2, Costs: costs})
-		par, err2 := Derive(w, DeriveOptions{Gamma: 2, Costs: costs, Parallel: true})
-		if err1 != nil || err2 != nil {
-			return err1 != nil && err2 != nil // both fail together (no safe subset)
+		p, err := Derive(w, DeriveOptions{Gamma: 2, Costs: costs})
+		if err != nil {
+			return errors.Is(err, ErrInfeasible) // no safe subset at Γ=2
 		}
-		sa, err1 := ExactSet(seq, 1<<20)
-		sb, err2 := ExactSet(par, 1<<20)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if seq.Cost(sa) != par.Cost(sb) {
+		sa, err := ExactSet(p, 1<<20)
+		if err != nil {
 			return false
 		}
 		for _, m := range w.Modules() {
@@ -185,44 +133,6 @@ func TestQuickDeriveConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDeriveWithCacheAmortizes(t *testing.T) {
-	// Two different workflows reusing the same module (the paper's BLAST
-	// scenario): the second derivation hits the cache.
-	cache := privacy.NewCache()
-	costs := privacy.Uniform("x", "y", "u", "v")
-	m := module.And("shared", []string{"x", "y"}, "u")
-	down1 := module.Not("d1", "u", "v")
-	w1 := workflow.MustNew("w1", m, down1)
-	w2 := workflow.MustNew("w2", m, module.Xor("d2", []string{"u", "x"}, "v"))
-	if _, err := Derive(w1, DeriveOptions{Gamma: 2, Costs: costs, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Derive(w2, DeriveOptions{Gamma: 2, Costs: costs, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Stats()
-	if hits < 1 {
-		t.Fatalf("hits = %d, want >= 1 (shared module reused)", hits)
-	}
-	if misses < 3 {
-		t.Fatalf("misses = %d, want >= 3 (distinct modules)", misses)
-	}
-	// Cached and uncached derivations agree.
-	a, err := Derive(w1, DeriveOptions{Gamma: 2, Costs: costs, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Derive(w1, DeriveOptions{Gamma: 2, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, _ := ExactSet(a, 1<<20)
-	sb, _ := ExactSet(b, 1<<20)
-	if a.Cost(sa) != b.Cost(sb) {
-		t.Fatal("cache changed the optimum")
 	}
 }
 

@@ -31,10 +31,10 @@
 // evicted base silently falls back to a cold solve (the response's "warm"
 // field reports which path ran), so chaining is always safe.
 //
-// The shared Session is size-accounted: derived problems, compiled oracle
-// tables and warm-start frontiers are evicted least-recently-used beyond
-// Config.SessionBytes, so serving an unbounded stream of distinct workflows
-// holds steady-state memory (watch /v1/stats to size the budget).
+// The shared Session is size-accounted: derived problems and warm-start
+// frontiers are evicted least-recently-used beyond Config.SessionBytes, so
+// serving an unbounded stream of distinct workflows holds steady-state
+// memory (watch /v1/stats to size the budget).
 package server
 
 import (

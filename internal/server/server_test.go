@@ -50,6 +50,23 @@ func parseDoc(t *testing.T) *spec.Document {
 	return doc
 }
 
+// perModuleDoc is a one-module document asking for Γ=4 on module m while
+// the document-wide Γ is 2.
+func perModuleDoc(t *testing.T) *spec.Document {
+	t.Helper()
+	doc, err := spec.Parse([]byte(`{"name": "per-module", "gamma": 2, "gammaPerModule": {"m": 4},
+	  "costs": {"x1": 1, "x2": 1, "y": 5},
+	  "modules": [{"name": "m", "visibility": "private",
+	    "inputs": [{"name": "x1", "domain": 2}, {"name": "x2", "domain": 2}],
+	    "outputs": [{"name": "y", "domain": 4}], "kind": "table",
+	    "table": [{"in": [0, 0], "out": [0]}, {"in": [0, 1], "out": [1]},
+	              {"in": [1, 0], "out": [2]}, {"in": [1, 1], "out": [3]}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -445,6 +462,9 @@ func TestBadRequests(t *testing.T) {
 		{"wrong-variant solver", server.SolveRequest{
 			Generated: &server.GeneratedRef{Class: "sparse"}, Solver: "bb", Variant: "set",
 		}, http.StatusBadRequest},
+		// An instance carries one Γ: a per-module requirement would be
+		// silently weakened to the document's Γ, so it is refused.
+		{"gammaPerModule spec", server.SolveRequest{Spec: perModuleDoc(t), Solver: "exact"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, ts, "/v1/solve", tc.body)

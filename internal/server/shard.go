@@ -15,14 +15,14 @@ import (
 // owner's warm frontier and solving locally. The tradeoff:
 //
 //   - Proxying keeps exactly one hot copy of each cache entry (problem,
-//     oracle tables, warm frontier) in the cluster, works for every solver
-//     (frontier fetch only helps the engine), costs one hop, and keeps the
-//     owner's LRU recency honest — the replica that owns a fingerprint sees
-//     all of its traffic.
+//     warm frontier) in the cluster, works for every solver (frontier
+//     fetch only helps the engine), costs one hop, and keeps the owner's
+//     LRU recency honest — the replica that owns a fingerprint sees all of
+//     its traffic.
 //   - Frontier fetch would keep solve CPU on the entry replica and tolerate
-//     slow owners better, but it duplicates the derived problem and oracle
-//     tables on every replica that ever sees the fingerprint (the cache
-//     scales per replica again, which is what sharding is meant to fix),
+//     slow owners better, but it duplicates the derived problem on every
+//     replica that ever sees the fingerprint (the cache scales per replica
+//     again, which is what sharding is meant to fix),
 //     and each fetched frontier goes stale the moment the owner advances
 //     the chain.
 //

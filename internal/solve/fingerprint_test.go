@@ -87,6 +87,12 @@ func TestWorkflowKeyAdversarialNames(t *testing.T) {
 		add("set/3", workflowKey(w, secureview.Set, 3, privacy.Costs{"a": 1}, nil))
 		add("set/2/cost2", workflowKey(w, secureview.Set, 2, privacy.Costs{"a": 2}, nil))
 		add("set/2/priv", workflowKey(w, secureview.Set, 2, privacy.Costs{"a": 1}, map[string]float64{"m": 1}))
+		// Same module and attribute names, different function.
+		comp, err := workflow.New("fp", module.Complement("m", []string{"a", "b"}, []string{"y", "z"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("set/2/complement", workflowKey(comp, secureview.Set, 2, privacy.Costs{"a": 1}, nil))
 	})
 
 	t.Run("key is stable across calls", func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 
-	"secureview/internal/oracle"
 	"secureview/internal/privacy"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
@@ -19,12 +18,13 @@ import (
 
 // Session caches the expensive immutable state behind repeated solve
 // requests: derived Secure-View problems (the per-module standalone
-// analyses of Theorems 4/8 dominate end-to-end latency) and compiled
-// internal/oracle tables, both keyed by content fingerprints so renamed
-// handles to the same workflow share entries. All cached values are
-// immutable after construction and safe to share across goroutines; a
-// Session is safe for concurrent use, and concurrent requests for the same
-// fingerprint perform the work once (later arrivals block on the first).
+// analyses of Theorems 4/8 dominate end-to-end latency), keyed by content
+// fingerprints so renamed handles to the same workflow share entries, and
+// the engine's warm-start frontiers, keyed by problem fingerprint. All
+// cached values are immutable after construction and safe to share across
+// goroutines; a Session is safe for concurrent use, and concurrent requests
+// for the same fingerprint perform the work once (later arrivals block on
+// the first).
 //
 // A Session constructed with NewSessionBytes accounts the approximate
 // resident size of every cached value and evicts least-recently-used
@@ -35,17 +35,13 @@ import (
 // pointers already handed out — cached values are immutable — it only
 // forces the next request for that fingerprint to re-derive.
 //
-// This is the request-level counterpart of privacy.Cache (which amortizes
-// per-module analyses across workflows, the paper's section 3.2 BLAST/FASTA
-// remark): one Session fronting a batch of jobs derives each distinct
-// workflow once per variant, however many (instance, solver) pairs the
-// batch fans out.
+// One Session fronting a batch of jobs derives each distinct workflow once
+// per variant, however many (instance, solver) pairs the batch fans out.
 type Session struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	problems map[string]*sessionEntry
-	oracles  map[string]*sessionEntry
 	warm     map[string]*sessionEntry
 	// structIdx maps a derivation's cost-independent structure key to the
 	// most recent completed problem entry with that structure, powering the
@@ -54,7 +50,7 @@ type Session struct {
 	// the per-module analyses. Maintained under mu; entries are removed when
 	// the backing problem entry is evicted.
 	structIdx map[string]*sessionEntry
-	// LRU list over all caches; front = most recently used.
+	// LRU list over both caches; front = most recently used.
 	front, back  *sessionEntry
 	hits         int
 	misses       int
@@ -64,7 +60,7 @@ type Session struct {
 	deltaDerives int
 }
 
-// sessionEntry is one cached derivation or compilation. done/size/p/c/err
+// sessionEntry is one cached derivation or warm frontier. done/size/p/err
 // are guarded by mu (the singleflight lock: the first caller derives while
 // later arrivals block); the list links and the accounted/evicted flags are
 // guarded by the Session mutex. accounted marks that size has been added to
@@ -78,7 +74,6 @@ type sessionEntry struct {
 	done bool
 	size int64
 	p    *secureview.Problem
-	c    *oracle.Compiled
 	err  error
 
 	prev, next *sessionEntry
@@ -92,13 +87,14 @@ type sessionEntry struct {
 	f         *search.Frontier
 }
 
-// entryKind selects which Session map an entry lives in.
+// entryKind selects which Session map an entry lives in. The values are
+// the snapshot wire tags, so they must not change; 0 is retired (earlier
+// snapshots used it for compiled-oracle entries) and Restore refuses it.
 type entryKind int8
 
 const (
-	kindOracle entryKind = iota
-	kindProblem
-	kindWarm
+	kindProblem entryKind = 1
+	kindWarm    entryKind = 2
 )
 
 // NewSession returns an empty session with no size bound.
@@ -108,13 +104,12 @@ func NewSession() *Session {
 
 // NewSessionBytes returns an empty session that keeps its accounted cache
 // size at or below maxBytes by LRU eviction (0 = unbounded). The accounting
-// is an estimate of resident size (problem specs, compiled oracle tables
-// and their pooled scratch), not exact heap usage.
+// is an estimate of resident size (problem specs and warm frontiers), not
+// exact heap usage.
 func NewSessionBytes(maxBytes int64) *Session {
 	return &Session{
 		maxBytes:  maxBytes,
 		problems:  make(map[string]*sessionEntry),
-		oracles:   make(map[string]*sessionEntry),
 		warm:      make(map[string]*sessionEntry),
 		structIdx: make(map[string]*sessionEntry),
 	}
@@ -124,7 +119,7 @@ func NewSessionBytes(maxBytes int64) *Session {
 // JSON tags are the wire shape internal/server exposes at /v1/stats.
 type SessionStats struct {
 	// Hits counts requests served from a completed cache entry; Misses
-	// counts derivations/compilations actually performed.
+	// counts derivations actually performed.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// Evictions counts entries removed under memory pressure.
@@ -159,7 +154,7 @@ func (s *Session) Stats() SessionStats {
 		WarmHits:     s.warmHits,
 		WarmMisses:   s.warmMisses,
 		DeltaDerives: s.deltaDerives,
-		Entries:      len(s.problems) + len(s.oracles) + len(s.warm),
+		Entries:      len(s.problems) + len(s.warm),
 		Bytes:        s.bytes,
 		MaxBytes:     s.maxBytes,
 	}
@@ -167,26 +162,21 @@ func (s *Session) Stats() SessionStats {
 
 // mapFor returns the cache map an entry kind lives in. Caller holds s.mu.
 func (s *Session) mapFor(k entryKind) map[string]*sessionEntry {
-	switch k {
-	case kindProblem:
-		return s.problems
-	case kindWarm:
+	if k == kindWarm {
 		return s.warm
-	default:
-		return s.oracles
 	}
+	return s.problems
 }
 
-// lookup returns the entry for key in the given cache, creating it on first
-// request, and marks it most recently used.
-func (s *Session) lookup(key string, kind entryKind) *sessionEntry {
+// lookup returns the problem entry for key, creating it on first request,
+// and marks it most recently used.
+func (s *Session) lookup(key string) *sessionEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.mapFor(kind)
-	e, ok := m[key]
+	e, ok := s.problems[key]
 	if !ok {
-		e = &sessionEntry{key: key, kind: kind}
-		m[key] = e
+		e = &sessionEntry{key: key, kind: kindProblem}
+		s.problems[key] = e
 	}
 	s.touchLocked(e)
 	return e
@@ -224,20 +214,15 @@ func (s *Session) unlinkLocked(e *sessionEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// commit records a finished entry's size and evicts LRU entries until the
-// budget holds again. The just-finished entry itself is evictable: a single
-// value larger than the whole budget is dropped immediately (the caller
-// keeps its pointer; only future requests re-derive), so the accounted
-// total never exceeds the budget.
-func (s *Session) commit(e *sessionEntry) {
-	s.commitProblem(e, "", false)
-}
-
-// commitProblem is commit with the problem-only extras: on a successful
-// derivation it publishes the entry in the structure index (enabling later
-// DeltaDerives), and records whether this derivation itself was served by
-// delta re-costing.
-func (s *Session) commitProblem(e *sessionEntry, structKey string, delta bool) {
+// commit records a finished derivation's size and evicts LRU entries until
+// the budget holds again. The just-finished entry itself is evictable: a
+// single value larger than the whole budget is dropped immediately (the
+// caller keeps its pointer; only future requests re-derive), so the
+// accounted total never exceeds the budget. A successful derivation is also
+// published in the structure index (enabling later DeltaDerives), and the
+// counters record whether this derivation itself was served by delta
+// re-costing.
+func (s *Session) commit(e *sessionEntry, structKey string, delta bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.misses++
@@ -415,9 +400,9 @@ func workflowKey(w *workflow.Workflow, v secureview.Variant, gamma uint64,
 
 // deltaSource returns the cached problem to re-cost for the given structure
 // key, or nil when none is available. Entries reached through structIdx are
-// complete (commitProblem indexes only successful derivations) and
-// immutable, so reading p under s.mu alone is safe: the index insertion
-// happened under s.mu after the derivation wrote p.
+// complete (commit indexes only successful derivations) and immutable, so
+// reading p under s.mu alone is safe: the index insertion happened under
+// s.mu after the derivation wrote p.
 func (s *Session) deltaSource(structKey string) *secureview.Problem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,7 +450,7 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 	// path may block on s.mu while holding an entry lock. On a cache hit the
 	// index read is wasted, but it is a single locked map access.
 	src := s.deltaSource(structKey)
-	e := s.lookup(full, kindProblem)
+	e := s.lookup(full)
 	e.mu.Lock()
 	if e.done {
 		// Copy under e.mu, count the hit after releasing it: no path may
@@ -503,37 +488,8 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 	e.size = problemSize(e.p)
 	p, err := e.p, e.err
 	e.mu.Unlock()
-	s.commitProblem(e, structKey, delta)
+	s.commit(e, structKey, delta)
 	return p, err
-}
-
-// Compiled returns the compiled integer-coded oracle tables for the module
-// view, compiling on first use and sharing the immutable result across all
-// later requests for the same functionality.
-func (s *Session) Compiled(mv privacy.ModuleView) (*oracle.Compiled, error) {
-	h := sha256.New()
-	hashStr(h, 'V', "solve/oracle/v2")
-	hashModuleView(h, mv)
-	e := s.lookup(string(h.Sum(nil)), kindOracle)
-	e.mu.Lock()
-	if e.done {
-		c, err := e.c, e.err
-		e.mu.Unlock()
-		s.mu.Lock()
-		s.hits++
-		s.mu.Unlock()
-		return c, err
-	}
-	e.c, e.err = mv.Compile()
-	e.done = true
-	e.size = entrySize
-	if e.c != nil {
-		e.size += e.c.MemSize()
-	}
-	c, err := e.c, e.err
-	e.mu.Unlock()
-	s.commit(e)
-	return c, err
 }
 
 // entrySize is the fixed accounting overhead per cache entry (SHA-256 key,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"secureview/internal/gen"
-	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
 )
@@ -82,47 +81,33 @@ func TestSessionEvictionStaysUnderBudget(t *testing.T) {
 	}
 }
 
-// TestSessionEvictionCoversOracles: compiled oracle tables are accounted
-// and evicted under the same budget as derived problems.
-func TestSessionEvictionCoversOracles(t *testing.T) {
-	sess := solve.NewSessionBytes(8 << 10)
-	wide := func(t testing.TB, seed int64) *gen.Instance {
-		t.Helper()
-		it, err := gen.New(gen.Config{Topology: gen.Chain, Modules: 3, FanIn: 2, FanOut: 2}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return it
-	}
-	for seed := int64(0); seed < 40; seed++ {
-		it := wide(t, seed)
-		for _, m := range it.W.PrivateModules() {
-			if _, err := sess.Compiled(privacy.NewModuleView(m)); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if st := sess.Stats(); st.Bytes > st.MaxBytes {
-				t.Fatalf("seed %d: %d bytes over the %d budget", seed, st.Bytes, st.MaxBytes)
-			}
-		}
-	}
-	if st := sess.Stats(); st.Evictions == 0 {
-		t.Fatal("no oracle evictions under pressure")
-	}
-
-	// A hot entry is touched back to the front and survives pressure.
-	hot := privacy.NewModuleView(wide(t, 1000).W.PrivateModules()[0])
-	first, err := sess.Compiled(hot)
+// TestSessionEvictionSparesHotProblem: an entry in continuous use is
+// touched back to the front of the LRU list on every hit, so it survives
+// while other workflows push the session over its byte budget.
+func TestSessionEvictionSparesHotProblem(t *testing.T) {
+	const capBytes = 4 << 10
+	sess := solve.NewSessionBytes(capBytes)
+	ctx := context.Background()
+	hot := tinyInstance(t, 1000)
+	first, err := sess.Problem(ctx, hot.W, secureview.Set, hot.Gamma, hot.Costs, hot.PrivatizeCosts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(2000); seed < 2010; seed++ {
-		it := wide(t, seed)
-		if _, err := sess.Compiled(privacy.NewModuleView(it.W.PrivateModules()[0])); err != nil {
-			t.Fatal(err)
+		it := tinyInstance(t, seed)
+		if _, err := sess.Problem(ctx, it.W, secureview.Set, it.Gamma, it.Costs, it.PrivatizeCosts); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if again, err := sess.Compiled(hot); err != nil || again != first {
+		again, err := sess.Problem(ctx, hot.W, secureview.Set, hot.Gamma, hot.Costs, hot.PrivatizeCosts)
+		if err != nil || again != first {
 			t.Fatalf("hot entry evicted while continuously used (err=%v, shared=%v)", err, again == first)
 		}
+		if st := sess.Stats(); st.Bytes > capBytes {
+			t.Fatalf("seed %d: %d bytes over the %d budget", seed, st.Bytes, capBytes)
+		}
+	}
+	if st := sess.Stats(); st.Evictions == 0 {
+		t.Fatalf("10 workflows never pushed the session over its budget: %+v", st)
 	}
 }
 

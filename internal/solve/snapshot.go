@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 
-	"secureview/internal/oracle"
 	"secureview/internal/privacy"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
@@ -17,9 +16,9 @@ import (
 )
 
 // Session snapshot/restore: the hot state a warmed server carries — derived
-// problems, compiled oracle tables, warm-start frontiers — serialized to a
-// versioned, checksummed binary stream so a restart (or a fresh replica)
-// boots with the cache it would otherwise spend minutes re-deriving.
+// problems and warm-start frontiers — serialized to a versioned, checksummed
+// binary stream so a restart (or a fresh replica) boots with the cache it
+// would otherwise spend minutes re-deriving.
 //
 // Restore is all-or-nothing and trust-bounded: the whole payload is
 // CRC-verified and fully decoded (every count, domain, digit and mask
@@ -32,9 +31,9 @@ import (
 
 // SnapshotVersion is the wire version of the session snapshot format. It
 // must be bumped on ANY change to the entry encodings below or to the
-// codecs in internal/oracle and internal/search; restore refuses other
-// versions outright — snapshots are rebuildable caches, so cross-version
-// migration is deliberately not attempted.
+// frontier codec in internal/search; restore refuses other versions
+// outright — snapshots are rebuildable caches, so cross-version migration
+// is deliberately not attempted.
 const SnapshotVersion = 1
 
 // StructuralFingerprint returns the hex cost-independent structure key of a
@@ -74,13 +73,6 @@ func (s *Session) Snapshot(w io.Writer) error {
 			enc = wire.AppendString(enc, e.key)
 			enc = wire.AppendString(enc, e.structKey)
 			enc = appendProblem(enc, e.p)
-		case kindOracle:
-			if e.c == nil {
-				continue
-			}
-			enc = wire.AppendU32(enc, uint32(kindOracle))
-			enc = wire.AppendString(enc, e.key)
-			enc = e.c.AppendBinary(enc)
 		case kindWarm:
 			if e.f == nil {
 				continue
@@ -109,7 +101,6 @@ type restoredEntry struct {
 	key       string
 	structKey string
 	p         *secureview.Problem
-	c         *oracle.Compiled
 	f         *search.Frontier
 }
 
@@ -155,13 +146,6 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 			if re.p, err = decodeProblem(r); err != nil {
 				return 0, err
 			}
-		case kindOracle:
-			if len(re.key) != sha256.Size {
-				return 0, fmt.Errorf("solve: snapshot oracle key of %d bytes", len(re.key))
-			}
-			if re.c, err = oracle.DecodeCompiled(r); err != nil {
-				return 0, err
-			}
 		case kindWarm:
 			if len(re.key) != 2*sha256.Size {
 				return 0, fmt.Errorf("solve: snapshot warm key of %d bytes", len(re.key))
@@ -195,9 +179,6 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 			e.p = re.p
 			e.size = problemSize(re.p)
 			e.structKey = re.structKey
-		case kindOracle:
-			e.c = re.c
-			e.size = entrySize + re.c.MemSize()
 		case kindWarm:
 			e.f = re.f
 			e.size = entrySize + int64(len(re.key)) + re.f.MemSize()

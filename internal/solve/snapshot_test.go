@@ -3,17 +3,20 @@ package solve_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"secureview/internal/gen"
-	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
+	"secureview/internal/wire"
 )
 
-// populatedSession derives, compiles and warm-solves every generator class
-// into one session, returning the solve results the restored session must
+// populatedSession derives and warm-solves every generator class into one
+// session, returning the solve results the restored session must
 // reproduce. Engine results carry frontiers, which also populates the warm
 // tier.
 type popResult struct {
@@ -43,12 +46,6 @@ func populateSession(t *testing.T, sess *solve.Session) []popResult {
 					sess.StoreWarm(solve.ProblemFingerprint(p, v), res.Frontier)
 				}
 				out = append(out, popResult{inst, v, sv.Name(), res})
-			}
-		}
-		// The compiled-oracle tier, via each module's standalone view.
-		for _, m := range inst.W.Modules() {
-			if _, err := sess.Compiled(privacy.NewModuleView(m)); err != nil {
-				t.Fatalf("%s: compile: %v", c.Name, err)
 			}
 		}
 	}
@@ -248,4 +245,98 @@ func TestRestoreKeepsLiveEntries(t *testing.T) {
 		t.Fatal("restore replaced a live entry")
 	}
 	_ = p1
+}
+
+// committedSnapshot reads a snapshot file committed under testdata. Both
+// were written by an earlier build of this package: session-v1.snap holds
+// the set and cardinality problems of the chain and tree-constant classes
+// (seed 3) plus the engine's warm frontier for each; session-v1-oracle.snap
+// holds one problem entry followed by an entry of kind 0, the compiled
+// module oracle that snapshots used to carry.
+func committedSnapshot(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestRestoreCommittedSnapshot pins format compatibility: a snapshot
+// written before the oracle entries were dropped still restores and
+// re-snapshots byte for byte, and its entries still answer the requests
+// that produced them (derivation keys and warm fingerprints unchanged). A
+// snapshot carrying the removed oracle kind is refused as a whole.
+func TestRestoreCommittedSnapshot(t *testing.T) {
+	ctx := context.Background()
+	snap := committedSnapshot(t, "session-v1.snap")
+	sess, n, err := solve.RestoreSession(bytes.NewReader(snap), 0)
+	if err != nil || n != 8 {
+		t.Fatalf("RestoreSession: n=%d err=%v, want 8 entries", n, err)
+	}
+	var again bytes.Buffer
+	if err := sess.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap) {
+		t.Fatalf("re-snapshot not byte-identical: %d vs %d bytes", again.Len(), len(snap))
+	}
+	for _, class := range []string{"chain", "tree-constant"} {
+		rv, err := gen.Resolve(gen.InstanceRef{Class: class, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := rv.Instance
+		for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
+			p, err := sess.Problem(ctx, inst.W, v, inst.Gamma, inst.Costs, inst.PrivatizeCosts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", class, v, err)
+			}
+			if sess.Warm(solve.ProblemFingerprint(p, v)) == nil {
+				t.Fatalf("%s/%s: warm frontier missing", class, v)
+			}
+		}
+	}
+	if st := sess.Stats(); st.Misses != 0 || st.Hits != 4 || st.WarmHits != 4 {
+		t.Fatalf("restored entries did not serve their requests: %+v", st)
+	}
+
+	s, n, err := solve.RestoreSession(bytes.NewReader(committedSnapshot(t, "session-v1-oracle.snap")), 0)
+	if err == nil || !strings.Contains(err.Error(), "entry kind 0") {
+		t.Fatalf("oracle-kind snapshot: got %v, want an entry-kind rejection", err)
+	}
+	if n != 0 || s.Stats().Entries != 0 {
+		t.Fatalf("oracle-kind snapshot partially installed: n=%d %+v", n, s.Stats())
+	}
+}
+
+// FuzzRestoreSession drives snapshot payloads through Restore. Every input
+// is sealed with the current version and a valid checksum, so mutations
+// reach the entry decoders (problems and search frontiers) rather than
+// stopping at the envelope. Restore must never panic; a refused payload
+// leaves the session empty, and either way the session keeps serving.
+func FuzzRestoreSession(f *testing.F) {
+	for _, name := range []string{"session-v1.snap", "session-v1-oracle.snap"} {
+		payload, err := wire.Open(committedSnapshot(f, name), solve.SnapshotVersion)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	inst := tinyInstance(f, 1)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sess, n, rerr := solve.RestoreSession(bytes.NewReader(wire.Seal(solve.SnapshotVersion, payload)), 0)
+		if st := sess.Stats(); rerr != nil && (n != 0 || st.Entries != 0 || st.Bytes != 0) {
+			t.Fatalf("refused payload installed state: n=%d %+v", n, st)
+		}
+		if rerr == nil {
+			if err := sess.Snapshot(io.Discard); err != nil {
+				t.Fatalf("restored session does not snapshot: %v", err)
+			}
+		}
+		if _, err := sess.Problem(context.Background(), inst.W, secureview.Set,
+			inst.Gamma, inst.Costs, inst.PrivatizeCosts); err != nil {
+			t.Fatalf("session stopped serving after restore (restore err %v): %v", rerr, err)
+		}
+	})
 }

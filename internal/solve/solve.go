@@ -14,9 +14,9 @@
 //   - a registry keyed by solver name with per-(problem, variant)
 //     capability checks, so callers enumerate what is applicable instead of
 //     hard-coding call sites.
-//   - Session: fingerprint-keyed caches of derived problems and compiled
-//     internal/oracle tables, so repeated requests against the same
-//     workflow share immutable state across goroutines.
+//   - Session: fingerprint-keyed caches of derived problems and warm-start
+//     frontiers, so repeated requests against the same workflow share
+//     immutable state across goroutines.
 //   - SolveBatch: a concurrent front-end sharding many (problem, solver)
 //     jobs over a GOMAXPROCS pool with per-job deadlines.
 //

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"secureview/internal/gen"
-	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
 )
@@ -201,25 +200,6 @@ func TestSessionSharesDerivations(t *testing.T) {
 	}
 	if gen.ProblemFingerprint(direct) != gen.ProblemFingerprint(got[0]) {
 		t.Fatal("session-derived problem differs from Instance.Derive")
-	}
-}
-
-// TestSessionCompiledOracleShared: same module view, one compilation,
-// shared pointer; and the compiled oracle answers like the interpreted one.
-func TestSessionCompiledOracleShared(t *testing.T) {
-	it := gen.MustNew(gen.Config{Topology: gen.Chain, Modules: 3}, 1)
-	sess := solve.NewSession()
-	mv := privacy.NewModuleView(it.W.PrivateModules()[0])
-	a, err := sess.Compiled(mv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sess.Compiled(mv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("same module view compiled twice")
 	}
 }
 

@@ -6,11 +6,10 @@
 // panic or a garbage value.
 //
 // The format is deliberately dumb: fixed-width integers, length-prefixed
-// byte strings, count-prefixed sequences. Every consumer (internal/oracle,
-// internal/search, internal/solve) re-derives whatever state it can from
-// the primary tables it decodes, so the wire shape stays small and a
-// malformed payload can at worst fail validation — it never becomes live
-// inconsistent state.
+// byte strings, count-prefixed sequences. Every consumer (internal/search,
+// internal/solve) re-derives whatever state it can from the primary tables
+// it decodes, so the wire shape stays small and a malformed payload can at
+// worst fail validation — it never becomes live inconsistent state.
 package wire
 
 import (
