@@ -31,10 +31,12 @@ import (
 
 // minRestoredSpeedup is the floor on cold/restored first-solve latency.
 // Restore skips the derivation sweep entirely and resumes the search from
-// the carried frontier, so 5× is conservative at k=18 (measured ~700×);
-// quick mode's sweep skips the check (k=12 cold solves are small enough
-// for scheduler noise to matter) but the -benchgate ratio check enforces
-// it on every (cold, restored) pair the gate run measures.
+// the carried frontier. The full sweep measured 6.8× at k=14, 11× at k=16
+// and 18× at k=18 on a 2-CPU x86-64 host (cold 21 ms, 114 ms and 0.69 s),
+// so 5× holds at every k the gate compares. Quick mode's sweep skips the
+// check (k=12 cold solves are small enough for scheduler noise to matter)
+// but the -benchgate ratio check enforces it on every (cold, restored) pair
+// the gate run measures.
 const minRestoredSpeedup = 5.0
 
 func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
@@ -130,14 +132,14 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 				restoredRes = res
 			}
 		}
-		// Optima must agree: same hidden set, cost within float-summation
-		// noise (Costs.Sum iterates a map, so the last ulp is order-dependent).
+		// Optima must agree exactly: both sides price the same hidden set of
+		// the same problem, and Costs.Sum adds in sorted name order.
 		if !restoredRes.Solution.Hidden.Equal(coldRes.Solution.Hidden) {
 			return nil, fmt.Errorf("snapshot k=%d: restored optimum %v diverges from cold %v",
 				k, restoredRes.Solution.Hidden.Sorted(), coldRes.Solution.Hidden.Sorted())
 		}
-		if diff := restoredRes.Cost - coldRes.Cost; diff > 1e-9 || -diff > 1e-9 {
-			return nil, fmt.Errorf("snapshot k=%d: restored cost %g diverges from cold %g",
+		if restoredRes.Cost != coldRes.Cost {
+			return nil, fmt.Errorf("snapshot k=%d: restored cost %v diverges from cold %v",
 				k, restoredRes.Cost, coldRes.Cost)
 		}
 		if !quick && float64(coldBest) < minRestoredSpeedup*float64(restoredBest) {

@@ -29,10 +29,17 @@
 //	                     enumeration with bitset OUT sets
 //	internal/secureview  the Secure-View optimization (sections 4–5);
 //	                     context-cancellable exact/BB/greedy/LP solvers with
-//	                     the typed ErrNodeBudget budget sentinel
+//	                     the typed ErrNodeBudget budget sentinel; Compiled
+//	                     lowers a problem to bitmasks over an attribute
+//	                     universe (a subset test per set option, two
+//	                     popcounts per cardinality module), the engine
+//	                     solver's per-candidate feasibility test and the
+//	                     source of its requirement classes
 //	internal/solve       unified solver layer: Solver registry (exact, bb,
 //	                     engine, greedy, lp, approx-setcover,
-//	                     approx-labelcover, portfolio) with declared
+//	                     approx-labelcover, portfolio; engine compiles the
+//	                     problem once per solve and its workers share the
+//	                     compiled masks read-only) with declared
 //	                     Capabilities, uniform Options and bound-certified
 //	                     Results, fingerprint-keyed Session caches (derived
 //	                     problems and warm-start frontiers; length-prefixed
@@ -94,7 +101,10 @@
 //	                     deterministic hill-climb miner itself
 //	internal/gen/diff    cross-solver differential harness: exact ≡ BB ≡
 //	                     engine, greedy/LP feasibility + approximation
-//	                     bounds, compiled ≡ interpreted oracle, exhaustive
+//	                     bounds, compiled ≡ interpreted oracle, compiled
+//	                     problem ≡ Problem.Feasible on every mask of small
+//	                     universes and compiled-oracle engine ≡
+//	                     reference-oracle engine bit for bit, exhaustive
 //	                     possible-world verification on small instances
 //	internal/exp         experiment registry E1–E23
 //

@@ -937,8 +937,10 @@ func runE21(quick bool) []*Table {
 // applicable solver on every instance, with the paper's invariants checked
 // — exact == branch-and-bound == engine, greedy/LP feasibility plus
 // approximation bounds, compiled-vs-interpreted oracle agreement on every
-// subset, and exhaustive possible-world verification on the small
-// instances. The violations column must read 0 everywhere.
+// subset, bitmask-compiled vs NameSet feasibility on every mask of small
+// universes (the compiled masks column), and exhaustive possible-world
+// verification on the small instances. The violations column must read 0
+// everywhere.
 func runE22(quick bool) []*Table {
 	workflowSeeds, problemSeeds := int64(6), int64(25)
 	if quick {
@@ -950,7 +952,7 @@ func runE22(quick bool) []*Table {
 	sess := solve.NewSession()
 	t1 := &Table{
 		Title:  "E22a: differential harness over generated workflow classes",
-		Header: []string{"class", "instances", "exact", "solver runs", "oracle masks", "worlds verified", "max greedy/OPT", "max LP/OPT", "violations"},
+		Header: []string{"class", "instances", "exact", "solver runs", "oracle masks", "compiled masks", "worlds verified", "max greedy/OPT", "max LP/OPT", "violations"},
 	}
 	for _, cl := range gen.Classes() {
 		var rs []diff.Result
@@ -963,7 +965,7 @@ func runE22(quick bool) []*Table {
 			rs = append(rs, diff.CheckInstance(it, diff.Options{Session: sess}))
 		}
 		r := diff.Merge(rs...)
-		t1.Add(cl.Name, r.Instances, r.Exact, r.SolverRuns, r.OracleMasks,
+		t1.Add(cl.Name, r.Instances, r.Exact, r.SolverRuns, r.OracleMasks, r.CompiledMasks,
 			r.WorldsVerified, r.MaxGreedyRatio, r.MaxLPRatio, len(r.Violations))
 		for _, v := range r.Violations {
 			t1.Note("VIOLATION %s", v)
@@ -971,7 +973,7 @@ func runE22(quick bool) []*Table {
 	}
 	t2 := &Table{
 		Title:  "E22b: differential harness over generated abstract instance classes",
-		Header: []string{"class", "instances", "solver runs", "max greedy/OPT", "bound (mult)", "max LP/OPT", "violations"},
+		Header: []string{"class", "instances", "solver runs", "compiled masks", "max greedy/OPT", "bound (mult)", "max LP/OPT", "violations"},
 	}
 	for _, pc := range gen.ProblemClasses() {
 		var rs []diff.Result
@@ -984,12 +986,12 @@ func runE22(quick bool) []*Table {
 			rs = append(rs, diff.CheckProblem(pc.Name, p, diff.Options{}))
 		}
 		r := diff.Merge(rs...)
-		t2.Add(pc.Name, r.Instances, r.SolverRuns, r.MaxGreedyRatio, maxMult, r.MaxLPRatio, len(r.Violations))
+		t2.Add(pc.Name, r.Instances, r.SolverRuns, r.CompiledMasks, r.MaxGreedyRatio, maxMult, r.MaxLPRatio, len(r.Violations))
 		for _, v := range r.Violations {
 			t2.Note("VIOLATION %s", v)
 		}
 	}
-	t2.Note("invariants: greedy/LP feasible and >= OPT, greedy <= multiplicity×OPT on all-private instances (Theorem 7), rounded <= ℓmax×LP (Theorem 6), LP <= OPT, exact == BB == engine, compiled ≡ interpreted oracle, worlds-verified on small instances")
+	t2.Note("invariants: greedy/LP feasible and >= OPT, greedy <= multiplicity×OPT on all-private instances (Theorem 7), rounded <= ℓmax×LP (Theorem 6), LP <= OPT, exact == BB == engine, compiled ≡ interpreted oracle, compiled problem ≡ Problem.Feasible on every mask of ≤16-attribute universes and compiled-oracle engine ≡ reference-oracle engine, worlds-verified on small instances")
 	return []*Table{t1, t2}
 }
 

@@ -115,8 +115,8 @@ func TestCorpusReplay(t *testing.T) {
 	if total.Exact == 0 {
 		t.Fatal("no corpus entry anchored an exact optimum")
 	}
-	t.Logf("replayed %d entries: %d solver runs, %d oracle masks, %d skips",
-		total.Instances, total.SolverRuns, total.OracleMasks, total.Skips)
+	t.Logf("replayed %d entries: %d solver runs, %d oracle masks, %d compiled masks, %d skips",
+		total.Instances, total.SolverRuns, total.OracleMasks, total.CompiledMasks, total.Skips)
 }
 
 // baselineRun is one canonical-class measurement for the hardness test.

@@ -13,6 +13,11 @@
 //   - the LP optimum lower-bounds OPT (it is a relaxation);
 //   - the compiled integer-coded oracle agrees with the interpreted
 //     Lemma 4 semantics on EVERY subset of every generated module;
+//   - layer agreement: the bitmask-compiled problem the engine solver
+//     searches (secureview.Compiled) agrees with Problem.Feasible on every
+//     mask of small universes, and the engine over it reproduces the
+//     Problem.Feasible-oracle engine bit for bit — optimum, counters and
+//     exported frontier (see checkLayers);
 //   - on instances small enough to enumerate, the assembled solution is
 //     Γ-workflow-private under exhaustive possible-world semantics
 //     (Theorems 4/8), and the worlds-grounded optimum never costs more
@@ -112,6 +117,9 @@ type Result struct {
 	SolverRuns int
 	// OracleMasks counts compiled-vs-interpreted subsets compared.
 	OracleMasks int
+	// CompiledMasks counts masks on which Compiled.Feasible was compared
+	// with Problem.Feasible.
+	CompiledMasks int
 	// WorldsVerified counts instances whose solution survived exhaustive
 	// possible-world verification.
 	WorldsVerified int
@@ -133,6 +141,7 @@ func Merge(rs ...Result) Result {
 		out.Exact += r.Exact
 		out.SolverRuns += r.SolverRuns
 		out.OracleMasks += r.OracleMasks
+		out.CompiledMasks += r.CompiledMasks
 		out.WorldsVerified += r.WorldsVerified
 		out.Skips += r.Skips
 		if r.MaxGreedyRatio > out.MaxGreedyRatio {
@@ -213,6 +222,7 @@ func CheckProblemCtx(ctx context.Context, name string, p *secureview.Problem, op
 
 	// --- set variant ---
 	if err := p.Validate(secureview.Set); err == nil {
+		r.checkLayers(ctx, name+"/set", p, secureview.Set)
 		exact, err := solve.Solve(ctx, "exact", p, opts.solveOptions(secureview.Set))
 		r.SolverRuns++
 		if err != nil {
@@ -229,6 +239,7 @@ func CheckProblemCtx(ctx context.Context, name string, p *secureview.Problem, op
 
 	// --- cardinality variant ---
 	if err := p.Validate(secureview.Cardinality); err == nil {
+		r.checkLayers(ctx, name+"/card", p, secureview.Cardinality)
 		exact, errE := solve.Solve(ctx, "exact", p, opts.solveOptions(secureview.Cardinality))
 		bb, errB := solve.Solve(ctx, "bb", p, opts.solveOptions(secureview.Cardinality))
 		r.SolverRuns += 2
@@ -533,6 +544,7 @@ func CheckInstanceCtx(ctx context.Context, it *gen.Instance, opts Options) Resul
 			r.violatef("%s: derivation failed with a non-infeasibility error: %v", name, errSet)
 		}
 	} else {
+		r.checkLayers(ctx, name+"/derived-set", pset, secureview.Set)
 		res, err := solve.Solve(ctx, "exact", pset, opts.solveOptions(secureview.Set))
 		r.SolverRuns++
 		if err != nil {

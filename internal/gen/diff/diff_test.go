@@ -15,7 +15,9 @@ import (
 // solver matrix with ZERO disagreements — greedy and LP always feasible and
 // within the paper's approximation bounds of the exact optimum, exact
 // enumeration == branch-and-bound == engine, compiled oracle == interpreted
-// Lemma 4 on every subset, and exhaustively enumerated workflow privacy on
+// Lemma 4 on every subset, the bitmask-compiled problem == Problem.Feasible
+// on every mask of small universes (and the engine over it == the
+// reference-oracle engine), and exhaustively enumerated workflow privacy on
 // the small instances. -short trims the corpus but keeps every class.
 func TestDifferentialSuite(t *testing.T) {
 	workflowSeeds, problemSeeds := int64(10), int64(40)
@@ -46,8 +48,8 @@ func TestDifferentialSuite(t *testing.T) {
 	for _, v := range total.Violations {
 		t.Error(v)
 	}
-	t.Logf("instances=%d exact=%d solverRuns=%d oracleMasks=%d worldsVerified=%d skips=%d maxGreedyRatio=%.3f maxLPRatio=%.3f",
-		total.Instances, total.Exact, total.SolverRuns, total.OracleMasks,
+	t.Logf("instances=%d exact=%d solverRuns=%d oracleMasks=%d compiledMasks=%d worldsVerified=%d skips=%d maxGreedyRatio=%.3f maxLPRatio=%.3f",
+		total.Instances, total.Exact, total.SolverRuns, total.OracleMasks, total.CompiledMasks,
 		total.WorldsVerified, total.Skips, total.MaxGreedyRatio, total.MaxLPRatio)
 	wantInstances, wantExact := 200, 150
 	if testing.Short() {
@@ -62,6 +64,9 @@ func TestDifferentialSuite(t *testing.T) {
 	if total.OracleMasks == 0 {
 		t.Error("no compiled-vs-interpreted oracle masks compared")
 	}
+	if total.CompiledMasks == 0 {
+		t.Error("no compiled-vs-reference feasibility masks compared")
+	}
 	if total.WorldsVerified == 0 {
 		t.Error("no instance verified by exhaustive worlds enumeration")
 	}
@@ -74,7 +79,7 @@ func TestDifferentialResultDeterministic(t *testing.T) {
 	it := gen.MustNew(gen.Config{Topology: gen.Layered, Funcs: gen.MixedFuncs, Share: 2}, 3)
 	a := CheckInstance(it, Options{})
 	b := CheckInstance(it, Options{})
-	if a.SolverRuns != b.SolverRuns || a.OracleMasks != b.OracleMasks ||
+	if a.SolverRuns != b.SolverRuns || a.OracleMasks != b.OracleMasks || a.CompiledMasks != b.CompiledMasks ||
 		a.WorldsVerified != b.WorldsVerified || a.Skips != b.Skips ||
 		a.MaxGreedyRatio != b.MaxGreedyRatio || a.MaxLPRatio != b.MaxLPRatio ||
 		len(a.Violations) != len(b.Violations) {

@@ -105,7 +105,7 @@ func ToSetCover(p *secureview.Problem, v secureview.Variant) (*SetCoverInstance,
 			seen[key] = true
 			var covers []int
 			for e, other := range privates {
-				if moduleSatisfied(other, b, v) {
+				if other.Satisfied(b, v) {
 					covers = append(covers, e)
 				}
 			}
@@ -398,36 +398,4 @@ func subsetsOf(names []string, k int) []relation.NameSet {
 	}
 	rec(0, 0)
 	return out
-}
-
-// moduleSatisfied mirrors the unexported satisfaction predicate of
-// internal/secureview: does hiding exactly `hidden` satisfy one of the
-// module's options in the variant?
-func moduleSatisfied(m secureview.ModuleSpec, hidden relation.NameSet, v secureview.Variant) bool {
-	switch v {
-	case secureview.Cardinality:
-		hi, ho := 0, 0
-		for _, a := range m.Inputs {
-			if hidden.Has(a) {
-				hi++
-			}
-		}
-		for _, a := range m.Outputs {
-			if hidden.Has(a) {
-				ho++
-			}
-		}
-		for _, r := range m.CardList {
-			if hi >= r.Alpha && ho >= r.Beta {
-				return true
-			}
-		}
-	case secureview.Set:
-		for _, r := range m.SetList {
-			if r.Attrs().SubsetOf(hidden) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -435,45 +435,62 @@ func (f *frontier) dominatesSub(v Mask) bool {
 	return false
 }
 
-// insertMinimal adds u keeping only inclusion-minimal masks.
+// insertMinimal adds u keeping only inclusion-minimal masks. One read pass
+// finds both an entry covering u (then nothing changes) and the first
+// superset of u; the slice is rebuilt only when some superset is evicted.
 func (f *frontier) insertMinimal(u Mask) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, e := range f.masks {
+	first := -1
+	for i, e := range f.masks {
 		if e&u == e { // existing subset already covers u
 			return
 		}
-	}
-	kept := f.masks[:0]
-	for _, e := range f.masks {
-		if u&e != u { // drop supersets of u
-			kept = append(kept, e)
+		if first < 0 && u&e == u {
+			first = i
 		}
 	}
-	f.masks = kept
-	if len(f.masks) < f.cap {
-		f.masks = append(f.masks, u)
-	} else {
-		f.dropped++
+	if first >= 0 {
+		kept := f.masks[:first]
+		for _, e := range f.masks[first+1:] {
+			if u&e != u { // drop supersets of u
+				kept = append(kept, e)
+			}
+		}
+		f.masks = kept
 	}
+	f.add(u)
 }
 
-// insertMaximal adds u keeping only inclusion-maximal masks.
+// insertMaximal adds u keeping only inclusion-maximal masks, in one read
+// pass like insertMinimal.
 func (f *frontier) insertMaximal(u Mask) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, e := range f.masks {
+	first := -1
+	for i, e := range f.masks {
 		if u&e == u { // existing superset already covers u
 			return
 		}
-	}
-	kept := f.masks[:0]
-	for _, e := range f.masks {
-		if e&u != e { // drop subsets of u
-			kept = append(kept, e)
+		if first < 0 && e&u == e {
+			first = i
 		}
 	}
-	f.masks = kept
+	if first >= 0 {
+		kept := f.masks[:first]
+		for _, e := range f.masks[first+1:] {
+			if e&u != e { // drop subsets of u
+				kept = append(kept, e)
+			}
+		}
+		f.masks = kept
+	}
+	f.add(u)
+}
+
+// add appends u, or counts a drop when the store is at capacity. The
+// caller holds the write lock.
+func (f *frontier) add(u Mask) {
 	if len(f.masks) < f.cap {
 		f.masks = append(f.masks, u)
 	} else {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -404,6 +405,63 @@ func TestFrontier(t *testing.T) {
 	}
 	if len(g.masks) != 1 || g.masks[0] != 0b1100 {
 		t.Errorf("maximal frontier = %b", g.masks)
+	}
+}
+
+// twoPassInsert is the frontier insert the one-pass insertMinimal and
+// insertMaximal replaced, kept as their reference: a covering scan, then a
+// filtering rebuild, then append or count a drop at the cap. covers(e, u)
+// reports that entry e makes u redundant; evicts(u, e) that u makes e
+// redundant (⊆ for both in a minimal store, ⊇ in a maximal one).
+func twoPassInsert(f *frontier, u Mask, covers, evicts func(a, b Mask) bool) {
+	for _, e := range f.masks {
+		if covers(e, u) {
+			return
+		}
+	}
+	kept := f.masks[:0]
+	for _, e := range f.masks {
+		if !evicts(u, e) {
+			kept = append(kept, e)
+		}
+	}
+	f.masks = kept
+	if len(f.masks) < f.cap {
+		f.masks = append(f.masks, u)
+	} else {
+		f.dropped++
+	}
+}
+
+// TestFrontierInsertMatchesTwoPass drives random insert sequences — small
+// universes so masks repeat, small caps so the store fills, and mixed
+// minimal/maximal inserts so the store need not be an antichain — through
+// the one-pass inserts and the two-pass reference, requiring identical
+// masks, order and drop counts after every step.
+func TestFrontierInsertMatchesTwoPass(t *testing.T) {
+	subset := func(a, b Mask) bool { return a&b == a }   // a ⊆ b
+	superset := func(a, b Mask) bool { return a&b == b } // a ⊇ b
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 2000; trial++ {
+		capacity := 1 + rng.Intn(6)
+		width := 1 + rng.Intn(6)
+		mode := rng.Intn(3) // 0 minimal only, 1 maximal only, 2 mixed
+		got, want := newFrontier(capacity), newFrontier(capacity)
+		for step := 0; step < 40; step++ {
+			u := Mask(rng.Intn(1 << width))
+			minimal := mode == 0 || (mode == 2 && rng.Intn(2) == 0)
+			if minimal {
+				got.insertMinimal(u)
+				twoPassInsert(want, u, subset, subset)
+			} else {
+				got.insertMaximal(u)
+				twoPassInsert(want, u, superset, superset)
+			}
+			if !slices.Equal(got.masks, want.masks) || got.dropped != want.dropped {
+				t.Fatalf("trial %d step %d (cap %d, minimal=%v, insert %b): one-pass %b dropped %d, two-pass %b dropped %d",
+					trial, step, capacity, minimal, u, got.masks, got.dropped, want.masks, want.dropped)
+			}
+		}
 	}
 }
 

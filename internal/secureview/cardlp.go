@@ -235,7 +235,7 @@ func CardinalityLPRoundCtx(ctx context.Context, p *Problem, opts RoundingOptions
 		// Step 3: repair unsatisfied modules with their cheapest option.
 		for _, mi := range idx.mods {
 			m := p.Modules[mi]
-			if !p.moduleSatisfied(m, hidden, Cardinality) {
+			if !m.Satisfied(hidden, Cardinality) {
 				opt, _ := p.minCostOption(m, Cardinality)
 				hidden = hidden.Union(opt)
 			}

@@ -88,7 +88,7 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	completionBound := func() float64 {
 		bound := 0.0
 		for _, m := range privates {
-			if p.moduleSatisfied(m, hidden, Cardinality) {
+			if m.Satisfied(hidden, Cardinality) {
 				continue
 			}
 			cheapest := -1.0

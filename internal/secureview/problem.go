@@ -17,7 +17,10 @@
 // paper (Figure 3 / Algorithm 1 for cardinality constraints, the ℓmax
 // rounding for set constraints including the general-workflow variant of
 // appendix C.4), the greedy (γ+1)-approximation for bounded data sharing,
-// and exact solvers used to measure approximation ratios.
+// and exact solvers used to measure approximation ratios. Problem.Compile
+// lowers the requirement lists onto a bitmask attribute universe, so the
+// feasibility test a subset search asks per candidate costs a few word
+// operations per option.
 package secureview
 
 import (
@@ -187,7 +190,10 @@ func (p *Problem) UsefulAttributes(variant Variant) []string {
 			}
 		case Set:
 			for _, r := range m.SetList {
-				for a := range r.Attrs() {
+				for _, a := range r.In {
+					useful.Add(a)
+				}
+				for _, a := range r.Out {
 					useful.Add(a)
 				}
 			}
@@ -294,14 +300,8 @@ func (p *Problem) Cost(s Solution) float64 {
 func (p *Problem) PrivatizationClosure(hidden relation.NameSet) relation.NameSet {
 	priv := make(relation.NameSet)
 	for _, m := range p.Modules {
-		if !m.Public {
-			continue
-		}
-		for _, a := range append(append([]string{}, m.Inputs...), m.Outputs...) {
-			if hidden.Has(a) {
-				priv.Add(m.Name)
-				break
-			}
+		if m.Public && (anyIn(hidden, m.Inputs) || anyIn(hidden, m.Outputs)) {
+			priv.Add(m.Name)
 		}
 	}
 	return priv
@@ -310,27 +310,53 @@ func (p *Problem) PrivatizationClosure(hidden relation.NameSet) relation.NameSet
 // Feasible reports whether the solution satisfies every private module's
 // requirement (in the chosen variant) and privatizes every public module
 // adjacent to a hidden attribute.
+//
+// Compiled.Feasible answers the same question, with nothing privatized, on
+// attribute masks; this NameSet form stays the reference it is checked
+// against.
 func (p *Problem) Feasible(s Solution, variant Variant) bool {
 	for _, m := range p.Modules {
 		if m.Public {
 			if s.Privatized.Has(m.Name) {
 				continue
 			}
-			for _, a := range append(append([]string{}, m.Inputs...), m.Outputs...) {
-				if s.Hidden.Has(a) {
-					return false
-				}
+			if anyIn(s.Hidden, m.Inputs) || anyIn(s.Hidden, m.Outputs) {
+				return false
 			}
 			continue
 		}
-		if !p.moduleSatisfied(m, s.Hidden, variant) {
+		if !m.Satisfied(s.Hidden, variant) {
 			return false
 		}
 	}
 	return true
 }
 
-func (p *Problem) moduleSatisfied(m ModuleSpec, hidden relation.NameSet, variant Variant) bool {
+// anyIn reports whether set holds one of the names.
+func anyIn(set relation.NameSet, names []string) bool {
+	for _, a := range names {
+		if set.Has(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// allIn reports whether set holds every one of the names.
+func allIn(set relation.NameSet, names []string) bool {
+	for _, a := range names {
+		if !set.Has(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// Satisfied reports whether hiding exactly the attributes of hidden meets
+// one of the module's options in the variant: at least α inputs and β
+// outputs hidden (cardinality), or every attribute of one listed pair
+// hidden (set). It does not allocate.
+func (m ModuleSpec) Satisfied(hidden relation.NameSet, variant Variant) bool {
 	switch variant {
 	case Cardinality:
 		hi, ho := 0, 0
@@ -351,7 +377,7 @@ func (p *Problem) moduleSatisfied(m ModuleSpec, hidden relation.NameSet, variant
 		}
 	case Set:
 		for _, r := range m.SetList {
-			if r.Attrs().SubsetOf(hidden) {
+			if allIn(hidden, r.In) && allIn(hidden, r.Out) {
 				return true
 			}
 		}

@@ -3,11 +3,8 @@ package solve
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"strconv"
 
-	"secureview/internal/relation"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
 )
@@ -111,8 +108,12 @@ func (bbSolver) Solve(ctx context.Context, p *secureview.Problem, opts Options) 
 
 // engineSolver runs the pruned parallel subset-search engine of
 // internal/search over the problem's useful attributes, with feasibility as
-// the (monotone) safety oracle. It is exact, and the only registered solver
-// that fans one request out over a worker pool — but its cost model is
+// the (monotone) safety oracle. The problem is compiled once per solve
+// (secureview.Compiled): every candidate check is then a few word
+// operations per requirement option, and the same masks yield the
+// requirement classes the engine collapses. It is exact, and the only
+// registered solver that fans one request out over a worker pool (the
+// workers share the compiled problem read-only) — but its cost model is
 // per-attribute only, so it requires an all-private instance (privatization
 // closure costs would make the objective non-linear in the hidden mask).
 type engineSolver struct{}
@@ -135,18 +136,21 @@ func (engineSolver) Solve(ctx context.Context, p *secureview.Problem, opts Optio
 	if err != nil {
 		return Result{}, err
 	}
+	cp, err := p.Compile(opts.Variant, attrs)
+	if err != nil {
+		return Result{}, err
+	}
 	// Hiding more only helps private modules (Proposition 1 at the
 	// requirement level), so safe visible sets are subset-closed and the
 	// engine's monotonicity pruning is sound.
-	none := relation.NewNameSet()
+	all := sp.All()
 	oracle := search.Oracle(func(visible search.Mask) (bool, error) {
-		hidden := sp.NameSet(sp.All() &^ visible)
-		return p.Feasible(secureview.Solution{Hidden: hidden, Privatized: none}, opts.Variant), nil
+		return cp.Feasible(uint64(all &^ visible)), nil
 	})
 	sOpts := search.Options{Parallelism: opts.Workers, FrontierCap: opts.FrontierCap,
 		Resume: opts.Resume}
 	if !opts.DisableCollapse {
-		sOpts.Symmetry = requirementClasses(p, opts.Variant, attrs)
+		sOpts.Symmetry = cp.Classes(p.Costs.Of)
 	}
 	res, err := sp.MinCostCtx(ctx, oracle, sOpts)
 	c := Counters{
@@ -171,80 +175,6 @@ func (engineSolver) Solve(ctx context.Context, p *secureview.Problem, opts Optio
 	out.Resumed = res.Stats.Resumed
 	out.Frontier = res.Frontier
 	return out, nil
-}
-
-// requirementClasses groups the search universe into requirement-level
-// equivalence classes: attributes whose exchange fixes every feasibility
-// check AND the cost function, so the engine may restrict enumeration to
-// canonical (name-prefix) combinations without moving the (cost, lex)
-// optimum. Two attributes are interchangeable when they have equal hiding
-// cost and, per module: identical input/output membership (cardinality —
-// feasibility only counts hidden inputs and outputs per module) or
-// identical membership in every option's attribute set (set — swapping then
-// maps each option to itself). Public-module adjacency joins the signature
-// so a hidden attribute forcing privatization never pairs with one that
-// does not. Returned classes index attrs; singletons are dropped.
-func requirementClasses(p *secureview.Problem, v secureview.Variant, attrs []string) [][]int {
-	type set = relation.NameSet
-	var inSets, outSets []set // private modules, in order
-	var optSets []set         // set variant: every option's attrs, in order
-	var pubSets []set         // public modules' full interface
-	for _, m := range p.Modules {
-		if m.Public {
-			pubSets = append(pubSets,
-				relation.NewNameSet(m.Inputs...).Union(relation.NewNameSet(m.Outputs...)))
-			continue
-		}
-		switch v {
-		case secureview.Cardinality:
-			inSets = append(inSets, relation.NewNameSet(m.Inputs...))
-			outSets = append(outSets, relation.NewNameSet(m.Outputs...))
-		case secureview.Set:
-			for _, r := range m.SetList {
-				optSets = append(optSets, r.Attrs())
-			}
-		}
-	}
-	sig := func(a string) string {
-		var b []byte
-		b = strconv.AppendUint(b, math.Float64bits(p.Costs.Of(a)), 16)
-		mark := func(sets []set) {
-			for _, s := range sets {
-				if s.Has(a) {
-					b = append(b, '1')
-				} else {
-					b = append(b, '0')
-				}
-			}
-		}
-		mark(inSets)
-		b = append(b, '|')
-		mark(outSets)
-		b = append(b, '|')
-		mark(optSets)
-		b = append(b, '|')
-		mark(pubSets)
-		return string(b)
-	}
-	order := make(map[string]int)
-	var classes [][]int
-	for i, a := range attrs {
-		k := sig(a)
-		ci, ok := order[k]
-		if !ok {
-			ci = len(classes)
-			order[k] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], i)
-	}
-	out := classes[:0]
-	for _, cl := range classes {
-		if len(cl) >= 2 {
-			out = append(out, cl)
-		}
-	}
-	return out
 }
 
 // greedySolver is the per-module cheapest-option union.
