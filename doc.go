@@ -19,11 +19,14 @@
 //	                     lowered once to uint64 row codes, each Lemma 4 test
 //	                     a few array/bitset ops — compile once per search,
 //	                     share the read-only result across the worker pool
-//	internal/search      bitset subset-search engine: Proposition 1 pruning,
-//	                     cost-ordered exploration, worker pool; warm
-//	                     starts — a finished run exports its domination
-//	                     frontiers, verdict memo and incumbent as a
-//	                     Frontier, re-imported via Options.Resume (sound
+//	internal/search      bitset subset-search engine: a cold run is a pure
+//	                     (cost, lex) scan over a radix-sorted candidate
+//	                     list, a resumed one a cost-bounded scan with
+//	                     Proposition 1 pruning; worker pool; warm starts —
+//	                     a finished run exports its domination frontiers,
+//	                     verdict memo and incumbent as a Frontier (a cold
+//	                     run's is built from its verdict logs on first
+//	                     read), re-imported via Options.Resume (sound
 //	                     across cost-only edits: verdicts are cost-free)
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets

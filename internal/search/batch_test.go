@@ -259,41 +259,3 @@ func TestSymmetryValidation(t *testing.T) {
 		t.Fatalf("degenerate classes changed the result: %+v", res)
 	}
 }
-
-// TestFrontierCapDrops: a cap of 1 on an antichain-rich instance must
-// report drops in Stats.FrontierDropped while leaving the optimum intact.
-func TestFrontierCapDrops(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	sawDrop := false
-	for trial := 0; trial < 30; trial++ {
-		k := 6 + rng.Intn(4)
-		attrs := make([]string, k)
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("a%02d", i)
-		}
-		s := testSpace(t, attrs, randomCosts(attrs, rng))
-		oracle := monotoneOracle(s, rng)
-		plain, err := s.MinCost(oracle, Options{Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		capped, err := s.MinCost(oracle, Options{Parallelism: 2, FrontierCap: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if capped.Found != plain.Found || capped.Hidden != plain.Hidden || capped.Cost != plain.Cost {
-			t.Fatalf("trial %d: capped (found=%v hidden=%b cost=%g) != plain (found=%v hidden=%b cost=%g)",
-				trial, capped.Found, capped.Hidden, capped.Cost, plain.Found, plain.Hidden, plain.Cost)
-		}
-		if capped.Stats.Checked+capped.Stats.Pruned != 1<<k {
-			t.Fatalf("trial %d: capped Checked %d + Pruned %d != %d",
-				trial, capped.Stats.Checked, capped.Stats.Pruned, 1<<k)
-		}
-		if capped.Stats.FrontierDropped > 0 {
-			sawDrop = true
-		}
-	}
-	if !sawDrop {
-		t.Fatal("FrontierCap=1 never dropped a frontier mask; the counter is dead")
-	}
-}

@@ -15,8 +15,10 @@ import (
 // checksums are reproducible).
 
 // AppendBinary appends the frontier's state to buf and returns the extended
-// slice. Decode with DecodeFrontier.
+// slice, building the frontier first if it has not been read yet. Decode
+// with DecodeFrontier.
 func (f *Frontier) AppendBinary(buf []byte) []byte {
+	f.built()
 	buf = wire.AppendU64(buf, uint64(len(f.attrs)))
 	for _, a := range f.attrs {
 		buf = wire.AppendString(buf, a)
@@ -114,6 +116,7 @@ func DecodeFrontier(r *wire.Reader) (*Frontier, error) {
 			f.memo[m] = v
 		}
 	}
+	f.memoLen = len(f.memo)
 	f.incumbent = Mask(r.U32())
 	f.found = r.Bool()
 	if err := r.Err(); err != nil {

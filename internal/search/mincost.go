@@ -20,17 +20,18 @@ type Result struct {
 	Found bool
 	// Stats reports safety tests performed vs candidates pruned.
 	Stats Stats
-	// Frontier is the run's exported warm-start state (domination stores +
-	// incumbent), reusable via Options.Resume for later searches over the
-	// same universe — in particular after cost-only edits. Nil when the run
+	// Frontier is the run's exported warm-start state (domination stores,
+	// verdict memo and incumbent), reusable via Options.Resume for later
+	// searches over the same universe — in particular after cost-only
+	// edits. A cold sorted run builds it on first read. Nil when the run
 	// was cancelled or failed.
 	Frontier *Frontier
 }
 
 // sortedMax is the largest universe for which MinCost materializes the full
-// candidate list in (cost, lex) order (~36 bytes per mask across the rank
-// scatter and radix buffers; ~150 MiB at k=22). Above it a streaming scan
-// with the same pruning is used.
+// candidate list in (cost, lex) order (~32 bytes per mask across the lex
+// scatter, cost table, radix buffers and sorted list; ~130 MiB at k=22).
+// Above it, and for every accepted resume, the streaming scan is used.
 const sortedMax = 22
 
 // MinCost finds the minimum-cost hidden mask whose complementary visible set
@@ -39,8 +40,9 @@ const sortedMax = 22
 // Candidates are explored in ascending (cost, lexicographic) order, so the
 // first accepted candidate is the optimum and bounds everything after it;
 // ties on cost are broken deterministically toward the hidden set that is
-// lexicographically smallest as a sorted name sequence. Proposition 1
-// monotonicity prunes masks dominated by an already-decided visible set.
+// lexicographically smallest as a sorted name sequence. A resumed search
+// scans by cost bound instead, and Proposition 1 monotonicity prunes masks
+// dominated by an already-decided visible set.
 func (s *Space) MinCost(oracle Oracle, opts Options) (Result, error) {
 	return s.MinCostCtx(context.Background(), oracle, opts)
 }
@@ -69,7 +71,7 @@ func (s *Space) MinCostCtx(ctx context.Context, oracle Oracle, opts Options) (Re
 	}
 	var res Result
 	var err error
-	if s.K() <= sortedMax && !s.warmStreaming(opts.Resume) {
+	if s.K() <= sortedMax && !opts.Resume.matches(s) {
 		res, err = s.minCostSorted(oracle, opts, &cancelled)
 	} else {
 		res, err = s.minCostStreaming(oracle, opts, &cancelled)
@@ -93,90 +95,163 @@ func orderedCostBits(f float64) uint64 {
 }
 
 // lexMasks returns every mask of the universe in ascending lexLess order.
-// The order is cost-independent, so it is computed once per WithCosts family
-// of Spaces and cached; cost-only re-solves skip the permutation and rank
-// scatter entirely.
+// The order is the preorder walk of the subset tree over name ranks, in
+// which a node's children extend it by one rank above its maximum; the walk
+// runs in rank space and maps each node back to universe bits through three
+// byte tables. The order is cost-independent, so it is computed once per
+// WithCosts family of Spaces and cached; cost-only re-solves skip it.
 func (s *Space) lexMasks() []Mask {
 	s.scat.once.Do(func() {
-		n := 1 << s.K()
-		perms := make([]Mask, n)
-		out := make([]Mask, n)
-		for m := 1; m < n; m++ {
-			low := m & (m - 1)
-			perms[m] = perms[low] | s.permBit[bits.TrailingZeros32(uint32(m))]
+		k := s.K()
+		var rankBit [MaxAttrs]Mask // universe bit of each name rank
+		for i, p := range s.permBit {
+			rankBit[bits.TrailingZeros32(uint32(p))] = 1 << i
 		}
-		for m := 0; m < n; m++ {
-			out[lexRank(perms[m], s.K())] = Mask(m)
+		var tab [MaxAttrs / 8][256]Mask
+		for c := range tab {
+			for b := 1; b < 256; b++ {
+				tab[c][b] = tab[c][b&(b-1)] | rankBit[8*c+bits.TrailingZeros8(uint8(b))]
+			}
+		}
+		out := make([]Mask, 1<<k)
+		top := uint32(1) << k >> 1 // the largest rank's bit (0 when k = 0)
+		var p uint32               // the current node, in rank space
+		for i := range out {
+			out[i] = tab[0][p&0xff] | tab[1][p>>8&0xff] | tab[2][p>>16]
+			switch {
+			case p == 0:
+				p = 1 // the root's first child: the smallest rank
+			case p&top == 0:
+				p |= 1 << bits.Len32(p) // descend: add the next rank
+			default:
+				// A leaf: drop the largest rank, then move the new maximum
+				// one rank up (the parent's next sibling).
+				if p &^= top; p != 0 {
+					h := uint32(1) << (bits.Len32(p) - 1)
+					p = p&^h | h<<1
+				}
+			}
 		}
 		s.scat.masks = out
 	})
 	return s.scat.masks
 }
 
-// sortCandidates produces every hidden mask in ascending (cost, lexLess)
-// order without a comparison sort: lexRank is a bijection onto [0, 2^k), so
-// scattering masks to their rank position realizes the lex order for free
-// (cached across cost edits, see lexMasks), and a stable LSD radix sort on
-// the order-transformed cost bits (skipping the 16-bit chunks that never
-// vary) lifts it to the full order. costs[i] returns the cost of sorted
-// candidate i.
-func (s *Space) sortCandidates() (masks []Mask, cost func(int) float64) {
+// sortCandidates returns every hidden mask in ascending (cost, lexLess)
+// order, plus the subset-sum cost table, without a comparison sort. The
+// cached lex-order scatter (see lexMasks) realizes the lex order, and a
+// stable LSD radix sort on the order-preserving cost bits lifts it to the
+// full order. Only the span of key bits that differ between candidates is
+// sorted, and each candidate travels as one word: up to keyBits of its key
+// above the mask. A wider span is sorted by its top keyBits alone, which
+// orders real-valued costs exactly unless two different costs agree on all
+// of those bits; only then are the low bits sorted too, low bits first.
+func (s *Space) sortCandidates() (masks []Mask, sums []float64) {
 	n := 1 << s.K()
-	sums := s.costSums()
-	lex := s.lexMasks()
-	keys := make([]uint64, n)
-	masks = make([]Mask, n)
-	copy(masks, lex)
-	for i, m := range lex {
-		keys[i] = orderedCostBits(sums[m])
-	}
-	// Which 16-bit chunks of the cost keys actually differ?
+	sums = s.costSums()
 	orAll, andAll := uint64(0), ^uint64(0)
-	for _, k := range keys {
+	for _, c := range sums {
+		k := orderedCostBits(c)
 		orAll |= k
 		andAll &= k
 	}
 	varying := orAll ^ andAll
-	keys2 := make([]uint64, n)
-	masks2 := make([]Mask, n)
-	var cnt [1 << 16]int32
-	for pass := 0; pass < 4; pass++ {
-		shift := uint(pass * 16)
-		if varying>>shift&0xffff == 0 {
-			continue
-		}
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, k := range keys {
-			cnt[k>>shift&0xffff]++
-		}
-		sum := int32(0)
-		for d := range cnt {
-			c := cnt[d]
-			cnt[d] = sum
-			sum += c
-		}
-		for i, k := range keys {
-			d := k >> shift & 0xffff
-			keys2[cnt[d]] = k
-			masks2[cnt[d]] = masks[i]
-			cnt[d]++
-		}
-		keys, keys2 = keys2, keys
-		masks, masks2 = masks2, masks
+	words, spare := make([]uint64, n), make([]uint64, n)
+	for i, m := range s.lexMasks() {
+		words[i] = uint64(m)
 	}
-	return masks, func(i int) float64 { return sums[masks[i]] }
+	// round sorts the words stably by cost-key bits [lo, hi).
+	round := func(lo, hi int) {
+		for i, w := range words {
+			key := orderedCostBits(sums[w&maskBits]) >> lo & (1<<(hi-lo) - 1)
+			words[i] = key<<MaxAttrs | w&maskBits
+		}
+		words, spare = radixSort(words, spare, hi-lo, s.K())
+	}
+	lo, hi := bits.TrailingZeros64(varying), bits.Len64(varying)
+	top := max(lo, hi-keyBits)
+	if lo < hi {
+		round(top, hi)
+	}
+	if top > lo && truncatedTies(words, sums) {
+		round(lo, top)
+		round(top, hi)
+	}
+	masks = make([]Mask, n)
+	for i, w := range words {
+		masks[i] = Mask(w & maskBits)
+	}
+	return masks, sums
 }
 
-// minCostSorted materializes all candidates in (cost, lex) order and strides
-// workers over the sorted list. The answer is the lowest-index safe
-// candidate; workers past the current best index stop wholesale. Candidates
-// that survive the pruning checks are tested in batches of Options.batchCap
-// per oracle pass (1 without a batch oracle).
+// A candidate word carries its mask in the low MaxAttrs bits (maskBits) and
+// up to keyBits of its cost key above them.
+const (
+	maskBits = 1<<MaxAttrs - 1
+	keyBits  = 64 - MaxAttrs
+)
+
+// truncatedTies reports whether two neighbouring words carry the same key
+// but different costs.
+func truncatedTies(words []uint64, sums []float64) bool {
+	for i := 1; i < len(words); i++ {
+		if words[i]>>MaxAttrs == words[i-1]>>MaxAttrs && sums[words[i]&maskBits] != sums[words[i-1]&maskBits] {
+			return true
+		}
+	}
+	return false
+}
+
+// radixSort stably sorts words by their span-bit key above the mask bits,
+// using spare as the second buffer, and returns the sorted slice and the
+// other buffer. Digits are at most ~k-3 bits (8 to 16) wide and split
+// evenly, so a pass never clears many more counters than it moves words;
+// every digit histogram comes from one read of the keys, and a digit all
+// words share is skipped.
+func radixSort(words, spare []uint64, span, k int) (sorted, other []uint64) {
+	maxWidth := min(max(k-3, 8), 16)
+	passes := (span + maxWidth - 1) / maxWidth
+	width := (span + passes - 1) / passes
+	digit := uint64(1)<<width - 1
+	cnt := make([]int32, passes<<width)
+	for _, w := range words {
+		key := w >> MaxAttrs
+		for p := 0; p < passes; p++ {
+			cnt[p<<width+int(key>>(p*width)&digit)]++
+		}
+	}
+	for p := 0; p < passes; p++ {
+		shift := MaxAttrs + p*width
+		c := cnt[p<<width : (p+1)<<width]
+		if int(c[words[0]>>shift&digit]) == len(words) {
+			continue
+		}
+		sum := int32(0)
+		for d, v := range c {
+			c[d] = sum
+			sum += v
+		}
+		for _, w := range words {
+			d := w >> shift & digit
+			spare[c[d]] = w
+			c[d]++
+		}
+		words, spare = spare, words
+	}
+	return words, spare
+}
+
+// minCostSorted is the cold scan: it materializes all candidates in
+// (cost, lex) order and strides workers over the sorted list. The answer is
+// the lowest-index safe candidate; workers past the current best index stop
+// wholesale. Per candidate it does one index-bound check and one oracle
+// test (in batches of Options.batchCap per pass, 1 without a batch oracle)
+// whose verdict goes to the worker's log. It keeps no domination stores and
+// ignores Options.Resume (MinCost sends accepted resumes to the streaming
+// scan); the exported Frontier holds the logs and is built on first read.
 func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Bool) (Result, error) {
-	n := 1 << s.K()
-	masks, costOf := s.sortCandidates()
+	masks, sums := s.sortCandidates()
+	n := len(masks)
 
 	sym, err := s.newSymFilter(opts.Symmetry)
 	if err != nil {
@@ -204,64 +279,59 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 		workers = n
 	}
 	all := s.All()
-	unsafeFront := newFrontier(opts.frontierCap())
-	safeFront := newFrontier(opts.frontierCap())
-	resumed, nSafe, nUnsafe := s.seedResume(opts.Resume, safeFront, unsafeFront)
-	memo := s.resumeMemo(opts.Resume)
 	var bestIdx atomic.Int64
 	bestIdx.Store(int64(n)) // sentinel: nothing found
-	var checked, pruned atomic.Int64
-	var passes, maxBatch, memoHits atomic.Int64
+	var checked, pruned, passes, maxBatch atomic.Int64
 	var firstErr atomic.Value
 	var failed atomic.Bool
 	batchCap := opts.batchCap()
-	freshVerd := make([][]verdict, workers)
+	logs := make([][]verdict, workers)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var fresh []verdict
-			defer func() { freshVerd[w] = fresh }()
+			var log []verdict
+			var nChecked, nPruned, nPasses, nMax int64
+			defer func() {
+				logs[w] = log
+				checked.Add(nChecked)
+				pruned.Add(nPruned)
+				passes.Add(nPasses)
+				raiseMax(&maxBatch, nMax)
+			}()
 			idxBuf := make([]int, 0, batchCap)
 			visBuf := make([]Mask, 0, batchCap)
 			// The batch grows geometrically from 1 to batchCap: the optimum
 			// sits early in cost order, so tiny first batches establish the
-			// incumbent (and its pruning bound) before amortization kicks in.
+			// incumbent (and its index bound) before amortization kicks in.
 			curCap := 1
-			// flush tests the buffered candidates in one oracle pass and
-			// folds the verdicts into the frontiers and the best index. It
-			// returns false on oracle failure.
+			// flush tests the buffered candidates in one oracle pass, logs
+			// the verdicts and lowers the best index to the first safe one.
+			// It returns false on oracle failure.
 			flush := func() bool {
 				if len(visBuf) == 0 {
 					return true
 				}
-				safes, err := testBatch(oracle, opts.Batch, visBuf)
-				if err != nil {
+				start := len(log)
+				var err error
+				if log, err = testInto(log, oracle, opts.Batch, visBuf); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					failed.Store(true)
 					return false
 				}
-				checked.Add(int64(len(visBuf)))
-				passes.Add(1)
-				raiseMax(&maxBatch, int64(len(visBuf)))
-				for i, safe := range safes {
-					fresh = append(fresh, verdict{visBuf[i], safe})
-					if safe {
-						safeFront.insertMaximal(visBuf[i])
+				nChecked += int64(len(visBuf))
+				nPasses++
+				nMax = max(nMax, int64(len(visBuf)))
+				for i, v := range log[start:] {
+					if v.safe { // idxBuf ascends: the first safe is the lowest
 						lowerBest(&bestIdx, int64(idxBuf[i]))
-					} else {
-						unsafeFront.insertMinimal(visBuf[i])
+						break
 					}
 				}
 				idxBuf, visBuf = idxBuf[:0], visBuf[:0]
-				if curCap < batchCap {
-					curCap *= 2
-					if curCap > batchCap {
-						curCap = batchCap
-					}
-				}
+				curCap = min(2*curCap, batchCap)
 				return true
 			}
 			for idx := w; idx < n; idx += workers {
@@ -272,32 +342,23 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 					// Everything at or after idx in this stride is beaten by
 					// the incumbent's sort position; count and stop. Buffered
 					// candidates precede the incumbent, so they still flush.
-					pruned.Add(int64((n - idx + workers - 1) / workers))
+					nPruned += int64((n - idx + workers - 1) / workers)
 					flush()
 					return
 				}
 				visible := all &^ masks[idx]
-				if unsafeFront.dominatesSuper(visible) {
-					pruned.Add(1) // superset of a known-unsafe visible set
-					continue
-				}
-				if safeFront.dominatesSub(visible) {
-					// Subset of a known-safe visible set: safe without a test.
-					pruned.Add(1)
-					lowerBest(&bestIdx, int64(idx))
-					continue
-				}
-				if safe, ok := memo[visible]; ok {
-					// A prior run already asked the oracle about this view;
-					// replay the verdict and re-grow the domination stores
-					// (the mask may have been dropped from a capped store).
-					pruned.Add(1)
-					memoHits.Add(1)
+				if opts.Batch == nil {
+					// One oracle pass per candidate, straight into the log.
+					safe, err := oracle(visible)
+					if err != nil {
+						firstErr.CompareAndSwap(nil, err)
+						failed.Store(true)
+						return
+					}
+					log = append(log, verdict{visible, safe})
+					nChecked, nPasses, nMax = nChecked+1, nPasses+1, 1
 					if safe {
-						safeFront.insertMaximal(visible)
 						lowerBest(&bestIdx, int64(idx))
-					} else {
-						unsafeFront.insertMinimal(visible)
 					}
 					continue
 				}
@@ -315,55 +376,53 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 		return Result{}, err
 	}
 	res := Result{Stats: Stats{
-		Checked:         int(checked.Load()),
-		Pruned:          int(pruned.Load()) + prunedBase,
-		OraclePasses:    int(passes.Load()),
-		BatchSize:       int(maxBatch.Load()),
-		FrontierDropped: unsafeFront.droppedCount() + safeFront.droppedCount(),
-		Resumed:         resumed,
-		ResumedSafe:     nSafe,
-		ResumedUnsafe:   nUnsafe,
-		MemoHits:        int(memoHits.Load()),
+		Checked:      int(checked.Load()),
+		Pruned:       int(pruned.Load()) + prunedBase,
+		OraclePasses: int(passes.Load()),
+		BatchSize:    int(maxBatch.Load()),
 	}}
 	if idx := bestIdx.Load(); idx < int64(n) {
 		res.Hidden = masks[idx]
-		res.Cost = costOf(int(idx))
+		res.Cost = sums[masks[idx]]
 		res.Found = true
 	}
+	// Every tested candidate is a distinct mask, so the memo the build
+	// merges from the logs holds exactly Checked verdicts.
 	res.Frontier = &Frontier{
 		attrs:     s.attrs,
-		safe:      safeFront.snapshot(),
-		unsafe:    unsafeFront.snapshot(),
-		memo:      mergeMemo(memo, freshVerd),
 		incumbent: res.Hidden,
 		found:     res.Found,
+		memoLen:   res.Stats.Checked,
+		log:       logs,
 	}
 	return res, nil
 }
 
-// testBatch runs one oracle pass over the buffered visible masks: the batch
+// testInto runs one oracle pass over the buffered visible masks — the batch
 // oracle when one is configured and the buffer holds more than one mask,
-// the per-mask oracle otherwise.
-func testBatch(oracle Oracle, batch BatchOracle, visible []Mask) ([]bool, error) {
+// the per-mask oracle otherwise — and appends one verdict per mask to log.
+func testInto(log []verdict, oracle Oracle, batch BatchOracle, visible []Mask) ([]verdict, error) {
 	if batch != nil && len(visible) > 1 {
 		safes, err := batch(visible)
 		if err != nil {
-			return nil, err
+			return log, err
 		}
 		if len(safes) != len(visible) {
-			return nil, fmt.Errorf("search: batch oracle answered %d of %d masks", len(safes), len(visible))
+			return log, fmt.Errorf("search: batch oracle answered %d of %d masks", len(safes), len(visible))
 		}
-		return safes, nil
+		for i, v := range visible {
+			log = append(log, verdict{v, safes[i]})
+		}
+		return log, nil
 	}
-	safes := make([]bool, len(visible))
-	for i, v := range visible {
+	for _, v := range visible {
 		safe, err := oracle(v)
 		if err != nil {
-			return nil, err
+			return log, err
 		}
-		safes[i] = safe
+		log = append(log, verdict{v, safe})
 	}
-	return safes, nil
+	return log, nil
 }
 
 // raiseMax raises the shared maximum to v if v is larger.
@@ -405,8 +464,8 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 		workers = n
 	}
 	all := s.All()
-	unsafeFront := newFrontier(opts.frontierCap())
-	safeFront := newFrontier(opts.frontierCap())
+	unsafeFront := newFrontier(DefaultFrontierCap)
+	safeFront := newFrontier(DefaultFrontierCap)
 	resumed, nSafe, nUnsafe := s.seedResume(opts.Resume, safeFront, unsafeFront)
 	memo := s.resumeMemo(opts.Resume)
 	// Below sortedMax (the warm-resume dispatch) a subset-sum table turns
@@ -476,8 +535,9 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 				if len(visBuf) == 0 {
 					return true
 				}
-				safes, err := testBatch(oracle, opts.Batch, visBuf)
-				if err != nil {
+				start := len(fresh)
+				var err error
+				if fresh, err = testInto(fresh, oracle, opts.Batch, visBuf); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					failed.Store(true)
 					return false
@@ -485,13 +545,12 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 				checked.Add(int64(len(visBuf)))
 				passes.Add(1)
 				raiseMax(&maxBatch, int64(len(visBuf)))
-				for i, safe := range safes {
-					fresh = append(fresh, verdict{visBuf[i], safe})
-					if safe {
-						safeFront.insertMaximal(visBuf[i])
+				for i, v := range fresh[start:] {
+					if v.safe {
+						safeFront.insertMaximal(v.vis)
 						accept(hidBuf[i], costBuf[i])
 					} else {
-						unsafeFront.insertMinimal(visBuf[i])
+						unsafeFront.insertMinimal(v.vis)
 					}
 				}
 				hidBuf, costBuf, visBuf = hidBuf[:0], costBuf[:0], visBuf[:0]
@@ -589,15 +648,14 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 		return Result{}, err
 	}
 	res := Result{Stats: Stats{
-		Checked:         int(checked.Load()),
-		Pruned:          int(pruned.Load()),
-		OraclePasses:    int(passes.Load()),
-		BatchSize:       int(maxBatch.Load()),
-		FrontierDropped: unsafeFront.droppedCount() + safeFront.droppedCount(),
-		Resumed:         resumed,
-		ResumedSafe:     nSafe,
-		ResumedUnsafe:   nUnsafe,
-		MemoHits:        int(memoHits.Load()),
+		Checked:       int(checked.Load()),
+		Pruned:        int(pruned.Load()),
+		OraclePasses:  int(passes.Load()),
+		BatchSize:     int(maxBatch.Load()),
+		Resumed:       resumed,
+		ResumedSafe:   nSafe,
+		ResumedUnsafe: nUnsafe,
+		MemoHits:      int(memoHits.Load()),
 	}}
 	for _, b := range bests {
 		if !b.found {
@@ -610,13 +668,15 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 			res.Found = true
 		}
 	}
+	merged := mergeMemo(memo, freshVerd)
 	res.Frontier = &Frontier{
 		attrs:     s.attrs,
-		safe:      safeFront.snapshot(),
-		unsafe:    unsafeFront.snapshot(),
-		memo:      mergeMemo(memo, freshVerd),
 		incumbent: res.Hidden,
 		found:     res.Found,
+		memoLen:   len(merged),
+		safe:      safeFront.snapshot(),
+		unsafe:    unsafeFront.snapshot(),
+		memo:      merged,
 	}
 	return res, nil
 }

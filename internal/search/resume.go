@@ -1,6 +1,9 @@
 package search
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Warm-start support: a finished MinCost run can export its Proposition 1
 // domination stores plus incumbent as a Frontier, and a later run over the
@@ -21,18 +24,57 @@ const memoCap = 1 << 20
 
 // Frontier is the warm-start state exported by a MinCost run: the attribute
 // universe it was computed over, the Proposition 1 domination antichains
-// (maximal safe / minimal unsafe VISIBLE masks), the full verdict memo of
-// every oracle answer the run obtained (and inherited), and the run's
-// incumbent hidden mask. All of it is cost-independent, which is what makes
-// re-importing it sound under re-weighted costs. Frontiers are immutable
-// after creation and safe to share across concurrent resuming searches.
+// (maximal safe / minimal unsafe VISIBLE masks, each capped at
+// DefaultFrontierCap), the full verdict memo of every oracle answer the run
+// obtained (and inherited), and the run's incumbent hidden mask. All of it
+// is cost-independent, which is what makes re-importing it sound under
+// re-weighted costs.
+//
+// A cold sorted run does not keep domination stores while it scans; it
+// exports its per-worker verdict logs instead, and the antichains and memo
+// are built from them, once, the first time something reads them (a
+// resume, AppendBinary, Counts or MemoLen). The build replays the logs in
+// test order through the same capped inserts the stores use, so the built
+// state is exactly what eager stores would have held. Frontiers are
+// logically immutable and safe to share across concurrent readers and
+// resuming searches; the build runs under a sync.Once.
 type Frontier struct {
 	attrs     []string
-	safe      []Mask        // inclusion-maximal safe visible masks
-	unsafe    []Mask        // inclusion-minimal unsafe visible masks
-	memo      map[Mask]bool // visible mask -> oracle verdict
-	incumbent Mask          // optimal hidden mask of the exporting run
-	found     bool          // whether the exporting run found any safe view
+	incumbent Mask // optimal hidden mask of the exporting run
+	found     bool // whether the exporting run found any safe view
+	memoLen   int  // verdicts in the memo, known before the build
+
+	build  sync.Once
+	log    [][]verdict   // unbuilt: a cold run's verdict logs; nil once built
+	safe   []Mask        // inclusion-maximal safe visible masks
+	unsafe []Mask        // inclusion-minimal unsafe visible masks
+	memo   map[Mask]bool // visible mask -> oracle verdict
+}
+
+// built replays an unbuilt frontier's verdict logs into its antichains and
+// memo on first call, and returns the receiver. Every verdict of a cold
+// sorted run is for a distinct visible mask, so the memo holds exactly
+// memoLen entries and MemSize prices the frontier the same before and after.
+func (f *Frontier) built() *Frontier {
+	f.build.Do(func() {
+		if f.log == nil {
+			return
+		}
+		safe, unsafe := newFrontier(DefaultFrontierCap), newFrontier(DefaultFrontierCap)
+		for _, vs := range f.log {
+			for _, v := range vs {
+				if v.safe {
+					safe.insertMaximal(v.vis)
+				} else {
+					unsafe.insertMinimal(v.vis)
+				}
+			}
+		}
+		f.safe, f.unsafe = safe.snapshot(), unsafe.snapshot()
+		f.memo = mergeMemo(nil, f.log)
+		f.log = nil
+	})
+	return f
 }
 
 // Attrs returns the attribute universe the frontier was computed over
@@ -42,11 +84,14 @@ func (f *Frontier) Attrs() []string { return f.attrs }
 
 // Counts returns the number of stored maximal-safe and minimal-unsafe
 // visible masks.
-func (f *Frontier) Counts() (safe, unsafe int) { return len(f.safe), len(f.unsafe) }
+func (f *Frontier) Counts() (safe, unsafe int) {
+	f.built()
+	return len(f.safe), len(f.unsafe)
+}
 
 // MemoLen returns the number of memoized oracle verdicts carried by the
 // frontier.
-func (f *Frontier) MemoLen() int { return len(f.memo) }
+func (f *Frontier) MemoLen() int { return len(f.built().memo) }
 
 // Incumbent returns the exporting run's optimal hidden mask and whether one
 // was found. Under re-weighted costs it is merely a feasible (safe) hidden
@@ -54,11 +99,14 @@ func (f *Frontier) MemoLen() int { return len(f.memo) }
 func (f *Frontier) Incumbent() (Mask, bool) { return f.incumbent, f.found }
 
 // MemSize estimates the retained bytes of the frontier for cache accounting:
-// mask storage plus the attribute strings (headers + bytes).
+// mask storage plus the attribute strings (headers + bytes). It never builds
+// the frontier: each antichain is priced at its DefaultFrontierCap bound and
+// the memo by its verdict count, so a frontier costs the same before and
+// after its first read, and after a snapshot round trip.
 func (f *Frontier) MemSize() int64 {
 	// A map[Mask]bool entry retains roughly 5 payload bytes plus bucket
 	// overhead; 24 bytes per entry is the usual empirical figure.
-	size := int64(len(f.safe)+len(f.unsafe))*4 + int64(len(f.memo))*24
+	size := int64(2*DefaultFrontierCap)*4 + int64(f.memoLen)*24
 	for _, a := range f.attrs {
 		size += int64(len(a)) + 16
 	}
@@ -87,6 +135,7 @@ func (s *Space) seedResume(f *Frontier, safeFront, unsafeFront *frontier) (ok bo
 	if !f.matches(s) {
 		return false, 0, 0
 	}
+	f.built()
 	all := s.All()
 	for _, v := range f.safe {
 		if v&^all != 0 {
@@ -113,17 +162,7 @@ func (s *Space) resumeMemo(f *Frontier) map[Mask]bool {
 	if !f.matches(s) {
 		return nil
 	}
-	return f.memo
-}
-
-// warmStreaming reports whether a resumed search should take the streaming
-// scan even below sortedMax: with a matching frontier carrying a feasible
-// incumbent, the seeded cost bound disposes of almost every mask in one
-// compare, which beats re-keying and radix-sorting the full candidate list.
-// The streaming and sorted paths return byte-identical optima, so the
-// dispatch choice never changes the answer.
-func (s *Space) warmStreaming(f *Frontier) bool {
-	return f.matches(s) && f.found
+	return f.built().memo
 }
 
 // verdict records one fresh oracle answer for the exported memo.
@@ -176,7 +215,7 @@ func mergeMemo(old map[Mask]bool, fresh [][]verdict) map[Mask]bool {
 func (s *Space) seedBound(f *Frontier, costOf func(Mask) float64) float64 {
 	all := s.All()
 	best := math.Inf(1)
-	for _, v := range f.safe {
+	for _, v := range f.built().safe {
 		if v&^all != 0 {
 			continue
 		}

@@ -1,11 +1,15 @@
 package search
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"secureview/internal/wire"
 )
 
 // weightedOracle is monotoneOracle with the weights exposed, so tests can
@@ -48,9 +52,10 @@ func symClasses(s *Space, weights []float64, costs map[string]float64) [][]int {
 
 // TestResumeMatchesCold is the warm-start core property: after an arbitrary
 // cost re-weighting, re-solving with the previous run's Frontier returns a
-// byte-identical (cost, lex) optimum to a cold solve — on the sorted path,
-// the streaming path, and the MinCost dispatcher, with and without symmetry
-// classes — and the Checked+Pruned=2^k invariant survives seeding.
+// byte-identical (cost, lex) optimum to a cold solve — on the streaming path
+// and through the MinCost dispatcher, with and without symmetry classes —
+// and the Checked+Pruned=2^k invariant survives seeding. (The sorted path
+// is cold-only: the dispatcher sends every accepted resume to streaming.)
 func TestResumeMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
@@ -97,7 +102,6 @@ func TestResumeMatchesCold(t *testing.T) {
 			run  func() (Result, error)
 		}{
 			{"dispatch", func() (Result, error) { return es.MinCost(oracle, warmOpts) }},
-			{"sorted", func() (Result, error) { return es.minCostSorted(oracle, warmOpts, new(atomic.Bool)) }},
 			{"streaming", func() (Result, error) { return es.minCostStreaming(oracle, warmOpts, new(atomic.Bool)) }},
 		}
 		for _, r := range runs {
@@ -284,4 +288,93 @@ func testSum(m map[string]float64) float64 {
 		tot += v
 	}
 	return tot
+}
+
+// TestUnbuiltFrontierConcurrent: goroutines race on one freshly exported,
+// still unbuilt frontier — resuming from it, encoding it, pricing it and
+// counting it, each in a different order. The build must happen once and
+// be invisible: every encoding is identical, every resumed optimum equals
+// the cold optimum under the edited costs, MemSize reads the same before
+// and after the build, and the built memo holds one verdict per check.
+func TestUnbuiltFrontierConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 20; trial++ {
+		k := 4 + rng.Intn(9)
+		attrs := make([]string, k)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf("a%02d", i)
+		}
+		s := testSpace(t, attrs, randomCosts(attrs, rng))
+		oracle, _ := weightedOracle(s, rng)
+		base, err := s.MinCost(oracle, Options{Parallelism: 1 + trial%2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := base.Frontier
+		size := f.MemSize()
+		edited := randomCosts(attrs, rng)
+		es := s.WithCosts(func(a string) float64 { return edited[a] })
+		cold, err := es.MinCost(oracle, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		const readers = 8
+		type reading struct {
+			enc          []byte
+			warm         Result
+			err          error
+			size         int64
+			safe, unsafe int
+		}
+		got := make([]reading, readers)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := &got[g]
+				ops := []func(){
+					func() { r.warm, r.err = es.MinCost(oracle, Options{Parallelism: 2, Resume: f}) },
+					func() { r.enc = f.AppendBinary(nil) },
+					func() { r.size = f.MemSize() },
+					func() { r.safe, r.unsafe = f.Counts() },
+				}
+				for i := range ops {
+					ops[(g+i)%len(ops)]()
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		want := f.AppendBinary(nil)
+		ws, wu := f.Counts()
+		for g, r := range got {
+			if r.err != nil {
+				t.Fatalf("trial %d reader %d: %v", trial, g, r.err)
+			}
+			if !bytes.Equal(r.enc, want) {
+				t.Fatalf("trial %d reader %d: encoding differs from the settled frontier's", trial, g)
+			}
+			if r.warm.Found != cold.Found || r.warm.Hidden != cold.Hidden || r.warm.Cost != cold.Cost || !r.warm.Stats.Resumed {
+				t.Fatalf("trial %d reader %d: resumed (found=%v hidden=%b cost=%g resumed=%v) != cold (found=%v hidden=%b cost=%g)",
+					trial, g, r.warm.Found, r.warm.Hidden, r.warm.Cost, r.warm.Stats.Resumed, cold.Found, cold.Hidden, cold.Cost)
+			}
+			if r.size != size || r.safe != ws || r.unsafe != wu {
+				t.Fatalf("trial %d reader %d: MemSize %d Counts %d/%d, want %d and %d/%d",
+					trial, g, r.size, r.safe, r.unsafe, size, ws, wu)
+			}
+		}
+		if f.MemSize() != size || f.MemoLen() != base.Stats.Checked {
+			t.Fatalf("trial %d: built frontier MemSize %d (unbuilt %d), MemoLen %d, Checked %d",
+				trial, f.MemSize(), size, f.MemoLen(), base.Stats.Checked)
+		}
+		dec, err := DecodeFrontier(wire.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.MemSize() != size {
+			t.Fatalf("trial %d: decoded MemSize %d, unbuilt %d", trial, dec.MemSize(), size)
+		}
+	}
 }

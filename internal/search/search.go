@@ -7,13 +7,25 @@
 // tests in the worst case (Theorem 3), so the engine cannot beat exponential
 // asymptotics; what it does instead is (a) avoid allocating a name set per
 // candidate — subsets are machine words until a solution is materialized,
-// (b) exploit that safety is monotone in the hidden set — once a visible set
-// is proved safe or unsafe, every dominated mask is decided for free, and
-// (c) shard the remaining mask space over workers with shared best-cost
-// tracking, so multi-core hardware is actually used.
+// (b) explore candidates in ascending (cost, lex) order, so the first safe
+// candidate is the optimum and bounds everything after it, (c) exploit that
+// safety is monotone in the hidden set — once a visible set is proved safe
+// or unsafe, every dominated mask is decided for free — and (d) shard the
+// mask space over workers with a shared best-index or best-cost bound, so
+// multi-core hardware is actually used.
+//
+// A cold search below sortedMax is a pure (cost, lex) scan: per candidate
+// one index-bound check and one oracle call, whose verdict is appended to a
+// per-worker log. Costs are non-negative, so in that order a decided unsafe
+// view dominates a later candidate only at equal cost (which takes
+// zero-cost attributes), and a decided safe view only candidates the index
+// bound already stops; the Proposition 1 domination stores would not prune
+// there. They run on the streaming scan — warm resumes and universes above
+// sortedMax — and in the exported Frontier, which a cold run builds from its
+// logs the first time something reads it.
 //
 // Two optional reductions compose with the pruning without moving the
-// answer: Options.Batch tests frontier survivors many masks per oracle
+// answer: Options.Batch tests surviving candidates many masks per oracle
 // pass (geometrically grown per-worker batches; see Stats.OraclePasses
 // and Stats.BatchSize), and Options.Symmetry restricts enumeration to
 // canonical name-prefix members of interchangeable equal-cost attribute
@@ -189,25 +201,6 @@ func (s *Space) LexLess(a, b Mask) bool {
 	return lexLess(s.perm(a), s.perm(b))
 }
 
-// lexRank maps a name-sorted (permuted) mask to its preorder index in the
-// lexLess order over a k-bit universe: lexLess(x, y) ⟺ lexRank(x) <
-// lexRank(y). The order is the preorder walk of the subset tree in which a
-// node's children extend it with one element larger than its maximum, so
-// rank(S) for S = {s1 < ... < sm} adds, per element, 1 (the node itself)
-// plus the sizes 2^(k-t) of the earlier-sibling subtrees skipped. Computing
-// it once per mask turns the engine's sort comparator into two scalar
-// compares instead of repeated branchy bit fiddling.
-func lexRank(perm Mask, k int) uint32 {
-	var rank uint32
-	prev := 0 // last element rank consumed
-	for x := perm; x != 0; x &= x - 1 {
-		j := bits.TrailingZeros32(uint32(x)) + 1
-		rank += uint32(1 + (1<<(k-prev) - 1<<(k-j+1)))
-		prev = j
-	}
-	return rank
-}
-
 // lexLess compares two name-sorted (permuted) masks as ascending element
 // sequences. At the first rank where membership differs, the mask holding
 // that rank is smaller — unless the other mask has no higher rank at all, in
@@ -254,8 +247,8 @@ func Batched(oracle Oracle) BatchOracle {
 	}
 }
 
-// DefaultFrontierCap is the Proposition 1 domination-store bound used when
-// Options.FrontierCap is zero.
+// DefaultFrontierCap bounds each Proposition 1 domination store. Beyond it
+// further masks are dropped: pruning weakens, correctness is unaffected.
 const DefaultFrontierCap = 256
 
 // DefaultBatchSize is the per-pass mask cap used when Options.Batch is set
@@ -280,12 +273,6 @@ type Options struct {
 	// Ignored when Batch is nil.
 	BatchSize int
 
-	// FrontierCap bounds each Proposition 1 domination store
-	// (0 = DefaultFrontierCap). Beyond the cap extra frontier masks are
-	// dropped — pruning weakens, correctness is unaffected — and the drops
-	// are counted in Stats.FrontierDropped.
-	FrontierCap int
-
 	// Symmetry lists equivalence classes of attributes (indices into
 	// Attrs()) that are interchangeable under the oracle AND carry equal
 	// hiding costs: swapping the visibility of two class members never
@@ -304,21 +291,15 @@ type Options struct {
 	// by an earlier run over the same attribute universe AND the same
 	// oracle semantics: the Proposition 1 domination stores, the full
 	// verdict memo (oracle answers replayed without an oracle call), and —
-	// because a known-safe incumbent bounds the optimum — the best-cost
-	// bound of the streaming scan, which a resumed search prefers even
-	// below sortedMax. Safety verdicts are cost-independent, so a Frontier
-	// stays valid under any cost re-weighting; a Frontier whose universe
-	// does not match the Space exactly is ignored and the search runs
-	// cold. The (cost, lex) optimum is byte-identical with or without
-	// Resume. Stats.Resumed reports whether the frontier was accepted.
+	// because a known-safe view bounds the optimum — the best-cost bound.
+	// Every accepted Resume runs the streaming scan, even below sortedMax;
+	// the sorted (cost, lex) scan is cold-only. Safety verdicts are
+	// cost-independent, so a Frontier stays valid under any cost
+	// re-weighting; a Frontier whose universe does not match the Space
+	// exactly is ignored and the search runs cold. The (cost, lex) optimum
+	// is byte-identical with or without Resume. Stats.Resumed reports
+	// whether the frontier was accepted.
 	Resume *Frontier
-}
-
-func (o Options) frontierCap() int {
-	if o.FrontierCap > 0 {
-		return o.FrontierCap
-	}
-	return DefaultFrontierCap
 }
 
 // batchCap returns the candidate-buffer size for one worker: 1 without a
@@ -371,13 +352,6 @@ type Stats struct {
 	// BatchSize is the largest number of masks submitted in a single pass
 	// (1 when no batch oracle was configured).
 	BatchSize int
-	// FrontierDropped counts frontier masks discarded because a Proposition 1
-	// domination store was at FrontierCap. Dropping is purely a performance
-	// signal, never a correctness one: every candidate a dropped mask would
-	// have decided for free is instead tested against the oracle, so the
-	// optimum is unchanged — a persistently nonzero count just means a
-	// larger cap may prune more.
-	FrontierDropped int
 	// Resumed reports whether Options.Resume was accepted (universe
 	// matched); ResumedSafe / ResumedUnsafe count the masks imported into
 	// the safe and unsafe domination stores from the supplied Frontier, and
@@ -393,20 +367,11 @@ type Stats struct {
 // domination: the unsafe frontier stores minimal unsafe visible masks (any
 // superset is unsafe), the safe frontier stores maximal safe visible masks
 // (any subset is safe). Bounded so membership checks stay cheap; masks that
-// would grow a full store are dropped and counted.
+// would grow a full store are dropped.
 type frontier struct {
-	mu      sync.RWMutex
-	masks   []Mask
-	cap     int
-	dropped int
-}
-
-// droppedCount returns how many masks the store refused because it was at
-// capacity.
-func (f *frontier) droppedCount() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.dropped
+	mu    sync.RWMutex
+	masks []Mask
+	cap   int
 }
 
 func newFrontier(capacity int) *frontier { return &frontier{cap: capacity} }
@@ -488,12 +453,10 @@ func (f *frontier) insertMaximal(u Mask) {
 	f.add(u)
 }
 
-// add appends u, or counts a drop when the store is at capacity. The
-// caller holds the write lock.
+// add appends u unless the store is at capacity. The caller holds the
+// write lock.
 func (f *frontier) add(u Mask) {
 	if len(f.masks) < f.cap {
 		f.masks = append(f.masks, u)
-	} else {
-		f.dropped++
 	}
 }

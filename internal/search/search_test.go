@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -177,7 +178,7 @@ func TestMinCostMatchesNaive(t *testing.T) {
 }
 
 // TestStreamingMatchesSortedAndNaive covers the streaming MinCost path
-// directly (MinCost only dispatches to it above sortedMax, which no
+// directly (MinCost dispatches to it cold only above sortedMax, which no
 // practical-size test reaches): on random monotone oracles it must agree
 // with the sorted path and the naive loop on found/cost AND on the
 // lexicographic tie-break, and keep the Checked+Pruned=2^k invariant.
@@ -410,7 +411,7 @@ func TestFrontier(t *testing.T) {
 
 // twoPassInsert is the frontier insert the one-pass insertMinimal and
 // insertMaximal replaced, kept as their reference: a covering scan, then a
-// filtering rebuild, then append or count a drop at the cap. covers(e, u)
+// filtering rebuild, then append unless the store is at its cap. covers(e, u)
 // reports that entry e makes u redundant; evicts(u, e) that u makes e
 // redundant (⊆ for both in a minimal store, ⊇ in a maximal one).
 func twoPassInsert(f *frontier, u Mask, covers, evicts func(a, b Mask) bool) {
@@ -428,8 +429,6 @@ func twoPassInsert(f *frontier, u Mask, covers, evicts func(a, b Mask) bool) {
 	f.masks = kept
 	if len(f.masks) < f.cap {
 		f.masks = append(f.masks, u)
-	} else {
-		f.dropped++
 	}
 }
 
@@ -437,7 +436,7 @@ func twoPassInsert(f *frontier, u Mask, covers, evicts func(a, b Mask) bool) {
 // universes so masks repeat, small caps so the store fills, and mixed
 // minimal/maximal inserts so the store need not be an antichain — through
 // the one-pass inserts and the two-pass reference, requiring identical
-// masks, order and drop counts after every step.
+// masks and order after every step.
 func TestFrontierInsertMatchesTwoPass(t *testing.T) {
 	subset := func(a, b Mask) bool { return a&b == a }   // a ⊆ b
 	superset := func(a, b Mask) bool { return a&b == b } // a ⊇ b
@@ -457,9 +456,9 @@ func TestFrontierInsertMatchesTwoPass(t *testing.T) {
 				got.insertMaximal(u)
 				twoPassInsert(want, u, superset, superset)
 			}
-			if !slices.Equal(got.masks, want.masks) || got.dropped != want.dropped {
-				t.Fatalf("trial %d step %d (cap %d, minimal=%v, insert %b): one-pass %b dropped %d, two-pass %b dropped %d",
-					trial, step, capacity, minimal, u, got.masks, got.dropped, want.masks, want.dropped)
+			if !slices.Equal(got.masks, want.masks) {
+				t.Fatalf("trial %d step %d (cap %d, minimal=%v, insert %b): one-pass %b, two-pass %b",
+					trial, step, capacity, minimal, u, got.masks, want.masks)
 			}
 		}
 	}
@@ -521,8 +520,29 @@ func TestPrunedBeatsNaiveOnChecks(t *testing.T) {
 	}
 }
 
-// lexRank must be a monotone embedding of the lexLess order: exhaustive
-// pairwise check on a small universe, randomized on a large one.
+// lexRank maps a name-sorted (permuted) mask to its preorder index in the
+// lexLess order over a k-bit universe: lexLess(x, y) ⟺ lexRank(x) <
+// lexRank(y). The order is the preorder walk of the subset tree in which a
+// node's children extend it with one element larger than its maximum, so
+// rank(S) for S = {s1 < ... < sm} adds, per element, 1 (the node itself)
+// plus the sizes 2^(k-t) of the earlier-sibling subtrees skipped. It is the
+// closed form of the walk lexMasks runs, kept here as a second reference.
+func lexRank(perm Mask, k int) uint32 {
+	var rank uint32
+	prev := 0 // last element rank consumed
+	for x := perm; x != 0; x &= x - 1 {
+		j := bits.TrailingZeros32(uint32(x)) + 1
+		rank += uint32(1 + (1<<(k-prev) - 1<<(k-j+1)))
+		prev = j
+	}
+	return rank
+}
+
+// TestLexRankMatchesLexLess pins the engine's lex order three ways. lexRank
+// must be a monotone embedding of the lexLess order: exhaustive pairwise
+// check on a small universe, randomized on a large one. And for k = 0…16
+// over shuffled attribute names, the walk lexMasks caches must list every
+// mask exactly in LexLess order, and put each mask at its lexRank.
 func TestLexRankMatchesLexLess(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 6, 10} {
 		n := 1 << k
@@ -542,6 +562,95 @@ func TestLexRankMatchesLexLess(t *testing.T) {
 		x, y := Mask(rng.Intn(1<<k)), Mask(rng.Intn(1<<k))
 		if lexLess(x, y) != (lexRank(x, k) < lexRank(y, k)) {
 			t.Fatalf("k=%d x=%b y=%b: lexRank disagrees with lexLess", k, x, y)
+		}
+	}
+
+	for k := 0; k <= 16; k++ {
+		attrs := make([]string, k)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf("a%02d", i)
+		}
+		rng.Shuffle(k, func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
+		s := testSpace(t, attrs, nil)
+		walk := s.lexMasks()
+		want := make([]Mask, 1<<k)
+		for m := range want {
+			want[m] = Mask(m)
+		}
+		slices.SortFunc(want, func(a, b Mask) int {
+			switch {
+			case s.LexLess(a, b):
+				return -1
+			case s.LexLess(b, a):
+				return 1
+			}
+			return 0
+		})
+		if !slices.Equal(walk, want) {
+			t.Fatalf("k=%d attrs=%v: lexMasks walk differs from the LexLess sort", k, attrs)
+		}
+		for i, m := range walk {
+			if got := lexRank(s.perm(m), k); got != uint32(i) {
+				t.Fatalf("k=%d attrs=%v: mask %b at walk position %d, lexRank %d", k, attrs, m, i, got)
+			}
+		}
+	}
+}
+
+// TestSortCandidatesOrder checks the radix-sorted candidate list against a
+// comparison sort by (cost, LexLess) over every mask, for cost models that
+// take each radix path: all costs equal (nothing to sort), small integers
+// and zeros (a narrow key), reals (a key wider than a word holds, exact on
+// its top bits), reals from a few values (long runs of exact ties), and
+// reals beside one huge cost (different costs tying on the top bits, so the
+// low bits are sorted too).
+func TestSortCandidatesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	models := []struct {
+		name string
+		cost func(i int) float64
+	}{
+		{"equal", func(int) float64 { return 2 }},
+		{"ints", func(int) float64 { return float64(rng.Intn(4)) }},
+		{"reals", func(int) float64 { return 1 + rng.Float64()*4 }},
+		{"repeated", func(int) float64 { return []float64{0.1, 0.7, 2.3}[rng.Intn(3)] }},
+		{"outlier", func(i int) float64 {
+			if i == 0 {
+				return 1e15
+			}
+			return 1 + rng.Float64()*4
+		}},
+	}
+	for _, model := range models {
+		for _, k := range []int{0, 1, 5, 9, 13} {
+			attrs := make([]string, k)
+			costs := make(map[string]float64, k)
+			for i := range attrs {
+				attrs[i] = fmt.Sprintf("a%02d", i)
+				costs[attrs[i]] = model.cost(i)
+			}
+			rng.Shuffle(k, func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
+			s := testSpace(t, attrs, costs)
+			masks, sums := s.sortCandidates()
+			want := make([]Mask, 1<<k)
+			for m := range want {
+				want[m] = Mask(m)
+			}
+			slices.SortFunc(want, func(a, b Mask) int {
+				if c := cmp.Compare(sums[a], sums[b]); c != 0 {
+					return c
+				}
+				switch {
+				case s.LexLess(a, b):
+					return -1
+				case s.LexLess(b, a):
+					return 1
+				}
+				return 0
+			})
+			if !slices.Equal(masks, want) {
+				t.Fatalf("%s k=%d: radix order differs from the (cost, lex) sort", model.name, k)
+			}
 		}
 	}
 }

@@ -115,38 +115,3 @@ func TestEngineCollapseEngages(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineFrontierCapCounters plumbs Options.FrontierCap through to the
-// search engine and reads the drop counter back out of Result.Counters.
-func TestEngineFrontierCapCounters(t *testing.T) {
-	ctx := context.Background()
-	sawDrop := false
-	for _, pc := range gen.ProblemClasses() {
-		for seed := int64(0); seed < 4; seed++ {
-			p := gen.Problem(pc.Cfg, seed)
-			eng, _ := solve.Get("engine")
-			if eng.Supports(p, secureview.Set) != nil {
-				continue
-			}
-			res, err := solve.Solve(ctx, "engine", p, solve.Options{Variant: secureview.Set})
-			if err != nil {
-				t.Fatal(err)
-			}
-			capped, err := solve.Solve(ctx, "engine", p,
-				solve.Options{Variant: secureview.Set, FrontierCap: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !capped.Solution.Hidden.Equal(res.Solution.Hidden) {
-				t.Fatalf("%s/seed=%d: FrontierCap changed the optimum: %v vs %v",
-					pc.Name, seed, capped.Solution.Hidden.Sorted(), res.Solution.Hidden.Sorted())
-			}
-			if capped.Counters.FrontierDropped > 0 {
-				sawDrop = true
-			}
-		}
-	}
-	if !sawDrop {
-		t.Error("FrontierCap=1 never reported a drop across the problem classes")
-	}
-}

@@ -51,12 +51,6 @@ type Options struct {
 	MaxAttrs int
 	// Workers is the engine solver's worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// FrontierCap bounds the engine solver's domination-frontier antichains
-	// (0 = the search package default). Larger caps prune more but cost more
-	// per candidate; overflow is reported in Counters.FrontierDropped.
-	// Negative values are rejected by the Solve front door — the search
-	// layer would silently substitute its default, masking a caller bug.
-	FrontierCap int
 	// Resume seeds the engine solver with warm-start state exported by an
 	// earlier run over the same attribute universe (Result.Frontier).
 	// Safety verdicts are cost-independent, so a frontier stays valid across
@@ -128,11 +122,6 @@ type Counters struct {
 	// BatchSize is the largest batch the engine answered in one oracle pass
 	// (1 without batching).
 	BatchSize int
-	// FrontierDropped counts masks the engine's domination frontiers evicted
-	// at their cap — lost pruning power, never lost correctness. A non-zero
-	// value is purely a performance signal (raise FrontierCap if warm-start
-	// hit rates or prune rates matter); results remain exact regardless.
-	FrontierDropped int
 	// ResumedSafe and ResumedUnsafe count warm-start masks imported from
 	// Options.Resume into the engine's domination stores (0 on cold runs).
 	ResumedSafe   int
@@ -325,12 +314,6 @@ func For(p *secureview.Problem, v secureview.Variant) []Solver {
 // Solve is the front door: it resolves the named solver, checks capability,
 // applies Options.Timeout as a context deadline, and runs it.
 func Solve(ctx context.Context, solver string, p *secureview.Problem, opts Options) (Result, error) {
-	if opts.FrontierCap < 0 {
-		// The search layer maps non-positive caps to its default; surfacing
-		// the bug here beats silently searching with a different cap than
-		// the caller asked for.
-		return Result{}, fmt.Errorf("solve: negative FrontierCap %d", opts.FrontierCap)
-	}
 	s, ok := Get(solver)
 	if !ok {
 		return Result{}, fmt.Errorf("solve: unknown solver %q (have %v)", solver, Names())

@@ -147,21 +147,19 @@ func (engineSolver) Solve(ctx context.Context, p *secureview.Problem, opts Optio
 	oracle := search.Oracle(func(visible search.Mask) (bool, error) {
 		return cp.Feasible(uint64(all &^ visible)), nil
 	})
-	sOpts := search.Options{Parallelism: opts.Workers, FrontierCap: opts.FrontierCap,
-		Resume: opts.Resume}
+	sOpts := search.Options{Parallelism: opts.Workers, Resume: opts.Resume}
 	if !opts.DisableCollapse {
 		sOpts.Symmetry = cp.Classes(p.Costs.Of)
 	}
 	res, err := sp.MinCostCtx(ctx, oracle, sOpts)
 	c := Counters{
-		Checked:         res.Stats.Checked,
-		Pruned:          res.Stats.Pruned,
-		OraclePasses:    res.Stats.OraclePasses,
-		BatchSize:       res.Stats.BatchSize,
-		FrontierDropped: res.Stats.FrontierDropped,
-		ResumedSafe:     res.Stats.ResumedSafe,
-		ResumedUnsafe:   res.Stats.ResumedUnsafe,
-		MemoHits:        res.Stats.MemoHits,
+		Checked:       res.Stats.Checked,
+		Pruned:        res.Stats.Pruned,
+		OraclePasses:  res.Stats.OraclePasses,
+		BatchSize:     res.Stats.BatchSize,
+		ResumedSafe:   res.Stats.ResumedSafe,
+		ResumedUnsafe: res.Stats.ResumedUnsafe,
+		MemoHits:      res.Stats.MemoHits,
 	}
 	if err != nil {
 		return Result{Solver: "engine", Variant: opts.Variant, Counters: c, Resumed: res.Stats.Resumed}, err

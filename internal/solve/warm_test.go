@@ -220,19 +220,6 @@ func TestEngineWarmResumeMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSolveRejectsNegativeFrontierCap: the search layer silently maps
-// non-positive caps to its default, so the solve front door must refuse
-// negative values instead of searching under a cap the caller never asked
-// for.
-func TestSolveRejectsNegativeFrontierCap(t *testing.T) {
-	p := gen.Problem(gen.ProblemClasses()[0].Cfg, 1)
-	_, err := solve.Solve(context.Background(), "engine", p,
-		solve.Options{Variant: secureview.Set, FrontierCap: -1})
-	if err == nil || !strings.Contains(err.Error(), "FrontierCap") {
-		t.Fatalf("negative FrontierCap accepted (err=%v)", err)
-	}
-}
-
 // TestSessionWarmConcurrent hammers the warm cache from many goroutines
 // under a small budget — the race detector owns the assertions; the test
 // itself only checks the byte accounting never goes negative or over
