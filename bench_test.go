@@ -273,10 +273,6 @@ func BenchmarkStandaloneSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		compiled := func(v search.Mask) (bool, error) { return comp.IsSafe(oracle.Mask(v), gamma), nil }
-		// The compiled row runs the full tentpole configuration: batched
-		// oracle passes plus equivalence-class collapsing (a no-op on this
-		// instance's distinct attributes, wired anyway for realism).
-		compiledOpts := privacy.CompiledSearchOptions(comp, costs, gamma, search.Options{})
 		b.Run(fmt.Sprintf("naive/k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -298,7 +294,7 @@ func BenchmarkStandaloneSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("compiled/k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sp.MinCost(compiled, compiledOpts)
+				res, err := sp.MinCost(compiled, search.Options{})
 				if err != nil || !res.Found {
 					b.Fatalf("err=%v found=%v", err, res.Found)
 				}
@@ -340,9 +336,8 @@ func BenchmarkCompiledOracle(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("compiled/k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			opts := privacy.CompiledSearchOptions(comp, costs, gamma, search.Options{})
 			for i := 0; i < b.N; i++ {
-				res, err := sp.MinCost(compiled, opts)
+				res, err := sp.MinCost(compiled, search.Options{})
 				if err != nil || !res.Found {
 					b.Fatalf("err=%v found=%v", err, res.Found)
 				}

@@ -20,7 +20,6 @@ import (
 	"secureview/internal/gen"
 	"secureview/internal/gen/corpus"
 	"secureview/internal/oracle"
-	"secureview/internal/privacy"
 	"secureview/internal/search"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
@@ -37,12 +36,9 @@ type benchResult struct {
 	Cost    float64  `json:"cost"`
 	Hidden  []string `json:"hidden"`
 
-	// Oracle-pass accounting (engine rows only): how many oracle
-	// invocations the run issued and the largest number of masks answered
-	// by one of them. Per-mask oracles report OraclePasses == Checked and
-	// BatchSize 1; the batched compiled path amortizes many masks per pass.
+	// OraclePasses counts the oracle invocations an engine row issued (one
+	// per safety test, so it equals Checked).
 	OraclePasses int `json:"oracle_passes,omitempty"`
-	BatchSize    int `json:"batch_size,omitempty"`
 }
 
 // timeBest runs fn reps times and returns the fastest wall-clock run.
@@ -92,9 +88,6 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The compiled row runs the full production configuration: batched
-		// oracle passes plus equal-cost equivalence-class symmetry breaking.
-		compiledOpts := privacy.CompiledSearchOptions(comp, costs, gamma, search.Options{})
 		compiled := func(v search.Mask) (bool, error) { return comp.IsSafe(oracle.Mask(v), gamma), nil }
 
 		variants := []struct {
@@ -103,7 +96,7 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 		}{
 			{"naive", func() (search.Result, error) { return sp.NaiveMinCost(interpreted) }},
 			{"engine-interpreted", func() (search.Result, error) { return sp.MinCost(interpreted, search.Options{}) }},
-			{"engine-compiled", func() (search.Result, error) { return sp.MinCost(compiled, compiledOpts) }},
+			{"engine-compiled", func() (search.Result, error) { return sp.MinCost(compiled, search.Options{}) }},
 		}
 		var reference search.Result
 		for vi, v := range variants {
@@ -142,7 +135,6 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 				Cost:         res.Cost,
 				Hidden:       sp.NameSet(res.Hidden).Sorted(),
 				OraclePasses: res.Stats.OraclePasses,
-				BatchSize:    res.Stats.BatchSize,
 			})
 		}
 	}
@@ -243,7 +235,6 @@ func corpusResults(quick bool, repsOverride int) ([]benchResult, error) {
 			Checked:      res.Counters.Checked,
 			Pruned:       res.Counters.Pruned,
 			OraclePasses: res.Counters.OraclePasses,
-			BatchSize:    res.Counters.BatchSize,
 		})
 	}
 	return results, nil
@@ -401,7 +392,6 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 				Checked:      res.Counters.Checked,
 				Pruned:       res.Counters.Pruned,
 				OraclePasses: res.Counters.OraclePasses,
-				BatchSize:    res.Counters.BatchSize,
 			})
 		}
 	}

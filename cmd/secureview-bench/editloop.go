@@ -37,7 +37,7 @@ func editLoopP50(sp *search.Space, comp *oracle.Compiled, costs privacy.Costs,
 
 	var frontier *search.Frontier
 	if warm {
-		base, err := sp.MinCost(compiled, privacy.CompiledSearchOptions(comp, cur, gamma, search.Options{}))
+		base, err := sp.MinCost(compiled, search.Options{})
 		if err != nil {
 			return 0, search.Result{}, err
 		}
@@ -52,9 +52,8 @@ func editLoopP50(sp *search.Space, comp *oracle.Compiled, costs privacy.Costs,
 	for e, f := range editFactors {
 		cur[attrs[(e*5)%len(attrs)]] *= f
 		spE := sp.WithCosts(cur.Of)
-		opts := privacy.CompiledSearchOptions(comp, cur, gamma, search.Options{Resume: frontier})
 		start := time.Now()
-		res, err := spE.MinCost(compiled, opts)
+		res, err := spE.MinCost(compiled, search.Options{Resume: frontier})
 		d := time.Since(start)
 		if err != nil {
 			return 0, search.Result{}, fmt.Errorf("edit-loop edit %d: %w", e, err)
@@ -129,7 +128,6 @@ func editLoopResults(quick bool, repsOverride int) ([]benchResult, error) {
 				Cost:         last.Cost,
 				Hidden:       sp.NameSet(last.Hidden).Sorted(),
 				OraclePasses: last.Stats.OraclePasses,
-				BatchSize:    last.Stats.BatchSize,
 			})
 		}
 	}

@@ -22,12 +22,14 @@
 //	internal/search      bitset subset-search engine: a cold run is a pure
 //	                     (cost, lex) scan over a radix-sorted candidate
 //	                     list, a resumed one a cost-bounded scan with
-//	                     Proposition 1 pruning; worker pool; warm starts —
-//	                     a finished run exports its domination frontiers,
-//	                     verdict memo and incumbent as a Frontier (a cold
-//	                     run's is built from its verdict logs on first
-//	                     read), re-imported via Options.Resume (sound
-//	                     across cost-only edits: verdicts are cost-free)
+//	                     Proposition 1 pruning, both testing each surviving
+//	                     candidate with one oracle call; worker pool; warm
+//	                     starts — a finished run exports its domination
+//	                     frontiers, verdict memo and incumbent as a
+//	                     Frontier (a cold run's is built from its verdict
+//	                     logs on first read), re-imported via
+//	                     Options.Resume (sound across cost-only edits:
+//	                     verdicts are cost-free)
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets
 //	internal/secureview  the Secure-View optimization (sections 4–5);
@@ -36,8 +38,7 @@
 //	                     lowers a problem to bitmasks over an attribute
 //	                     universe (a subset test per set option, two
 //	                     popcounts per cardinality module), the engine
-//	                     solver's per-candidate feasibility test and the
-//	                     source of its requirement classes
+//	                     solver's per-candidate feasibility test
 //	internal/solve       unified solver layer: Solver registry (exact, bb,
 //	                     engine, greedy, lp, approx-setcover,
 //	                     approx-labelcover, portfolio; engine compiles the

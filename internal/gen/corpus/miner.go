@@ -5,7 +5,7 @@ package corpus
 // (Checked) on the derived set-constraint problem. Checked is a
 // machine-independent proxy for engine runtime — it counts the candidates
 // the pruned search could NOT eliminate, so climbing it finds instances
-// that defeat the engine's cost-bound, domination and symmetry pruning.
+// that defeat the engine's cost-bound and domination pruning.
 // Every evaluation also cross-checks the engine optimum against the exact
 // solver; any cost disagreement is kept unconditionally as a bug
 // reproducer.

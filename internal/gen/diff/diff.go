@@ -25,9 +25,8 @@
 //   - warm-start resumption is invisible to correctness: re-solving after a
 //     deterministic cost-only edit with the previous run's exported frontier
 //     returns the identical (cost, lex) optimum a cold solve does, on both
-//     the registry engine path and the standalone compiled path with
-//     batching and symmetry collapsing enabled (Proposition 1 verdicts are
-//     cost-independent).
+//     the registry engine path and the standalone compiled-oracle path
+//     (Proposition 1 verdicts are cost-independent).
 //
 // Exact solvers that exhaust their budgets must say so with the typed
 // secureview.ErrNodeBudget (or report a genuinely infeasible derivation
@@ -299,34 +298,9 @@ func (r *Result) checkEngine(ctx context.Context, name string, p *secureview.Pro
 		r.violatef("%s: engine cost %g != exact optimum %g", name, res.Cost, optCost)
 	}
 
-	// Equivalence-class collapsing claims to preserve the exact (cost, lex)
-	// optimum: rerun with the collapse disabled and demand the identical
-	// hidden set, not just the cost.
-	plainOpts := opts.solveOptions(variant)
-	plainOpts.DisableCollapse = true
-	plain, err := solve.Solve(ctx, "engine", p, plainOpts)
-	r.SolverRuns++
-	if err != nil {
-		if cancelled(err) {
-			r.Skips++
-			return
-		}
-		r.violatef("%s: engine solver (collapse disabled) failed: %v", name, err)
-		return
-	}
-	// Costs are re-summed over a name-set (map) per run, so two runs over
-	// the same hidden set can differ in the last ulp; the hidden set itself
-	// must match exactly.
-	if dx := plain.Cost - res.Cost; !plain.Solution.Hidden.Equal(res.Solution.Hidden) ||
-		dx > eps(res.Cost) || -dx > eps(res.Cost) {
-		r.violatef("%s: collapse changed the engine optimum: %v (%g) vs %v (%g) without",
-			name, res.Solution.Hidden.Sorted(), res.Cost, plain.Solution.Hidden.Sorted(), plain.Cost)
-	}
-
-	// Warm-start invariant: resuming the frontier exported by the
-	// (collapse-enabled) run after a cost-only edit must reproduce the cold
-	// optimum on the edited instance — the hidden set bit for bit, the cost
-	// within the same map-summation tolerance as above.
+	// Warm-start invariant: resuming the frontier exported by that run
+	// after a cost-only edit must reproduce the cold optimum on the edited
+	// instance — the hidden set bit for bit, the cost within eps.
 	if res.Frontier == nil {
 		r.violatef("%s: engine run exported no warm-start frontier", name)
 		return
@@ -688,37 +662,24 @@ func (r *Result) checkStandalone(name string, it *gen.Instance, opts Options) {
 				name, m.Name(), engineC.Found, engineC.Hidden, engineC.Cost, engine.Found, engine.Hidden, engine.Cost)
 		}
 
-		// The full tentpole configuration — batched passes plus oracle-level
-		// symmetry collapsing — must also be byte-identical to the plain run.
-		engineB, err := sp.MinCost(compiled, privacy.CompiledSearchOptions(comp, it.Costs, it.Gamma, opts.Search))
-		r.SolverRuns++
-		if err != nil {
-			r.violatef("%s/%s: batched+collapsed engine search failed: %v", name, m.Name(), err)
-			continue
-		}
-		if engineB.Found != engine.Found || engineB.Hidden != engine.Hidden || engineB.Cost != engine.Cost {
-			r.violatef("%s/%s: batched+collapsed engine optimum (found=%v hidden=%b cost=%g) != interpreted (found=%v hidden=%b cost=%g)",
-				name, m.Name(), engineB.Found, engineB.Hidden, engineB.Cost, engine.Found, engine.Hidden, engine.Cost)
-		}
-		if engineB.Stats.Checked+engineB.Stats.Pruned != 1<<sp.K() {
-			r.violatef("%s/%s: batched+collapsed engine counters Checked %d + Pruned %d != 2^%d",
-				name, m.Name(), engineB.Stats.Checked, engineB.Stats.Pruned, sp.K())
+		if engineC.Stats.Checked+engineC.Stats.Pruned != 1<<sp.K() {
+			r.violatef("%s/%s: compiled engine counters Checked %d + Pruned %d != 2^%d",
+				name, m.Name(), engineC.Stats.Checked, engineC.Stats.Pruned, sp.K())
 		}
 
-		// Warm-start over the same full configuration (batching plus
-		// symmetry): re-solve after a deterministic cost-only edit, once cold
-		// and once resuming the batched+collapsed run's frontier. Both runs
-		// share the lexicographic tie-break and integer cost keys, so the
-		// results must match bit for bit.
-		if engineB.Frontier == nil {
-			r.violatef("%s/%s: batched+collapsed engine exported no frontier", name, m.Name())
+		// Warm start: re-solve after a deterministic cost-only edit, once
+		// cold and once resuming the compiled run's frontier. Both runs share
+		// the lexicographic tie-break and integer cost keys, so the results
+		// must match bit for bit.
+		if engineC.Frontier == nil {
+			r.violatef("%s/%s: compiled engine exported no frontier", name, m.Name())
 			continue
 		}
 		ec := warmEdit(sp.Attrs())
 		spw := sp.WithCosts(ec.Of)
-		coldW, errC := spw.MinCost(compiled, privacy.CompiledSearchOptions(comp, ec, it.Gamma, opts.Search))
-		warmOpts := privacy.CompiledSearchOptions(comp, ec, it.Gamma, opts.Search)
-		warmOpts.Resume = engineB.Frontier
+		coldW, errC := spw.MinCost(compiled, opts.Search)
+		warmOpts := opts.Search
+		warmOpts.Resume = engineC.Frontier
 		warmW, errW := spw.MinCost(compiled, warmOpts)
 		r.SolverRuns += 2
 		if errC != nil || errW != nil {

@@ -23,11 +23,8 @@
 //
 // Narrow modules (total field width ≤ bitsMax) additionally compile each
 // row to a single packed uint32, turning one test into an AND per row
-// against small epoch-stamped tables, and MinOutSizeBatch/IsSafeBatch
-// answer whole mask slices in chunked strided passes over the same
-// tables — the batch oracle internal/search plugs into. EquivClasses
-// exposes the attributes the Lemma 4 test provably cannot distinguish,
-// which seeds the engine's symmetry breaking.
+// against small epoch-stamped tables. Every query answers one mask per
+// call; the engine asks once per surviving candidate.
 package oracle
 
 import (
@@ -65,20 +62,6 @@ const denseMax = 1 << 20
 // instead of a per-attribute multiply-add chain.
 const bitsMax = 20
 
-// batchTableMax bounds the strided batch stamp tables at 2^18 uint16
-// entries (512 KiB): a chunk of 2^shift masks shares one pass over the
-// rows, with mask ci's keys interleaved at stride position ci so chunk
-// members can never collide in the shared epoch-stamped table. The bound
-// keeps the table L2-resident, which measures far faster than wider
-// chunks against a larger, cache-missing table; modules at the bitsMax
-// edge therefore run chunks of one (a plain per-mask pass), and narrower
-// modules regain the shared-pass amortization.
-const batchTableMax = 18
-
-// maxBatchShift caps the chunk width at 8 masks per row pass; wider chunks
-// stop paying once the shared row load is amortized.
-const maxBatchShift = 3
-
 // Compiled is the integer-coded form of one module view: the relation rows
 // encoded as input/output codes plus digit tables. All fields are read-only
 // after Compile; the scratch pool makes per-call state allocation-free in
@@ -115,13 +98,6 @@ type Compiled struct {
 	inFields  uint32   // union of the input fields (the low inBits bits)
 	totalBits int      // sum of all field widths
 	inBits    int      // sum of the input field widths
-	bshift    int      // log2 of the batch chunk width (masks per row pass)
-
-	// equiv lists the oracle-level attribute equivalence classes (indices
-	// into attrs, size ≥ 2): inputs inducing the same row partition, outputs
-	// inducing the same partition with equal domain. Members of one class
-	// are interchangeable under every visibility mask.
-	equiv [][]int
 }
 
 // callScratch is the reusable per-call state of a safety test. Dense tests
@@ -137,17 +113,16 @@ type callScratch struct {
 	cnt      []uint32 // len prodIn: distinct visible outputs per group
 	vins     []uint64 // distinct visible-input codes seen this call
 
-	// Packed-word state (bits path only). The strided tables serve both the
-	// single-mask test (chunk position 0) and whole batch chunks; a slot is
-	// live only when its stamp equals bepoch, so chunks never clear. The
-	// stamps are uint16 on purpose: the key table is the largest scratch
-	// structure and the hot loop is bound by its cache misses, so halving
-	// the entry size buys more than the rare wraparound clear costs.
+	// Packed-word state (bits path only). A slot is live only when its
+	// stamp equals bepoch, so tests never clear. The stamps are uint16 on
+	// purpose: the key table is the largest scratch structure and the hot
+	// loop is bound by its cache misses, so halving the entry size buys
+	// more than the rare wraparound clear costs.
 	bepoch   uint16
-	bKeyStmp []uint16 // len 1<<(totalBits+bshift)
-	bVinStmp []uint16 // len 1<<(inBits+bshift)
-	bCnt     []uint32 // len 1<<(inBits+bshift): distinct visible outputs per (group, chunk position)
-	bVins    []uint32 // distinct strided visible-input keys seen this pass
+	bKeyStmp []uint16 // len 1<<totalBits
+	bVinStmp []uint16 // len 1<<inBits
+	bCnt     []uint32 // len 1<<inBits: distinct visible outputs per group
+	bVins    []uint32 // distinct visible-input keys seen this test
 }
 
 // Compile lowers a module view (relation plus input/output attribute split)
@@ -230,13 +205,12 @@ func Compile(rel *relation.Relation, inputs, outputs []string) (*Compiled, error
 }
 
 // finish derives everything the queries need from the primary tables
-// (attrs, domains, digits, code index): the dense/packed-word dispatch,
-// the equivalence classes, and the scratch pool.
+// (attrs, domains, digits, code index): the dense/packed-word dispatch and
+// the scratch pool.
 func (c *Compiled) finish() {
 	n := c.n
 	c.dense = c.prodIn*c.prodOut <= denseMax
 	c.compileBits()
-	c.computeEquiv()
 	c.scratch.New = func() any {
 		sc := &callScratch{
 			keys: make([]uint64, n),
@@ -244,10 +218,10 @@ func (c *Compiled) finish() {
 		}
 		switch {
 		case c.bitsOK:
-			sc.bKeyStmp = make([]uint16, 1<<(c.totalBits+c.bshift))
-			sc.bVinStmp = make([]uint16, 1<<(c.inBits+c.bshift))
-			sc.bCnt = make([]uint32, 1<<(c.inBits+c.bshift))
-			sc.bVins = make([]uint32, 0, n<<c.bshift)
+			sc.bKeyStmp = make([]uint16, 1<<c.totalBits)
+			sc.bVinStmp = make([]uint16, 1<<c.inBits)
+			sc.bCnt = make([]uint32, 1<<c.inBits)
+			sc.bVins = make([]uint32, 0, n)
 		case c.dense:
 			sc.keyStamp = make([]uint32, c.prodIn*c.prodOut)
 			sc.vinStamp = make([]uint32, c.prodIn)
@@ -285,13 +259,6 @@ func (c *Compiled) compileBits() {
 	c.totalBits = total
 	c.inBits = inBits
 	c.inFields = uint32(1)<<inBits - 1
-	c.bshift = batchTableMax - total
-	if c.bshift < 0 {
-		c.bshift = 0
-	}
-	if c.bshift > maxBatchShift {
-		c.bshift = maxBatchShift
-	}
 	c.fieldBits = make([]uint32, c.K())
 	shifts := make([]int, c.K())
 	off := 0
@@ -330,82 +297,22 @@ func (c *Compiled) wordMask(visible Mask) uint32 {
 	return wm
 }
 
-// computeEquiv groups the universe into oracle-equivalence classes. Lemma 4
-// sees an input attribute only through the row partition its column induces
-// (visible input groups are the common refinement of the visible columns'
-// partitions), so two inputs whose columns are equal up to value relabeling
-// are interchangeable under every mask. An output attribute additionally
-// contributes its domain size to the hidden volume, so outputs must match
-// on the partition AND the domain. Only classes of size ≥ 2 are kept.
-func (c *Compiled) computeEquiv() {
-	groups := make(map[string][]int)
-	order := make([]string, 0, c.K())
-	norm := make([]byte, 4*c.n)
-	relabel := make(map[int32]int32, 8)
-	colKey := func(dig []int32, stride, off int) string {
-		clear(relabel)
-		next := int32(0)
-		for r := 0; r < c.n; r++ {
-			v := dig[r*stride+off]
-			id, ok := relabel[v]
-			if !ok {
-				id = next
-				relabel[v] = id
-				next++
-			}
-			norm[4*r] = byte(id)
-			norm[4*r+1] = byte(id >> 8)
-			norm[4*r+2] = byte(id >> 16)
-			norm[4*r+3] = byte(id >> 24)
-		}
-		return string(norm)
-	}
-	add := func(key string, idx int) {
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], idx)
-	}
-	for i := 0; i < c.nIn; i++ {
-		add("i:"+colKey(c.inDig, c.nIn, i), i)
-	}
-	for j := 0; j < c.nOut; j++ {
-		add(fmt.Sprintf("o:%d:", c.outDoms[j])+colKey(c.outDig, c.nOut, j), c.nIn+j)
-	}
-	for _, key := range order {
-		if members := groups[key]; len(members) >= 2 {
-			c.equiv = append(c.equiv, members)
-		}
-	}
-}
-
-// EquivClasses returns the oracle-level attribute equivalence classes:
-// groups of ≥ 2 universe indices (see Attrs) whose attributes the Lemma 4
-// test cannot distinguish — swapping visibility of two class members leaves
-// MinOutSize unchanged under every mask. Inputs qualify when their columns
-// induce the same row partition; outputs additionally need equal domain
-// size. Callers intersect these with equal hiding costs before using them
-// for search symmetry breaking. Do not mutate the returned slices.
-func (c *Compiled) EquivClasses() [][]int { return c.equiv }
-
-// minOutBits is the packed-word single-mask test: per row one AND for the
+// minOutBits is the packed-word test: per row one AND for the
 // (visible-input, visible-output) key and one AND for the group key, counted
-// in the strided epoch-stamped tables at chunk position 0.
+// in the epoch-stamped tables.
 func (c *Compiled) minOutBits(sc *callScratch, wm uint32, vol uint64) uint64 {
 	c.bumpBitsEpoch(sc)
 	epoch := sc.bepoch
-	shift := c.bshift
 	inWM := wm & c.inFields
 	keyStmp, vinStmp, cnt := sc.bKeyStmp, sc.bVinStmp, sc.bCnt
 	vins := sc.bVins
 	for _, rw := range c.rowBits {
-		w := rw & wm
-		key := uint64(w) << shift
+		key := rw & wm
 		if keyStmp[key] == epoch {
 			continue
 		}
 		keyStmp[key] = epoch
-		vinKey := (w & inWM) << shift
+		vinKey := key & inWM
 		if vinStmp[vinKey] != epoch {
 			vinStmp[vinKey] = epoch
 			cnt[vinKey] = 0
@@ -423,57 +330,8 @@ func (c *Compiled) minOutBits(sc *callScratch, wm uint32, vol uint64) uint64 {
 	return min
 }
 
-// minOutBitsChunk answers one chunk of ≤ 2^bshift masks over the shared
-// rows: mask ci's keys live at stride position ci of the shared stamp
-// tables, so chunk members can never collide and nothing is cleared
-// between chunks. mins[ci] receives min_x |OUT_x| for chunk member ci.
-// The row loop sits inside the mask loop so the per-mask constants (word
-// mask, input projection, stride slot) stay in registers; the row words
-// themselves are a small sequential array that stays cached across masks.
-func (c *Compiled) minOutBitsChunk(sc *callScratch, wms []uint32, vols, mins []uint64) {
-	c.bumpBitsEpoch(sc)
-	epoch := sc.bepoch
-	shift := c.bshift
-	cn := len(wms)
-	keyStmp, vinStmp, cnt := sc.bKeyStmp, sc.bVinStmp, sc.bCnt
-	vins := sc.bVins
-	rowBits := c.rowBits
-	for ci := 0; ci < cn; ci++ {
-		wm := wms[ci]
-		inWM := wm & c.inFields
-		ciKey := uint64(ci)
-		ciKey32 := uint32(ci)
-		for _, rw := range rowBits {
-			pw := rw & wm
-			key := uint64(pw)<<shift | ciKey
-			if keyStmp[key] == epoch {
-				continue
-			}
-			keyStmp[key] = epoch
-			vinKey := (pw&inWM)<<shift | ciKey32
-			if vinStmp[vinKey] != epoch {
-				vinStmp[vinKey] = epoch
-				cnt[vinKey] = 0
-				vins = append(vins, vinKey)
-			}
-			cnt[vinKey]++
-		}
-	}
-	sc.bVins = vins
-	for i := range mins[:cn] {
-		mins[i] = math.MaxUint64
-	}
-	low := uint32(1)<<shift - 1
-	for _, vinKey := range vins {
-		ci := vinKey & low
-		if size := satMul(uint64(cnt[vinKey]), vols[ci]); size < mins[ci] {
-			mins[ci] = size
-		}
-	}
-}
-
 // bumpBitsEpoch advances the packed-word stamp generation, clearing the
-// tables only on uint32 wraparound.
+// tables only on uint16 wraparound.
 func (c *Compiled) bumpBitsEpoch(sc *callScratch) {
 	sc.bepoch++
 	if sc.bepoch == 0 {
@@ -697,55 +555,6 @@ func (c *Compiled) minOutSorted(sc *callScratch, visIn, visOut []int, voutProd, 
 // min_x |OUT_x| >= Γ.
 func (c *Compiled) IsSafe(visible Mask, gamma uint64) bool {
 	return c.MinOutSize(visible) >= gamma
-}
-
-// MinOutSizeBatch answers MinOutSize for a whole slice of masks, sharing
-// the per-row work across masks: on the packed-word path, chunks of up to
-// 2^bshift masks are counted in ONE pass over the row words, with each
-// row loaded once and projected onto every chunk member by a single AND.
-// Oracles too wide for the packed-word path fall back to per-mask tests.
-// The result is element-wise identical to calling MinOutSize per mask.
-func (c *Compiled) MinOutSizeBatch(masks []Mask) []uint64 {
-	out := make([]uint64, len(masks))
-	if c.n == 0 {
-		return out
-	}
-	if !c.bitsOK {
-		for i, m := range masks {
-			out[i] = c.MinOutSize(m)
-		}
-		return out
-	}
-	sc := c.scratch.Get().(*callScratch)
-	chunk := 1 << c.bshift
-	var wms [1 << maxBatchShift]uint32
-	var vols [1 << maxBatchShift]uint64
-	for start := 0; start < len(masks); start += chunk {
-		end := start + chunk
-		if end > len(masks) {
-			end = len(masks)
-		}
-		cn := end - start
-		for ci, m := range masks[start:end] {
-			wms[ci] = c.wordMask(m)
-			vols[ci] = c.hiddenVolume(m)
-		}
-		c.minOutBitsChunk(sc, wms[:cn], vols[:cn], out[start:end])
-	}
-	c.scratch.Put(sc)
-	return out
-}
-
-// IsSafeBatch answers the Lemma 4 test for a slice of visible masks in
-// batched row passes (see MinOutSizeBatch); out[i] is IsSafe(masks[i],
-// gamma). Safe for concurrent use like every other query.
-func (c *Compiled) IsSafeBatch(masks []Mask, gamma uint64) []bool {
-	mins := c.MinOutSizeBatch(masks)
-	out := make([]bool, len(masks))
-	for i, m := range mins {
-		out[i] = m >= gamma
-	}
-	return out
 }
 
 // inCodeOf packs an input tuple (aligned with the compiled input order) and

@@ -10,8 +10,11 @@
 //     by visible inputs, count distinct visible outputs, multiply by the
 //     hidden-output domain volume),
 //   - OUT-set computation for individual inputs,
-//   - brute-force minimum-cost safe-subset search (the standalone
-//     Secure-View problem) and enumeration of all minimal safe hidden sets,
+//   - minimum-cost safe-subset search (the standalone Secure-View problem)
+//     on the internal/search engine, which tests each surviving subset with
+//     one call to the compiled Lemma 4 oracle (the interpreted test when
+//     the module does not compile), and enumeration of all minimal safe
+//     hidden sets,
 //   - the Safe-View oracle and data-supplier abstractions with call
 //     counting, used by the communication-complexity experiments, and
 //   - the adversarial gadgets from the proofs of Theorems 1, 2 and 3.

@@ -61,15 +61,13 @@ type SearchResult struct {
 	Found bool
 	// Checked counts safety tests actually performed; Pruned counts the
 	// candidate subsets eliminated without a test (best-cost bound,
-	// Proposition 1 monotonicity, symmetry breaking, or early exit once the
-	// optimum is pinned). Checked + Pruned always equals 2^k.
+	// Proposition 1 monotonicity, or early exit once the optimum is
+	// pinned). Checked + Pruned always equals 2^k.
 	Checked int
 	Pruned  int
-	// OraclePasses counts oracle invocations: with a batch oracle a single
-	// pass may answer many candidates, so OraclePasses <= Checked. BatchSize
-	// is the largest batch answered in one pass (1 without batching).
+	// OraclePasses counts oracle invocations; the engine asks about one
+	// subset per call, so it equals Checked.
 	OraclePasses int
-	BatchSize    int
 }
 
 // searchSpace builds the mask universe for the module view's attributes.
@@ -77,90 +75,23 @@ func (mv ModuleView) searchSpace(costs Costs) (*search.Space, error) {
 	return search.NewSpace(mv.Attrs(), costs.Of)
 }
 
-// maskOracles adapts the Lemma 4 safety test to the engine. The compiled
+// maskOracle adapts the Lemma 4 safety test to the engine. The compiled
 // integer-coded oracle is preferred: it is built once per search, shared
 // read-only across the engine's worker pool, and answers each mask with a
 // stamped counting pass over packed row codes — no name sets, no relation
 // scans, no per-call allocation. The search space is built over mv.Attrs()
 // (inputs then outputs), the exact bit order the compiled oracle uses, so
-// engine masks pass through by integer conversion. The compiled table is
-// returned alongside so callers can wire its batch interface and symmetry
-// classes into the engine options; modules whose domain products overflow
-// uint64 fall back to the interpreted Lemma 4 test (nil table).
-func (mv ModuleView) maskOracles(sp *search.Space, gamma uint64) (search.Oracle, *oracle.Compiled) {
+// engine masks pass through by integer conversion. Modules whose domain
+// products overflow uint64 fall back to the interpreted Lemma 4 test.
+func (mv ModuleView) maskOracle(sp *search.Space, gamma uint64) search.Oracle {
 	if c, err := mv.Compile(); err == nil {
 		return func(visible search.Mask) (bool, error) {
 			return c.IsSafe(oracle.Mask(visible), gamma), nil
-		}, c
+		}
 	}
 	return func(visible search.Mask) (bool, error) {
 		return mv.IsSafe(sp.NameSet(visible), gamma)
-	}, nil
-}
-
-// maskOracle is maskOracles without the compiled handle, for the
-// enumeration entry points that cannot use batching or symmetry.
-func (mv ModuleView) maskOracle(sp *search.Space, gamma uint64) search.Oracle {
-	orc, _ := mv.maskOracles(sp, gamma)
-	return orc
-}
-
-// CompiledSearchOptions wires a compiled oracle into engine options: the
-// batch interface (one counting pass answers a whole chunk of sibling
-// candidates) and the equal-cost oracle equivalence classes as symmetry-
-// breaking input. Fields the caller already set are left alone. The gamma
-// must match the one the per-mask oracle uses.
-func CompiledSearchOptions(c *oracle.Compiled, costs Costs, gamma uint64, opts search.Options) search.Options {
-	if opts.Batch == nil {
-		opts.Batch = func(visible []search.Mask) ([]bool, error) {
-			ms := make([]oracle.Mask, len(visible))
-			for i, v := range visible {
-				ms[i] = oracle.Mask(v)
-			}
-			return c.IsSafeBatch(ms, gamma), nil
-		}
 	}
-	if opts.Symmetry == nil {
-		opts.Symmetry = EqualCostClasses(c.EquivClasses(), c.Attrs(), costs)
-	}
-	return opts
-}
-
-// EqualCostClasses restricts attribute equivalence classes (indices into
-// attrs) to members sharing one hiding cost — the extra condition under
-// which the engine's symmetry breaking preserves the (cost, lex) optimum
-// exactly. Subclasses with fewer than two members are dropped.
-func EqualCostClasses(classes [][]int, attrs []string, costs Costs) [][]int {
-	var out [][]int
-	for _, cl := range classes {
-		var byCost []struct {
-			cost    float64
-			members []int
-		}
-		for _, i := range cl {
-			c := costs.Of(attrs[i])
-			found := false
-			for bi := range byCost {
-				if byCost[bi].cost == c {
-					byCost[bi].members = append(byCost[bi].members, i)
-					found = true
-					break
-				}
-			}
-			if !found {
-				byCost = append(byCost, struct {
-					cost    float64
-					members []int
-				}{c, []int{i}})
-			}
-		}
-		for _, g := range byCost {
-			if len(g.members) >= 2 {
-				out = append(out, g.members)
-			}
-		}
-	}
-	return out
 }
 
 // MinCostSafeSubset solves the standalone Secure-View problem over all 2^k
@@ -184,27 +115,27 @@ func (mv ModuleView) MinCostSafeSubsetOpts(costs Costs, gamma uint64, opts searc
 	if err != nil {
 		return SearchResult{}, fmt.Errorf("privacy: %w", err)
 	}
-	orc, comp := mv.maskOracles(sp, gamma)
-	if comp != nil {
-		opts = CompiledSearchOptions(comp, costs, gamma, opts)
-	}
-	res, err := sp.MinCost(orc, opts)
+	res, err := sp.MinCost(mv.maskOracle(sp, gamma), opts)
 	if err != nil {
 		return SearchResult{}, err
 	}
+	return searchResult(sp, res), nil
+}
+
+// searchResult materializes an engine result over sp as name sets.
+func searchResult(sp *search.Space, res search.Result) SearchResult {
 	out := SearchResult{
 		Found:        res.Found,
 		Checked:      res.Stats.Checked,
 		Pruned:       res.Stats.Pruned,
 		OraclePasses: res.Stats.OraclePasses,
-		BatchSize:    res.Stats.BatchSize,
 	}
 	if res.Found {
 		out.Hidden = sp.NameSet(res.Hidden)
 		out.Visible = sp.NameSet(sp.All() &^ res.Hidden)
 		out.Cost = res.Cost
 	}
-	return out, nil
+	return out
 }
 
 // AllSafeVisibleSubsets enumerates every visible subset V ⊆ I∪O that is
@@ -305,23 +236,6 @@ func (o compiledOracle) IsSafe(visible relation.NameSet) (bool, error) {
 	return o.c.IsSafe(o.c.MaskOf(visible), o.gamma), nil
 }
 
-// BatchSafeViewOracle is a SafeViewOracle that can answer many visible sets
-// in one pass. The engine detects it and amortizes per-row decode work
-// across sibling candidates.
-type BatchSafeViewOracle interface {
-	SafeViewOracle
-	// IsSafeBatch answers safety for each visible set, in order.
-	IsSafeBatch(visible []relation.NameSet) ([]bool, error)
-}
-
-func (o compiledOracle) IsSafeBatch(visible []relation.NameSet) ([]bool, error) {
-	ms := make([]oracle.Mask, len(visible))
-	for i, v := range visible {
-		ms[i] = o.c.MaskOf(v)
-	}
-	return o.c.IsSafeBatch(ms, o.gamma), nil
-}
-
 // EngineMinCostWithOracle runs the pruned parallel engine against an
 // arbitrary Safe-View oracle. The oracle MUST be monotone (Proposition 1)
 // and safe for concurrent use — CountingOracle adds its own bookkeeping
@@ -337,34 +251,13 @@ func EngineMinCostWithOracle(attrs []string, costs Costs, oracle SafeViewOracle,
 	if err != nil {
 		return SearchResult{}, fmt.Errorf("privacy: %w", err)
 	}
-	if bo, ok := oracle.(BatchSafeViewOracle); ok && opts.Batch == nil {
-		opts.Batch = func(visible []search.Mask) ([]bool, error) {
-			sets := make([]relation.NameSet, len(visible))
-			for i, v := range visible {
-				sets[i] = sp.NameSet(v)
-			}
-			return bo.IsSafeBatch(sets)
-		}
-	}
 	res, err := sp.MinCost(func(visible search.Mask) (bool, error) {
 		return oracle.IsSafe(sp.NameSet(visible))
 	}, opts)
 	if err != nil {
 		return SearchResult{}, err
 	}
-	out := SearchResult{
-		Found:        res.Found,
-		Checked:      res.Stats.Checked,
-		Pruned:       res.Stats.Pruned,
-		OraclePasses: res.Stats.OraclePasses,
-		BatchSize:    res.Stats.BatchSize,
-	}
-	if res.Found {
-		out.Hidden = sp.NameSet(res.Hidden)
-		out.Visible = sp.NameSet(sp.All() &^ res.Hidden)
-		out.Cost = res.Cost
-	}
-	return out, nil
+	return searchResult(sp, res), nil
 }
 
 // CountingOracle wraps a SafeViewOracle and counts calls. It is safe for

@@ -19,7 +19,7 @@ func realFrontier(t *testing.T, rng *rand.Rand, k int) *Frontier {
 		attrs[i] = fmt.Sprintf("a%02d", i)
 	}
 	s := testSpace(t, attrs, randomCosts(attrs, rng))
-	oracle, _ := weightedOracle(s, rng)
+	oracle := monotoneOracle(s, rng)
 	res, err := s.MinCost(oracle, Options{})
 	if err != nil {
 		t.Fatal(err)

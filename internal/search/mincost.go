@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -245,35 +244,13 @@ func radixSort(words, spare []uint64, span, k int) (sorted, other []uint64) {
 // (cost, lex) order and strides workers over the sorted list. The answer is
 // the lowest-index safe candidate; workers past the current best index stop
 // wholesale. Per candidate it does one index-bound check and one oracle
-// test (in batches of Options.batchCap per pass, 1 without a batch oracle)
-// whose verdict goes to the worker's log. It keeps no domination stores and
-// ignores Options.Resume (MinCost sends accepted resumes to the streaming
-// scan); the exported Frontier holds the logs and is built on first read.
+// call whose verdict goes to the worker's log. It keeps no domination
+// stores and ignores Options.Resume (MinCost sends accepted resumes to the
+// streaming scan); the exported Frontier holds the logs and is built on
+// first read.
 func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Bool) (Result, error) {
 	masks, sums := s.sortCandidates()
 	n := len(masks)
-
-	sym, err := s.newSymFilter(opts.Symmetry)
-	if err != nil {
-		return Result{}, err
-	}
-	prunedBase := 0
-	if sym != nil {
-		// Drop non-canonical candidates up front (the compaction preserves
-		// the (cost, lex) order and the shared cost backing); each one is a
-		// symmetry-pruned candidate.
-		kept := 0
-		for _, m := range masks {
-			if sym.canonical(m) {
-				masks[kept] = m
-				kept++
-			}
-		}
-		prunedBase = n - kept
-		masks = masks[:kept]
-		n = kept
-	}
-
 	workers := opts.workers()
 	if workers > n {
 		workers = n
@@ -281,10 +258,9 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 	all := s.All()
 	var bestIdx atomic.Int64
 	bestIdx.Store(int64(n)) // sentinel: nothing found
-	var checked, pruned, passes, maxBatch atomic.Int64
+	var pruned atomic.Int64
 	var firstErr atomic.Value
 	var failed atomic.Bool
-	batchCap := opts.batchCap()
 	logs := make([][]verdict, workers)
 
 	var wg sync.WaitGroup
@@ -293,94 +269,44 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 		go func(w int) {
 			defer wg.Done()
 			var log []verdict
-			var nChecked, nPruned, nPasses, nMax int64
+			var nPruned int64
 			defer func() {
 				logs[w] = log
-				checked.Add(nChecked)
 				pruned.Add(nPruned)
-				passes.Add(nPasses)
-				raiseMax(&maxBatch, nMax)
 			}()
-			idxBuf := make([]int, 0, batchCap)
-			visBuf := make([]Mask, 0, batchCap)
-			// The batch grows geometrically from 1 to batchCap: the optimum
-			// sits early in cost order, so tiny first batches establish the
-			// incumbent (and its index bound) before amortization kicks in.
-			curCap := 1
-			// flush tests the buffered candidates in one oracle pass, logs
-			// the verdicts and lowers the best index to the first safe one.
-			// It returns false on oracle failure.
-			flush := func() bool {
-				if len(visBuf) == 0 {
-					return true
-				}
-				start := len(log)
-				var err error
-				if log, err = testInto(log, oracle, opts.Batch, visBuf); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					failed.Store(true)
-					return false
-				}
-				nChecked += int64(len(visBuf))
-				nPasses++
-				nMax = max(nMax, int64(len(visBuf)))
-				for i, v := range log[start:] {
-					if v.safe { // idxBuf ascends: the first safe is the lowest
-						lowerBest(&bestIdx, int64(idxBuf[i]))
-						break
-					}
-				}
-				idxBuf, visBuf = idxBuf[:0], visBuf[:0]
-				curCap = min(2*curCap, batchCap)
-				return true
-			}
 			for idx := w; idx < n; idx += workers {
 				if failed.Load() || cancelled.Load() {
 					return
 				}
 				if int64(idx) > bestIdx.Load() {
 					// Everything at or after idx in this stride is beaten by
-					// the incumbent's sort position; count and stop. Buffered
-					// candidates precede the incumbent, so they still flush.
+					// the incumbent's sort position; count and stop.
 					nPruned += int64((n - idx + workers - 1) / workers)
-					flush()
 					return
 				}
 				visible := all &^ masks[idx]
-				if opts.Batch == nil {
-					// One oracle pass per candidate, straight into the log.
-					safe, err := oracle(visible)
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						failed.Store(true)
-						return
-					}
-					log = append(log, verdict{visible, safe})
-					nChecked, nPasses, nMax = nChecked+1, nPasses+1, 1
-					if safe {
-						lowerBest(&bestIdx, int64(idx))
-					}
-					continue
-				}
-				idxBuf = append(idxBuf, idx)
-				visBuf = append(visBuf, visible)
-				if len(visBuf) >= curCap && !flush() {
+				safe, err := oracle(visible)
+				if err != nil {
+					firstErr.CompareAndSwap(nil, err)
+					failed.Store(true)
 					return
 				}
+				log = append(log, verdict{visible, safe})
+				if safe {
+					lowerBest(&bestIdx, int64(idx))
+				}
 			}
-			flush()
 		}(w)
 	}
 	wg.Wait()
 	if err, ok := firstErr.Load().(error); ok {
 		return Result{}, err
 	}
-	res := Result{Stats: Stats{
-		Checked:      int(checked.Load()),
-		Pruned:       int(pruned.Load()) + prunedBase,
-		OraclePasses: int(passes.Load()),
-		BatchSize:    int(maxBatch.Load()),
-	}}
+	checked := 0
+	for _, log := range logs {
+		checked += len(log)
+	}
+	res := Result{Stats: Stats{Checked: checked, Pruned: int(pruned.Load()), OraclePasses: checked}}
 	if idx := bestIdx.Load(); idx < int64(n) {
 		res.Hidden = masks[idx]
 		res.Cost = sums[masks[idx]]
@@ -396,43 +322,6 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 		log:       logs,
 	}
 	return res, nil
-}
-
-// testInto runs one oracle pass over the buffered visible masks — the batch
-// oracle when one is configured and the buffer holds more than one mask,
-// the per-mask oracle otherwise — and appends one verdict per mask to log.
-func testInto(log []verdict, oracle Oracle, batch BatchOracle, visible []Mask) ([]verdict, error) {
-	if batch != nil && len(visible) > 1 {
-		safes, err := batch(visible)
-		if err != nil {
-			return log, err
-		}
-		if len(safes) != len(visible) {
-			return log, fmt.Errorf("search: batch oracle answered %d of %d masks", len(safes), len(visible))
-		}
-		for i, v := range visible {
-			log = append(log, verdict{v, safes[i]})
-		}
-		return log, nil
-	}
-	for _, v := range visible {
-		safe, err := oracle(v)
-		if err != nil {
-			return log, err
-		}
-		log = append(log, verdict{v, safe})
-	}
-	return log, nil
-}
-
-// raiseMax raises the shared maximum to v if v is larger.
-func raiseMax(max *atomic.Int64, v int64) {
-	for {
-		cur := max.Load()
-		if v <= cur || max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // costSums builds the subset-sum table sums[m] = total cost of mask m by
@@ -455,10 +344,6 @@ func (s *Space) costSums() []float64 {
 // the same (cost, lex) tie-break.
 func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.Bool) (Result, error) {
 	n := 1 << s.K()
-	sym, err := s.newSymFilter(opts.Symmetry)
-	if err != nil {
-		return Result{}, err
-	}
 	workers := opts.workers()
 	if workers > n {
 		workers = n
@@ -494,11 +379,9 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 		// same mask and prune the known optimum (see seedBound).
 		bound.Store(s.seedBound(opts.Resume, costAt))
 	}
-	var checked, pruned atomic.Int64
-	var passes, maxBatch, memoHits atomic.Int64
+	var pruned, memoHits atomic.Int64
 	var firstErr atomic.Value
 	var failed atomic.Bool
-	batchCap := opts.batchCap()
 	freshVerd := make([][]verdict, workers)
 
 	type incumbent struct {
@@ -525,43 +408,6 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 					bound.StoreMin(cost)
 				}
 			}
-			hidBuf := make([]Mask, 0, batchCap)
-			costBuf := make([]float64, 0, batchCap)
-			visBuf := make([]Mask, 0, batchCap)
-			// Grow the batch geometrically so cheap early candidates set the
-			// shared cost bound before full-size batches start.
-			curCap := 1
-			flush := func() bool {
-				if len(visBuf) == 0 {
-					return true
-				}
-				start := len(fresh)
-				var err error
-				if fresh, err = testInto(fresh, oracle, opts.Batch, visBuf); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					failed.Store(true)
-					return false
-				}
-				checked.Add(int64(len(visBuf)))
-				passes.Add(1)
-				raiseMax(&maxBatch, int64(len(visBuf)))
-				for i, v := range fresh[start:] {
-					if v.safe {
-						safeFront.insertMaximal(v.vis)
-						accept(hidBuf[i], costBuf[i])
-					} else {
-						unsafeFront.insertMinimal(v.vis)
-					}
-				}
-				hidBuf, costBuf, visBuf = hidBuf[:0], costBuf[:0], visBuf[:0]
-				if curCap < batchCap {
-					curCap *= 2
-					if curCap > batchCap {
-						curCap = batchCap
-					}
-				}
-				return true
-			}
 			// Masks are claimed in contiguous chunks (not a per-mask stride)
 			// so the shared atomics — the cancellation flags, the cost bound
 			// and the pruned counter — are touched once per chunk instead of
@@ -586,10 +432,9 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 				for m := base; m < hi; m++ {
 					hidden := Mask(m)
 					// Strictly worse than the bound can never win; equal cost
-					// stays in play for the lexicographic tie-break. The bound
-					// check runs before the symmetry filter because it is
-					// cheaper and, on warm re-solves with a seeded bound,
-					// prunes almost every mask.
+					// stays in play for the lexicographic tie-break. On warm
+					// re-solves the seeded bound prunes almost every mask
+					// here, before the domination scans.
 					var cost float64
 					if sums != nil {
 						cost = sums[m]
@@ -597,10 +442,6 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 						cost = s.CostOf(hidden)
 					}
 					if cost > b {
-						prunedLocal++
-						continue
-					}
-					if sym != nil && !sym.canonical(hidden) {
 						prunedLocal++
 						continue
 					}
@@ -628,30 +469,37 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 							}
 							continue
 						}
-						hidBuf = append(hidBuf, hidden)
-						costBuf = append(costBuf, cost)
-						visBuf = append(visBuf, visible)
-						if len(visBuf) >= curCap {
-							if !flush() {
-								return
-							}
-							b = bound.Load()
+						safe, err := oracle(visible)
+						if err != nil {
+							firstErr.CompareAndSwap(nil, err)
+							failed.Store(true)
+							return
 						}
+						fresh = append(fresh, verdict{visible, safe})
+						if safe {
+							safeFront.insertMaximal(visible)
+							accept(hidden, cost)
+						} else {
+							unsafeFront.insertMinimal(visible)
+						}
+						b = bound.Load()
 					}
 				}
 			}
-			flush()
 		}(w)
 	}
 	wg.Wait()
 	if err, ok := firstErr.Load().(error); ok {
 		return Result{}, err
 	}
+	checked := 0
+	for _, fresh := range freshVerd {
+		checked += len(fresh)
+	}
 	res := Result{Stats: Stats{
-		Checked:       int(checked.Load()),
+		Checked:       checked,
 		Pruned:        int(pruned.Load()),
-		OraclePasses:  int(passes.Load()),
-		BatchSize:     int(maxBatch.Load()),
+		OraclePasses:  checked,
 		Resumed:       resumed,
 		ResumedSafe:   nSafe,
 		ResumedUnsafe: nUnsafe,
@@ -699,7 +547,6 @@ func (s *Space) NaiveMinCost(oracle Oracle) (Result, error) {
 		}
 		res.Stats.Checked++
 		res.Stats.OraclePasses++
-		res.Stats.BatchSize = 1
 		safe, err := oracle(all &^ hidden)
 		if err != nil {
 			return Result{}, err

@@ -12,49 +12,11 @@ import (
 	"secureview/internal/wire"
 )
 
-// weightedOracle is monotoneOracle with the weights exposed, so tests can
-// build symmetry classes (attrs with equal weight AND equal cost are
-// oracle-interchangeable for the threshold predicate).
-func weightedOracle(s *Space, rng *rand.Rand) (Oracle, []float64) {
-	weights := make([]float64, s.K())
-	total := 0.0
-	for i := range weights {
-		weights[i] = float64(rng.Intn(4))
-		total += weights[i]
-	}
-	threshold := rng.Float64() * total
-	return func(v Mask) (bool, error) {
-		sum := 0.0
-		for x := v; x != 0; x &= x - 1 {
-			sum += weights[bits.TrailingZeros32(uint32(x))]
-		}
-		return sum <= threshold, nil
-	}, weights
-}
-
-// symClasses groups attribute indices by (oracle weight, cost) — the exact
-// interchangeability condition Options.Symmetry requires for the threshold
-// oracles.
-func symClasses(s *Space, weights []float64, costs map[string]float64) [][]int {
-	groups := map[[2]float64][]int{}
-	for i, a := range s.Attrs() {
-		key := [2]float64{weights[i], costs[a]}
-		groups[key] = append(groups[key], i)
-	}
-	var out [][]int
-	for _, g := range groups {
-		if len(g) > 1 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // TestResumeMatchesCold is the warm-start core property: after an arbitrary
 // cost re-weighting, re-solving with the previous run's Frontier returns a
 // byte-identical (cost, lex) optimum to a cold solve — on the streaming path
-// and through the MinCost dispatcher, with and without symmetry classes —
-// and the Checked+Pruned=2^k invariant survives seeding. (The sorted path
+// and through the MinCost dispatcher — and the Checked+Pruned=2^k invariant
+// survives seeding. (The sorted path
 // is cold-only: the dispatcher sends every accepted resume to streaming.)
 func TestResumeMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -66,13 +28,9 @@ func TestResumeMatchesCold(t *testing.T) {
 		}
 		costs := randomCosts(attrs, rng)
 		s := testSpace(t, attrs, costs)
-		oracle, weights := weightedOracle(s, rng)
+		oracle := monotoneOracle(s, rng)
 
-		var opts Options
-		if trial%3 == 0 {
-			opts.Symmetry = symClasses(s, weights, costs)
-		}
-		base, err := s.MinCost(oracle, opts)
+		base, err := s.MinCost(oracle, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,17 +44,12 @@ func TestResumeMatchesCold(t *testing.T) {
 			edited[a] = float64(rng.Intn(4))
 		}
 		es := s.WithCosts(func(a string) float64 { return edited[a] })
-		eopts := opts
-		if opts.Symmetry != nil {
-			eopts.Symmetry = symClasses(es, weights, edited)
-		}
-		cold, err := es.MinCost(oracle, eopts)
+		cold, err := es.MinCost(oracle, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		warmOpts := eopts
-		warmOpts.Resume = base.Frontier
+		warmOpts := Options{Resume: base.Frontier}
 		runs := []struct {
 			name string
 			run  func() (Result, error)
@@ -146,7 +99,7 @@ func TestResumeIrrationalCosts(t *testing.T) {
 			costs[attrs[i]] = rng.Float64() * 3
 		}
 		s := testSpace(t, attrs, costs)
-		oracle, _ := weightedOracle(s, rng)
+		oracle := monotoneOracle(s, rng)
 		cold, err := s.MinCost(oracle, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +139,7 @@ func TestResumeMemoReplaysVerdicts(t *testing.T) {
 			attrs[i] = fmt.Sprintf("a%02d", i)
 		}
 		s := testSpace(t, attrs, randomCosts(attrs, rng))
-		oracle, _ := weightedOracle(s, rng)
+		oracle := monotoneOracle(s, rng)
 		cold, err := s.MinCost(oracle, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +211,7 @@ func TestWithCostsSharesUniverse(t *testing.T) {
 	first := randomCosts(attrs, rng)
 	second := randomCosts(attrs, rng)
 	s := testSpace(t, attrs, first)
-	oracle, _ := weightedOracle(s, rng)
+	oracle := monotoneOracle(s, rng)
 
 	clone := s.WithCosts(func(a string) float64 { return second[a] })
 	fresh := testSpace(t, attrs, second)
@@ -305,7 +258,7 @@ func TestUnbuiltFrontierConcurrent(t *testing.T) {
 			attrs[i] = fmt.Sprintf("a%02d", i)
 		}
 		s := testSpace(t, attrs, randomCosts(attrs, rng))
-		oracle, _ := weightedOracle(s, rng)
+		oracle := monotoneOracle(s, rng)
 		base, err := s.MinCost(oracle, Options{Parallelism: 1 + trial%2})
 		if err != nil {
 			t.Fatal(err)

@@ -22,15 +22,8 @@
 // bound already stops; the Proposition 1 domination stores would not prune
 // there. They run on the streaming scan — warm resumes and universes above
 // sortedMax — and in the exported Frontier, which a cold run builds from its
-// logs the first time something reads it.
-//
-// Two optional reductions compose with the pruning without moving the
-// answer: Options.Batch tests surviving candidates many masks per oracle
-// pass (geometrically grown per-worker batches; see Stats.OraclePasses
-// and Stats.BatchSize), and Options.Symmetry restricts enumeration to
-// canonical name-prefix members of interchangeable equal-cost attribute
-// classes, counting the skipped orbit as pruned — both keep the
-// (cost, lex) optimum byte-identical.
+// logs the first time something reads it. Both scans test a surviving
+// candidate with exactly one call to the per-mask oracle.
 //
 // Oracles passed to the engine MUST be monotone: if a visible set is safe,
 // every subset of it is safe (equivalently, supersets of safe hidden sets
@@ -223,69 +216,15 @@ func lexLess(x, y Mask) bool {
 // monotone (see the package comment) and safe for concurrent use.
 type Oracle func(visible Mask) (bool, error)
 
-// BatchOracle answers a whole slice of visible masks in one call, returning
-// one verdict per mask in order. Implementations share the per-candidate
-// work across the slice (the compiled oracle answers a chunk of masks in a
-// single pass over its row codes) and must satisfy the same monotonicity
-// and concurrency contract as Oracle; element i must equal what the
-// per-mask oracle would answer for visible[i].
-type BatchOracle func(visible []Mask) ([]bool, error)
-
-// Batched lifts a per-mask oracle to the BatchOracle interface by looping —
-// no batching win, but it lets call sites treat both uniformly.
-func Batched(oracle Oracle) BatchOracle {
-	return func(visible []Mask) ([]bool, error) {
-		out := make([]bool, len(visible))
-		for i, v := range visible {
-			safe, err := oracle(v)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = safe
-		}
-		return out, nil
-	}
-}
-
 // DefaultFrontierCap bounds each Proposition 1 domination store. Beyond it
 // further masks are dropped: pruning weakens, correctness is unaffected.
 const DefaultFrontierCap = 256
-
-// DefaultBatchSize is the per-pass mask cap used when Options.Batch is set
-// but Options.BatchSize is zero.
-const DefaultBatchSize = 64
 
 // Options tunes an engine run.
 type Options struct {
 	// Parallelism is the worker-pool size. Zero or negative uses the package
 	// default: runtime.GOMAXPROCS(0), overridable via SetDefaultParallelism.
 	Parallelism int
-
-	// Batch, when non-nil, lets MinCost submit sibling candidates to the
-	// oracle in slices of up to BatchSize masks per call instead of one at a
-	// time, so a batching oracle (oracle.Compiled.IsSafeBatch) can amortize
-	// its per-candidate pass. Batch must agree element-wise with the
-	// per-mask oracle, which remains required (levels enumeration and
-	// single-candidate flushes still use it).
-	Batch BatchOracle
-
-	// BatchSize caps the masks per Batch call (0 = DefaultBatchSize).
-	// Ignored when Batch is nil.
-	BatchSize int
-
-	// Symmetry lists equivalence classes of attributes (indices into
-	// Attrs()) that are interchangeable under the oracle AND carry equal
-	// hiding costs: swapping the visibility of two class members never
-	// changes the oracle's verdict or a candidate's cost. MinCost then
-	// enumerates only canonical masks — those hiding, within each class, a
-	// prefix of the class's name-sorted members — and counts the skipped
-	// masks as pruned. The lexicographically smallest minimum-cost hidden
-	// set is always canonical (an exchange swapping a hidden member for an
-	// unhidden name-smaller one preserves cost and safety and lowers the
-	// lex rank), so the result is byte-identical to the unrestricted
-	// search. Classes must be disjoint; classes with fewer than two members
-	// are ignored.
-	Symmetry [][]int
 
 	// Resume, when non-nil, pre-seeds the search from a Frontier exported
 	// by an earlier run over the same attribute universe AND the same
@@ -300,18 +239,6 @@ type Options struct {
 	// is byte-identical with or without Resume. Stats.Resumed reports
 	// whether the frontier was accepted.
 	Resume *Frontier
-}
-
-// batchCap returns the candidate-buffer size for one worker: 1 without a
-// batch oracle (per-mask calls, today's behavior), BatchSize with one.
-func (o Options) batchCap() int {
-	if o.Batch == nil {
-		return 1
-	}
-	if o.BatchSize > 0 {
-		return o.BatchSize
-	}
-	return DefaultBatchSize
 }
 
 var defaultParallelism atomic.Int64
@@ -343,15 +270,13 @@ type Stats struct {
 	// requested by the engine; a memoized oracle may answer some from cache).
 	Checked int
 	// Pruned counts candidate masks eliminated WITHOUT a safety test: by the
-	// best-cost bound, by Proposition 1 domination, by symmetry breaking, or
-	// by early exit once the optimum is pinned.
+	// best-cost or best-index bound, by Proposition 1 domination, or by the
+	// resumed verdict memo.
 	Pruned int
-	// OraclePasses counts oracle invocations: a batched call answering many
-	// masks is ONE pass, so Checked/OraclePasses is the mean batch size.
+	// OraclePasses counts oracle invocations. Every scan asks the oracle
+	// about one mask per call, so it equals Checked; it is kept as its own
+	// counter because reports and the served-path benchmark read it.
 	OraclePasses int
-	// BatchSize is the largest number of masks submitted in a single pass
-	// (1 when no batch oracle was configured).
-	BatchSize int
 	// Resumed reports whether Options.Resume was accepted (universe
 	// matched); ResumedSafe / ResumedUnsafe count the masks imported into
 	// the safe and unsafe domination stores from the supplied Frontier, and

@@ -226,8 +226,10 @@ func TestStreamingMatchesSortedAndNaive(t *testing.T) {
 	}
 }
 
-// TestCheckedCountsOracleCalls pins the SearchResult.Checked contract: it
-// counts safety tests actually performed, nothing else.
+// TestCheckedCountsOracleCalls pins the Stats.Checked contract: it counts
+// safety tests actually performed, nothing else, and each test is one
+// oracle call (OraclePasses == Checked == calls) — on the sorted,
+// streaming and resumed scans, at 1 and 4 workers.
 func TestCheckedCountsOracleCalls(t *testing.T) {
 	attrs := []string{"a", "b", "c", "d", "e", "f"}
 	s := testSpace(t, attrs, map[string]float64{"a": 1, "b": 1, "c": 1, "d": 2, "e": 2, "f": 3})
@@ -236,18 +238,49 @@ func TestCheckedCountsOracleCalls(t *testing.T) {
 		calls.Add(1)
 		return bits.OnesCount32(uint32(v)) <= 3, nil
 	}
-	res, err := s.MinCost(oracle, Options{Parallelism: 4})
-	if err != nil || !res.Found {
+	base, err := s.MinCost(oracle, Options{Parallelism: 1})
+	if err != nil || !base.Found {
 		t.Fatal(err)
 	}
-	if int64(res.Stats.Checked) != calls.Load() {
-		t.Errorf("Checked = %d, oracle calls = %d", res.Stats.Checked, calls.Load())
-	}
-	if res.Stats.Checked+res.Stats.Pruned != 1<<len(attrs) {
-		t.Errorf("Checked+Pruned = %d, want %d", res.Stats.Checked+res.Stats.Pruned, 1<<len(attrs))
-	}
-	if res.Stats.Checked == 1<<len(attrs) {
-		t.Error("no pruning happened at all")
+	// A cost-only edit, so the resumed scan has something left to test.
+	edits := map[string]float64{"a": 4, "b": 1, "c": 1, "d": 1, "e": 1, "f": 2}
+	edited := s.WithCosts(func(a string) float64 { return edits[a] })
+	for _, par := range []int{1, 4} {
+		scans := []struct {
+			name string
+			run  func() (Result, error)
+		}{
+			{"sorted", func() (Result, error) {
+				return s.minCostSorted(oracle, Options{Parallelism: par}, new(atomic.Bool))
+			}},
+			{"streaming", func() (Result, error) {
+				return s.minCostStreaming(oracle, Options{Parallelism: par}, new(atomic.Bool))
+			}},
+			{"resumed", func() (Result, error) {
+				return edited.MinCost(oracle, Options{Parallelism: par, Resume: base.Frontier})
+			}},
+		}
+		for _, sc := range scans {
+			calls.Store(0)
+			res, err := sc.run()
+			if err != nil || !res.Found {
+				t.Fatalf("%s par=%d: err=%v found=%v", sc.name, par, err, res.Found)
+			}
+			st := res.Stats
+			if int64(st.Checked) != calls.Load() || st.OraclePasses != st.Checked {
+				t.Errorf("%s par=%d: Checked = %d, OraclePasses = %d, oracle calls = %d",
+					sc.name, par, st.Checked, st.OraclePasses, calls.Load())
+			}
+			if st.Checked+st.Pruned != 1<<len(attrs) {
+				t.Errorf("%s par=%d: Checked+Pruned = %d, want %d", sc.name, par, st.Checked+st.Pruned, 1<<len(attrs))
+			}
+			if st.Checked == 0 || st.Checked == 1<<len(attrs) {
+				t.Errorf("%s par=%d: Checked = %d, want some tests and some pruning", sc.name, par, st.Checked)
+			}
+			if sc.name == "resumed" && !st.Resumed {
+				t.Errorf("resumed par=%d: frontier not accepted", par)
+			}
+		}
 	}
 
 	calls.Store(0)

@@ -1,9 +1,7 @@
 package secureview
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -153,48 +151,4 @@ func (m *compiledModule) satisfied(h uint64) bool {
 		}
 	}
 	return false
-}
-
-// Classes groups the universe into requirement-level equivalence classes:
-// attributes whose exchange fixes every feasibility check AND the cost
-// function, so a subset search may restrict enumeration to canonical
-// combinations without moving the (cost, lex) optimum. Two attributes are
-// interchangeable when they have equal hiding cost and identical membership
-// in every compiled mask: each module's inputs and outputs (cardinality —
-// feasibility only counts hidden inputs and outputs per module), every
-// option (set — swapping then maps each option to itself), and the public
-// interface. Classes index the universe passed to Compile, list members in
-// universe order, and are ordered by first member; singletons are dropped.
-func (c *Compiled) Classes(cost func(string) float64) [][]int {
-	// A set module's in/out masks are zero and a cardinality module has no
-	// opts, so one layout serves both variants.
-	var masks []uint64
-	for _, m := range c.mods {
-		masks = append(masks, m.in, m.out)
-		masks = append(masks, m.opts...)
-	}
-	masks = append(masks, c.pub)
-	order := make(map[string]int)
-	var classes [][]int
-	sig := make([]byte, 0, 8+len(masks))
-	for i, a := range c.attrs {
-		sig = binary.LittleEndian.AppendUint64(sig[:0], math.Float64bits(cost(a)))
-		for _, m := range masks {
-			sig = append(sig, byte(m>>i&1))
-		}
-		ci, ok := order[string(sig)]
-		if !ok {
-			ci = len(classes)
-			order[string(sig)] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], i)
-	}
-	out := classes[:0]
-	for _, cl := range classes {
-		if len(cl) >= 2 {
-			out = append(out, cl)
-		}
-	}
-	return out
 }

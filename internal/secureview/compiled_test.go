@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -45,9 +44,8 @@ func satisfiedRef(m ModuleSpec, hidden relation.NameSet, v Variant) bool {
 }
 
 // checkCompiled compares Compiled.Feasible with Problem.Feasible on every
-// mask of the universe, checks that bits above the universe are ignored and
-// that Satisfied matches its definition, and checks that every pair of
-// class members can be exchanged without changing a verdict or a cost.
+// mask of the universe, and checks that bits above the universe are ignored
+// and that Satisfied matches its definition.
 func checkCompiled(t *testing.T, p *Problem, v Variant, attrs []string) {
 	t.Helper()
 	c, err := p.Compile(v, attrs)
@@ -68,25 +66,6 @@ func checkCompiled(t *testing.T, p *Problem, v Variant, attrs []string) {
 		for _, m := range p.Modules {
 			if !m.Public && m.Satisfied(hidden, v) != satisfiedRef(m, hidden, v) {
 				t.Fatalf("%v: module %s Satisfied(%v) disagrees with its definition", v, m.Name, hidden.Sorted())
-			}
-		}
-	}
-	for _, cl := range c.Classes(p.Costs.Of) {
-		for _, j := range cl[1:] {
-			i := cl[0]
-			if p.Costs.Of(attrs[i]) != p.Costs.Of(attrs[j]) {
-				t.Fatalf("%v: class %v mixes costs", v, cl)
-			}
-			bi, bj := uint64(1)<<i, uint64(1)<<j
-			for h := uint64(0); h <= all; h++ {
-				s := h
-				if (h&bi != 0) != (h&bj != 0) {
-					s ^= bi | bj
-				}
-				if c.Feasible(h) != c.Feasible(s) {
-					t.Fatalf("%v: exchanging %s and %s changes the verdict on %v",
-						v, attrs[i], attrs[j], hiddenNames(attrs, h).Sorted())
-				}
 			}
 		}
 	}
@@ -180,37 +159,6 @@ func TestCompileRejects(t *testing.T) {
 	}
 }
 
-func TestCompiledClasses(t *testing.T) {
-	// One module whose options treat x1/x2 alike and y1/y2 alike; z costs
-	// more than y1 and y2.
-	p := &Problem{
-		Modules: []ModuleSpec{{
-			Name: "m", Inputs: []string{"x1", "x2"}, Outputs: []string{"y1", "y2", "z"},
-			SetList: []SetReq{{In: []string{"x1", "x2"}}, {Out: []string{"y1", "y2", "z"}}},
-		}},
-		Costs: privacy.Costs{"x1": 1, "x2": 1, "y1": 1, "y2": 1, "z": 2},
-	}
-	attrs := p.UsefulAttributes(Set) // x1 x2 y1 y2 z
-	c, err := p.Compile(Set, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.Classes(p.Costs.Of), [][]int{{0, 1}, {2, 3}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("set classes %v, want %v", got, want)
-	}
-	// Cardinality only sees per-module input/output membership.
-	p.Modules[0].CardList = []CardReq{{Alpha: 1}, {Beta: 2}}
-	attrs = p.UsefulAttributes(Cardinality)
-	if c, err = p.Compile(Cardinality, attrs); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.Classes(p.Costs.Of), [][]int{{0, 1}, {2, 3}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("cardinality classes %v, want %v", got, want)
-	}
-	checkCompiled(t, p, Set, attrs)
-	checkCompiled(t, p, Cardinality, attrs)
-}
-
 // byteSource reads bounded choices from fuzz input, yielding zeros once it
 // runs out.
 type byteSource struct {
@@ -299,8 +247,7 @@ func fuzzProblem(data []byte) (*Problem, Variant, []string) {
 }
 
 // FuzzCompiledFeasible checks Compiled.Feasible against Problem.Feasible on
-// every mask of small fuzzed problems, and that Compiled.Classes only
-// groups exchangeable, equal-cost attributes. Run actively with:
+// every mask of small fuzzed problems. Run actively with:
 //
 //	go test -run '^$' -fuzz '^FuzzCompiledFeasible$' -fuzztime 30s ./internal/secureview
 func FuzzCompiledFeasible(f *testing.F) {

@@ -25,6 +25,7 @@ package secureview
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"secureview/internal/privacy"
@@ -73,10 +74,22 @@ type Problem struct {
 	Costs privacy.Costs
 }
 
-// Validate checks structural sanity: requirement bounds within module
-// arity, set requirements referencing the module's own attributes, and
-// private modules having at least one option in the relevant list.
+// Validate checks structural sanity: finite non-negative costs,
+// requirement bounds within module arity, set requirements referencing the
+// module's own attributes, and private modules having at least one option
+// in the relevant list.
 func (p *Problem) Validate(variant Variant) error {
+	// Report the name-smallest bad cost, so the error does not depend on
+	// map order.
+	bad := ""
+	for a, c := range p.Costs {
+		if !validCost(c) && (bad == "" || a < bad) {
+			bad = a
+		}
+	}
+	if bad != "" {
+		return fmt.Errorf("secureview: attribute %q has cost %g; costs must be finite and non-negative", bad, p.Costs[bad])
+	}
 	seen := make(map[string]bool)
 	for _, m := range p.Modules {
 		if m.Name == "" {
@@ -86,6 +99,9 @@ func (p *Problem) Validate(variant Variant) error {
 			return fmt.Errorf("secureview: duplicate module %q", m.Name)
 		}
 		seen[m.Name] = true
+		if !validCost(m.PrivatizeCost) {
+			return fmt.Errorf("secureview: module %q has privatization cost %g; costs must be finite and non-negative", m.Name, m.PrivatizeCost)
+		}
 		if m.Public {
 			continue
 		}
@@ -121,6 +137,11 @@ func (p *Problem) Validate(variant Variant) error {
 	}
 	return nil
 }
+
+// validCost reports whether c is a usable cost: finite and non-negative
+// (c >= 0 is false for NaN and -Inf). The solvers' bounds and pruning
+// assume both.
+func validCost(c float64) bool { return c >= 0 && !math.IsInf(c, 1) }
 
 // Variant selects the constraint encoding.
 type Variant int

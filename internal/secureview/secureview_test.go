@@ -2,6 +2,7 @@ package secureview
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,6 +63,34 @@ func TestValidate(t *testing.T) {
 	}}
 	if err := dup.Validate(Set); err == nil {
 		t.Error("duplicate module accepted")
+	}
+
+	// m(a, b → c) with options {a} and {b, c}: a negative cost on b made
+	// the engine return [a b] at cost −4 as "optimal" while the other
+	// solvers returned [a] at cost 1.
+	costly := func(costs privacy.Costs, privatize float64) *Problem {
+		return &Problem{
+			Modules: []ModuleSpec{
+				{Name: "m", Inputs: []string{"a", "b"}, Outputs: []string{"c"},
+					SetList:  []SetReq{{In: []string{"a"}}, {In: []string{"b"}, Out: []string{"c"}}},
+					CardList: []CardReq{{Alpha: 1}}},
+				{Name: "pub", Public: true, Inputs: []string{"c"}, Outputs: []string{"d"}, PrivatizeCost: privatize},
+			},
+			Costs: costs,
+		}
+	}
+	if err := costly(privacy.Costs{"a": 1, "b": 0, "c": 10}, 0).Validate(Set); err != nil {
+		t.Errorf("zero costs rejected: %v", err)
+	}
+	for _, c := range []float64{-5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, v := range []Variant{Set, Cardinality} {
+			if err := costly(privacy.Costs{"a": 1, "b": c, "c": 10}, 1).Validate(v); err == nil {
+				t.Errorf("%v: attribute cost %g accepted", v, c)
+			}
+			if err := costly(privacy.Costs{"a": 1, "b": 2, "c": 10}, c).Validate(v); err == nil {
+				t.Errorf("%v: privatization cost %g accepted", v, c)
+			}
+		}
 	}
 }
 

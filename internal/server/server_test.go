@@ -67,6 +67,23 @@ func perModuleDoc(t *testing.T) *spec.Document {
 	return doc
 }
 
+// negativeCostDoc is one private module m(a, b → c) whose hiding costs
+// include b = −5.
+func negativeCostDoc(t *testing.T) *spec.Document {
+	t.Helper()
+	doc, err := spec.Parse([]byte(`{"name": "negative-cost", "gamma": 2,
+	  "costs": {"a": 1, "b": -5, "c": 10},
+	  "modules": [{"name": "m", "visibility": "private",
+	    "inputs": [{"name": "a", "domain": 2}, {"name": "b", "domain": 2}],
+	    "outputs": [{"name": "c", "domain": 2}], "kind": "table",
+	    "table": [{"in": [0, 0], "out": [0]}, {"in": [0, 1], "out": [0]},
+	              {"in": [1, 0], "out": [1]}, {"in": [1, 1], "out": [1]}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -441,11 +458,12 @@ func TestDeadlinePartialIncumbent(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	cases := []struct {
+	type badCase struct {
 		name string
 		body any
 		want int
-	}{
+	}
+	cases := []badCase{
 		{"no instance", server.SolveRequest{Solver: "exact"}, http.StatusBadRequest},
 		{"both instances", server.SolveRequest{
 			Spec: parseDoc(t), Generated: &server.GeneratedRef{Class: "chain"}, Solver: "exact",
@@ -465,6 +483,13 @@ func TestBadRequests(t *testing.T) {
 		// An instance carries one Γ: a per-module requirement would be
 		// silently weakened to the document's Γ, so it is refused.
 		{"gammaPerModule spec", server.SolveRequest{Spec: perModuleDoc(t), Solver: "exact"}, http.StatusBadRequest},
+	}
+	// A negative cost breaks the solvers' bounds and pruning (see
+	// TestValidate for an instance where the engine and exact disagreed),
+	// so every solver refuses it.
+	for _, solver := range []string{"engine", "exact", "portfolio", "approx-setcover", "greedy"} {
+		cases = append(cases, badCase{"negative cost/" + solver,
+			server.SolveRequest{Spec: negativeCostDoc(t), Solver: solver}, http.StatusBadRequest})
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, ts, "/v1/solve", tc.body)

@@ -58,12 +58,6 @@ type Options struct {
 	// ignored and the solve degrades to a cold run (Result.Resumed reports
 	// which happened). Solvers other than the engine ignore it.
 	Resume *search.Frontier
-	// DisableCollapse turns off the engine solver's attribute equivalence-
-	// class collapsing (requirement-interchangeable, equal-cost attributes
-	// explored only in canonical combinations). On by default because it
-	// preserves the exact (cost, lex) optimum; the differential harness flips
-	// this to cross-check.
-	DisableCollapse bool
 	// Seed seeds the randomized cardinality LP rounding (default 1).
 	Seed int64
 	// Trials repeats the randomized rounding, keeping the cheapest feasible
@@ -113,15 +107,11 @@ type Counters struct {
 	// Checked and Pruned are the engine solver's safety-test/pruning split
 	// (Checked+Pruned = candidates in scope).
 	Checked int
-	// Pruned counts engine candidates eliminated without a safety test
-	// (including symmetry-collapsed candidates).
+	// Pruned counts engine candidates eliminated without a safety test.
 	Pruned int
-	// OraclePasses counts engine oracle invocations; with a batch oracle one
-	// pass answers many candidates, so OraclePasses <= Checked.
+	// OraclePasses counts engine oracle invocations: one per safety test,
+	// so it equals Checked.
 	OraclePasses int
-	// BatchSize is the largest batch the engine answered in one oracle pass
-	// (1 without batching).
-	BatchSize int
 	// ResumedSafe and ResumedUnsafe count warm-start masks imported from
 	// Options.Resume into the engine's domination stores (0 on cold runs).
 	ResumedSafe   int

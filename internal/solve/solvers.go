@@ -110,8 +110,7 @@ func (bbSolver) Solve(ctx context.Context, p *secureview.Problem, opts Options) 
 // internal/search over the problem's useful attributes, with feasibility as
 // the (monotone) safety oracle. The problem is compiled once per solve
 // (secureview.Compiled): every candidate check is then a few word
-// operations per requirement option, and the same masks yield the
-// requirement classes the engine collapses. It is exact, and the only
+// operations per requirement option. It is exact, and the only
 // registered solver that fans one request out over a worker pool (the
 // workers share the compiled problem read-only) — but its cost model is
 // per-attribute only, so it requires an all-private instance (privatization
@@ -147,16 +146,11 @@ func (engineSolver) Solve(ctx context.Context, p *secureview.Problem, opts Optio
 	oracle := search.Oracle(func(visible search.Mask) (bool, error) {
 		return cp.Feasible(uint64(all &^ visible)), nil
 	})
-	sOpts := search.Options{Parallelism: opts.Workers, Resume: opts.Resume}
-	if !opts.DisableCollapse {
-		sOpts.Symmetry = cp.Classes(p.Costs.Of)
-	}
-	res, err := sp.MinCostCtx(ctx, oracle, sOpts)
+	res, err := sp.MinCostCtx(ctx, oracle, search.Options{Parallelism: opts.Workers, Resume: opts.Resume})
 	c := Counters{
 		Checked:       res.Stats.Checked,
 		Pruned:        res.Stats.Pruned,
 		OraclePasses:  res.Stats.OraclePasses,
-		BatchSize:     res.Stats.BatchSize,
 		ResumedSafe:   res.Stats.ResumedSafe,
 		ResumedUnsafe: res.Stats.ResumedUnsafe,
 		MemoHits:      res.Stats.MemoHits,
