@@ -39,6 +39,10 @@ type benchResult struct {
 	// OraclePasses counts the oracle invocations an engine row issued (one
 	// per safety test, so it equals Checked).
 	OraclePasses int `json:"oracle_passes,omitempty"`
+
+	// Speedup is, on restored first-solve rows, the median cold/restored
+	// latency ratio over paired runs: the number the -benchgate floor reads.
+	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // timeBest runs fn reps times and returns the fastest wall-clock run.
@@ -170,14 +174,15 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 	return append(results, mega...), nil
 }
 
-// corpusResults times the single-worker engine on the hardest committed
-// corpus entries (internal/gen/corpus) — the adversarially mined instances
-// that defeat the engine's pruning, exactly the rows where an engine
-// regression shows up amplified. Costs are pinned to the exact optimum and
-// the deterministic Checked counter must replay the committed value, so a
-// baseline row can never go stale silently. Rows are named by corpus ID;
-// the perf gate ignores rows absent from its baseline, so re-mining the
-// corpus does not invalidate old baselines.
+// corpusResults times the single-worker engine and the exact branch and
+// bound on the hardest committed corpus entries (internal/gen/corpus) —
+// the adversarially mined instances that defeat the engine's pruning,
+// exactly the rows where an engine regression shows up amplified. The two
+// must return the same hidden set at the same cost, and the deterministic
+// engine Checked counter must replay the committed value, so a baseline
+// row can never go stale silently. Rows are named by corpus ID; the perf
+// gate ignores rows absent from its baseline, so re-mining the corpus does
+// not invalidate old baselines.
 func corpusResults(quick bool, repsOverride int) ([]benchResult, error) {
 	reps, n := 3, 5
 	if quick {
@@ -203,41 +208,59 @@ func corpusResults(quick bool, repsOverride int) ([]benchResult, error) {
 			return nil, fmt.Errorf("corpus %s: %w", e.ID, err)
 		}
 		sopts := solve.Options{Variant: secureview.Set, NodeBudget: 1 << 22, MaxAttrs: 16, Workers: 1}
-		er, err := solve.Solve(context.Background(), "exact", p, sopts)
+		res, best, err := timeSolve(reps, "engine", p, sopts)
+		if err != nil {
+			return nil, fmt.Errorf("corpus %s engine: %w", e.ID, err)
+		}
+		er, exactBest, err := timeSolve(reps, "exact", p, sopts)
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s exact: %w", e.ID, err)
 		}
-		best := time.Duration(1 << 62)
-		var res solve.Result
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			got, err := solve.Solve(context.Background(), "engine", p, sopts)
-			d := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s engine: %w", e.ID, err)
-			}
-			if d < best {
-				best = d
-				res = got
-			}
-		}
-		if diff := res.Cost - er.Cost; diff > 1e-9*(1+er.Cost) || -diff > 1e-9*(1+er.Cost) {
-			return nil, fmt.Errorf("corpus %s: engine cost %g diverges from exact optimum %g", e.ID, res.Cost, er.Cost)
+		if !er.Solution.Hidden.Equal(res.Solution.Hidden) || er.Cost != res.Cost {
+			return nil, fmt.Errorf("corpus %s: exact optimum %v (%v) diverges from engine %v (%v)",
+				e.ID, er.Solution.Hidden.Sorted(), er.Cost, res.Solution.Hidden.Sorted(), res.Cost)
 		}
 		if res.Counters.Checked != e.Checked {
 			return nil, fmt.Errorf("corpus %s: engine checked %d, committed %d (generator or engine drifted; re-mine)",
 				e.ID, res.Counters.Checked, e.Checked)
 		}
-		results = append(results, benchResult{
-			Name: "corpus/" + e.ID + "/engine", K: e.K, Gamma: it.Gamma,
-			NsPerOp: best.Nanoseconds(), Cost: res.Cost,
-			Hidden:       res.Solution.Hidden.Sorted(),
-			Checked:      res.Counters.Checked,
-			Pruned:       res.Counters.Pruned,
-			OraclePasses: res.Counters.OraclePasses,
-		})
+		results = append(results,
+			benchResult{
+				Name: "corpus/" + e.ID + "/engine", K: e.K, Gamma: it.Gamma,
+				NsPerOp: best.Nanoseconds(), Cost: res.Cost,
+				Hidden:       res.Solution.Hidden.Sorted(),
+				Checked:      res.Counters.Checked,
+				Pruned:       res.Counters.Pruned,
+				OraclePasses: res.Counters.OraclePasses,
+			},
+			// Checked counts the branch and bound's search-tree nodes.
+			benchResult{
+				Name: "corpus/" + e.ID + "/exact", K: e.K, Gamma: it.Gamma,
+				NsPerOp: exactBest.Nanoseconds(), Cost: er.Cost,
+				Hidden:  er.Solution.Hidden.Sorted(),
+				Checked: er.Counters.Nodes,
+			})
 	}
 	return results, nil
+}
+
+// timeSolve runs the named registry solver reps times and returns the
+// fastest run's result and wall-clock time.
+func timeSolve(reps int, solver string, p *secureview.Problem, opts solve.Options) (solve.Result, time.Duration, error) {
+	best := time.Duration(1 << 62)
+	var res solve.Result
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		got, err := solve.Solve(context.Background(), solver, p, opts)
+		d := time.Since(start)
+		if err != nil {
+			return solve.Result{}, 0, err
+		}
+		if d < best {
+			best, res = d, got
+		}
+	}
+	return res, best, nil
 }
 
 func writeBenchJSON(path string, quick bool) error {
@@ -367,19 +390,9 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 				}
 				ref = er.Cost
 			}
-			best := time.Duration(1 << 62)
-			var res solve.Result
-			for i := 0; i < reps; i++ {
-				start := time.Now()
-				got, err := solve.Solve(context.Background(), row.name, p, sopts)
-				d := time.Since(start)
-				if err != nil {
-					return nil, fmt.Errorf("scenario %s %s: %w", cl.Name, row.name, err)
-				}
-				if d < best {
-					best = d
-					res = got
-				}
+			res, best, err := timeSolve(reps, row.name, p, sopts)
+			if err != nil {
+				return nil, fmt.Errorf("scenario %s %s: %w", cl.Name, row.name, err)
 			}
 			if diff := res.Cost - ref; diff > 1e-9*(1+ref) || -diff > 1e-9*(1+ref) {
 				return nil, fmt.Errorf("scenario %s: %s cost %g diverges from exact optimum %g",
@@ -409,19 +422,9 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s exact/card: %w", pc.Name, err)
 		}
-		best := time.Duration(1 << 62)
-		var res solve.Result
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			got, err := solve.Solve(context.Background(), "bb", p, sopts)
-			d := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s bb: %w", pc.Name, err)
-			}
-			if d < best {
-				best = d
-				res = got
-			}
+		res, best, err := timeSolve(reps, "bb", p, sopts)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s bb: %w", pc.Name, err)
 		}
 		if diff := res.Cost - er.Cost; diff > 1e-9*(1+er.Cost) || -diff > 1e-9*(1+er.Cost) {
 			return nil, fmt.Errorf("scenario %s: bb cost %g diverges from exact optimum %g",

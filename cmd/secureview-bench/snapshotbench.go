@@ -35,9 +35,15 @@ import (
 // and 18× at k=18 on a 2-CPU x86-64 host (cold 21 ms, 114 ms and 0.69 s),
 // so 5× holds at every k the gate compares. Quick mode's sweep skips the
 // check (k=12 cold solves are small enough for scheduler noise to matter)
-// but the -benchgate ratio check enforces it on every (cold, restored) pair
-// the gate run measures.
+// but the -benchgate ratio check enforces it at every k the gate run
+// measures.
 const minRestoredSpeedup = 5.0
+
+// speedupPairs is the least number of paired (cold, restored) first solves
+// per k. The floor applies to the median of their cold/restored ratios:
+// one sample per side, a few milliseconds each at k=14, read under 5× now
+// and then on a shared 2-CPU host whatever the code did.
+const speedupPairs = 5
 
 func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 	ks := []int{14, 16, 18}
@@ -78,8 +84,12 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 		snap := buf.Bytes()
 
 		coldBest := time.Duration(1 << 62)
-		var coldRes solve.Result
-		for i := 0; i < reps; i++ {
+		restoreBest := time.Duration(1 << 62)
+		restoredBest := time.Duration(1 << 62)
+		var coldRes, restoredRes solve.Result
+		var entries int
+		var ratios []float64
+		for i := 0; i < max(reps, speedupPairs); i++ {
 			sess := solve.NewSession()
 			start := time.Now()
 			p2, err := sess.Problem(ctx, w, secureview.Set, gamma, costs, nil)
@@ -87,21 +97,15 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 				return nil, fmt.Errorf("snapshot k=%d: cold derive: %w", k, err)
 			}
 			res, err := solve.Solve(ctx, "engine", p2, opts())
-			d := time.Since(start)
+			cold := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: cold solve: %w", k, err)
 			}
-			if d < coldBest {
-				coldBest = d
+			if cold < coldBest {
+				coldBest = cold
 				coldRes = res
 			}
-		}
 
-		restoreBest := time.Duration(1 << 62)
-		restoredBest := time.Duration(1 << 62)
-		var restoredRes solve.Result
-		var entries int
-		for i := 0; i < reps; i++ {
 			rstart := time.Now()
 			sess, n, err := solve.RestoreSession(bytes.NewReader(snap), 0)
 			rd := time.Since(rstart)
@@ -112,14 +116,14 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 			if rd < restoreBest {
 				restoreBest = rd
 			}
-			start := time.Now()
-			p2, err := sess.Problem(ctx, w, secureview.Set, gamma, costs, nil)
+			start = time.Now()
+			p2, err = sess.Problem(ctx, w, secureview.Set, gamma, costs, nil)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: restored derive: %w", k, err)
 			}
 			o := opts()
 			o.Resume = sess.Warm(fp)
-			res, err := solve.Solve(ctx, "engine", p2, o)
+			res, err = solve.Solve(ctx, "engine", p2, o)
 			d := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: restored solve: %w", k, err)
@@ -131,7 +135,9 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 				restoredBest = d
 				restoredRes = res
 			}
+			ratios = append(ratios, float64(cold)/float64(d))
 		}
+		speedup := median(ratios)
 		// Optima must agree exactly: both sides price the same hidden set of
 		// the same problem, and Costs.Sum adds in sorted name order.
 		if !restoredRes.Solution.Hidden.Equal(coldRes.Solution.Hidden) {
@@ -142,9 +148,9 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 			return nil, fmt.Errorf("snapshot k=%d: restored cost %v diverges from cold %v",
 				k, restoredRes.Cost, coldRes.Cost)
 		}
-		if !quick && float64(coldBest) < minRestoredSpeedup*float64(restoredBest) {
-			return nil, fmt.Errorf("snapshot k=%d: restored first solve %v is not %gx faster than cold %v",
-				k, restoredBest, minRestoredSpeedup, coldBest)
+		if !quick && speedup < minRestoredSpeedup {
+			return nil, fmt.Errorf("snapshot k=%d: restored first solve is a median %.1fx faster than cold over %d pairs, under the %gx floor",
+				k, speedup, len(ratios), minRestoredSpeedup)
 		}
 
 		results = append(results,
@@ -157,6 +163,7 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 				Name: "snapshot/first-solve/restored", K: k, Gamma: gamma,
 				NsPerOp: restoredBest.Nanoseconds(), Cost: restoredRes.Cost,
 				Checked: restoredRes.Counters.Checked, Pruned: restoredRes.Counters.Pruned,
+				Speedup: speedup,
 			},
 			// Checked doubles as the restored entry count; Cost as snapshot KiB.
 			benchResult{

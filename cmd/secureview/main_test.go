@@ -74,11 +74,11 @@ func TestWorkflowModeSolvesThroughRegistry(t *testing.T) {
 }
 
 // TestWorkflowModeDeadline: an expired deadline stops the exact solve; its
-// greedy incumbent is printed as a partial view, while greedy itself stops
+// first incumbent is printed as a partial view, while greedy itself stops
 // before it has a feasible union and fails.
 func TestWorkflowModeDeadline(t *testing.T) {
-	// The exact branch and bound on this instance visits over a thousand
-	// nodes, so it reaches its cancellation check.
+	// The exact branch and bound checks its context as soon as it holds a
+	// first solution, so it reports the deadline however few nodes it needs.
 	it, err := gen.New(gen.Config{Topology: gen.Chain, Modules: 8, FanIn: 2, FanOut: 2}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,9 @@
 //	                     lowers a problem to bitmasks over an attribute
 //	                     universe (a subset test per set option, two
 //	                     popcounts per cardinality module), the engine
-//	                     solver's per-candidate feasibility test
+//	                     solver's per-candidate feasibility test and, in
+//	                     multi-word form, the search space of the exact set
+//	                     branch and bound
 //	internal/solve       unified solver layer: Solver registry (exact, bb,
 //	                     engine, greedy, lp, approx-setcover,
 //	                     approx-labelcover, portfolio; engine compiles the
@@ -53,8 +55,9 @@
 //	                     shared across goroutines, SolveBatch
 //	                     worker-pool front-end with per-job deadlines; every
 //	                     solver observes ctx within one pruning epoch; the
-//	                     portfolio meta-solver races all applicable solvers
-//	                     under one context and cancels the losers;
+//	                     portfolio meta-solver runs a fixed plan, the exact
+//	                     tier under a probe budget and then the certified
+//	                     tier, on the caller's goroutine;
 //	                     Session.Snapshot / RestoreSession serialize the hot
 //	                     state through internal/wire for cold-start-free
 //	                     process restarts
@@ -108,8 +111,10 @@
 //	                     bounds, compiled ≡ interpreted oracle, compiled
 //	                     problem ≡ Problem.Feasible on every mask of small
 //	                     universes and compiled-oracle engine ≡
-//	                     reference-oracle engine bit for bit, exhaustive
-//	                     possible-world verification on small instances
+//	                     reference-oracle engine bit for bit, exact set
+//	                     optimum ≡ engine (or brute-force) optimum bit for
+//	                     bit, exhaustive possible-world verification on
+//	                     small instances
 //	internal/exp         experiment registry E1–E23
 //
 // Entry points: cmd/secureview (solve instances), cmd/secureview-serve

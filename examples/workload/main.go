@@ -14,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"secureview/internal/provenance"
 	"secureview/internal/query"
@@ -38,7 +40,8 @@ func main() {
 		},
 	}
 
-	for name, wl := range workloads {
+	for _, name := range slices.Sorted(maps.Keys(workloads)) {
+		wl := workloads[name]
 		view, utility, err := store.SecureViewForWorkload(context.Background(), 2, wl, nil, "exact")
 		if err != nil {
 			log.Fatal(err)

@@ -115,8 +115,11 @@ func TestCorpusReplay(t *testing.T) {
 	if total.Exact == 0 {
 		t.Fatal("no corpus entry anchored an exact optimum")
 	}
-	t.Logf("replayed %d entries: %d solver runs, %d oracle masks, %d compiled masks, %d skips",
-		total.Instances, total.SolverRuns, total.OracleMasks, total.CompiledMasks, total.Skips)
+	if total.ExactPinned == 0 {
+		t.Fatal("no corpus entry pinned the exact optimum to the engine's")
+	}
+	t.Logf("replayed %d entries: %d solver runs, %d oracle masks, %d compiled masks, %d exact optima pinned, %d skips",
+		total.Instances, total.SolverRuns, total.OracleMasks, total.CompiledMasks, total.ExactPinned, total.Skips)
 }
 
 // baselineRun is one canonical-class measurement for the hardness test.

@@ -4,8 +4,9 @@
 // invariants the paper's theorems promise:
 //
 //   - exact enumeration, branch-and-bound and the pruned parallel engine
-//     agree on the optimal cost (and, between engine runs, on the exact
-//     hidden set, thanks to the deterministic lexicographic tie-break);
+//     agree on the optimal cost, and the set-variant exact solver and the
+//     engine on the hidden set too, since both break ties by the same
+//     (cost, lex) order;
 //   - Greedy and LP-rounded solutions are always feasible, never cheaper
 //     than the optimum, and within the paper's approximation bounds —
 //     Multiplicity()×OPT for greedy on all-private instances (Theorem 7)
@@ -119,6 +120,10 @@ type Result struct {
 	// CompiledMasks counts masks on which Compiled.Feasible was compared
 	// with Problem.Feasible.
 	CompiledMasks int
+	// ExactPinned counts set-variant problems whose exact optimum matched
+	// the (cost, lex) reference bit for bit: the single-worker engine, or
+	// a brute force where the engine does not apply.
+	ExactPinned int
 	// WorldsVerified counts instances whose solution survived exhaustive
 	// possible-world verification.
 	WorldsVerified int
@@ -141,6 +146,7 @@ func Merge(rs ...Result) Result {
 		out.SolverRuns += r.SolverRuns
 		out.OracleMasks += r.OracleMasks
 		out.CompiledMasks += r.CompiledMasks
+		out.ExactPinned += r.ExactPinned
 		out.WorldsVerified += r.WorldsVerified
 		out.Skips += r.Skips
 		if r.MaxGreedyRatio > out.MaxGreedyRatio {

@@ -48,9 +48,9 @@ func TestDifferentialSuite(t *testing.T) {
 	for _, v := range total.Violations {
 		t.Error(v)
 	}
-	t.Logf("instances=%d exact=%d solverRuns=%d oracleMasks=%d compiledMasks=%d worldsVerified=%d skips=%d maxGreedyRatio=%.3f maxLPRatio=%.3f",
+	t.Logf("instances=%d exact=%d solverRuns=%d oracleMasks=%d compiledMasks=%d exactPinned=%d worldsVerified=%d skips=%d maxGreedyRatio=%.3f maxLPRatio=%.3f",
 		total.Instances, total.Exact, total.SolverRuns, total.OracleMasks, total.CompiledMasks,
-		total.WorldsVerified, total.Skips, total.MaxGreedyRatio, total.MaxLPRatio)
+		total.ExactPinned, total.WorldsVerified, total.Skips, total.MaxGreedyRatio, total.MaxLPRatio)
 	wantInstances, wantExact := 200, 150
 	if testing.Short() {
 		wantInstances, wantExact = 30, 20
@@ -66,6 +66,9 @@ func TestDifferentialSuite(t *testing.T) {
 	}
 	if total.CompiledMasks == 0 {
 		t.Error("no compiled-vs-reference feasibility masks compared")
+	}
+	if total.ExactPinned == 0 {
+		t.Error("no exact optimum compared with the (cost, lex) reference")
 	}
 	if total.WorldsVerified == 0 {
 		t.Error("no instance verified by exhaustive worlds enumeration")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -134,7 +135,7 @@ func TestCompileRejects(t *testing.T) {
 		want  string
 	}{
 		{"unknown variant", p, Variant(7), []string{"a"}, "unknown variant"},
-		{"too wide", p, Set, wide, "exceed"},
+		{"too wide for cardinality", p, Cardinality, wide, "exceed"},
 		{"duplicate attribute", p, Set, []string{"a", "b", "a"}, "duplicate attribute"},
 		{"input listed twice", dupIn, Cardinality, []string{"a", "b"}, "twice"},
 	} {
@@ -150,12 +151,53 @@ func TestCompileRejects(t *testing.T) {
 	if _, err := dupIn.Compile(Cardinality, []string{"b"}); err != nil {
 		t.Errorf("repeated input outside the universe rejected: %v", err)
 	}
-	c, err := p.Compile(Set, wide[:maxCompiledAttrs])
-	if err != nil {
-		t.Fatalf("a %d-attribute universe was rejected: %v", maxCompiledAttrs, err)
+	for _, n := range []int{maxCompiledAttrs, maxCompiledAttrs + 1} {
+		c, err := p.Compile(Set, wide[:n])
+		if err != nil {
+			t.Fatalf("a %d-attribute set universe was rejected: %v", n, err)
+		}
+		if c.Feasible(^uint64(0)) {
+			t.Errorf("%d attributes: options naming attributes outside the universe were kept", n)
+		}
 	}
-	if c.Feasible(^uint64(0)) {
-		t.Error("options naming attributes outside the universe were kept")
+}
+
+// TestCompiledWideUniverse compiles a set universe of 130 attributes, three
+// words: options within the first 64 attributes feed Feasible, and the
+// multi-word masks hold every option and public interface in place.
+func TestCompiledWideUniverse(t *testing.T) {
+	attrs := make([]string, 130)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("x%03d", i)
+	}
+	p := &Problem{Modules: []ModuleSpec{
+		{Name: "low", Inputs: attrs[:2], Outputs: attrs[2:3],
+			SetList: []SetReq{{In: attrs[:2]}, {Out: attrs[2:3]}}},
+		{Name: "mixed", Inputs: attrs[63:65], Outputs: attrs[129:],
+			SetList: []SetReq{{In: attrs[63:65]}, {In: attrs[63:64], Out: attrs[129:]}}},
+		{Name: "pub", Public: true, PrivatizeCost: 2, Inputs: attrs[3:4], Outputs: attrs[100:101]},
+	}}
+	c, err := p.Compile(Set, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.words != 3 {
+		t.Fatalf("words = %d, want 3", c.words)
+	}
+	if !slices.Equal(c.wide[0], []uint64{0b11, 0, 0, 0b100, 0, 0}) {
+		t.Errorf("low options = %x", c.wide[0])
+	}
+	if !slices.Equal(c.wide[1], []uint64{1 << 63, 1, 0, 1 << 63, 0, 1 << 1}) {
+		t.Errorf("mixed options = %x", c.wide[1])
+	}
+	if len(c.mods[1].opts) != 0 {
+		t.Errorf("options reaching past the first word fed Feasible: %x", c.mods[1].opts)
+	}
+	if len(c.pubs) != 1 || !slices.Equal(c.pubs[0].mask, []uint64{1 << 3, 1 << 36, 0}) || c.pubs[0].cost != 2 {
+		t.Errorf("public mask = %+v", c.pubs)
+	}
+	if c.Feasible(^uint64(0)) || c.Feasible(0b111) {
+		t.Error("Feasible accepted a mask that leaves module mixed unsatisfied or touches pub")
 	}
 }
 

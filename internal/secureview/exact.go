@@ -22,100 +22,6 @@ type ExactStats struct {
 	Nodes int
 }
 
-// ExactSet finds an optimal solution for the set-constraints variant. It is
-// ExactSetCtx without cancellation; see there for the budget contract.
-func ExactSet(p *Problem, maxNodes int) (Solution, error) {
-	sol, _, err := ExactSetCtx(context.Background(), p, maxNodes)
-	return sol, err
-}
-
-// ExactSetCtx finds an optimal solution for the set-constraints variant by
-// branch and bound over per-module option choices (ℓmax^n worst case; the
-// problem is NP-hard, Theorem 6). The incumbent is seeded by Greedy.
-//
-// A search space exceeding maxNodes returns an error wrapping ErrNodeBudget.
-// Cancellation is observed every few hundred nodes; on expiry the call
-// returns ctx.Err() together with the best incumbent found so far (always
-// feasible, since the greedy seed is).
-func ExactSetCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, ExactStats, error) {
-	if err := p.Validate(Set); err != nil {
-		return Solution{}, ExactStats{}, err
-	}
-	var privates []ModuleSpec
-	for _, m := range p.Modules {
-		if !m.Public {
-			privates = append(privates, m)
-		}
-	}
-	space := 1.0
-	for _, m := range privates {
-		space *= float64(len(m.SetList))
-	}
-	if space > float64(maxNodes) {
-		return Solution{}, ExactStats{}, fmt.Errorf("secureview: exact set search space %g exceeds %d: %w", space, maxNodes, ErrNodeBudget)
-	}
-
-	incumbent := Greedy(p, Set)
-	bestCost := p.Cost(incumbent)
-	best := incumbent
-
-	hidden := make(relation.NameSet)
-	hideCount := make(map[string]int)
-	attrCost := 0.0
-	nodes := 0
-	cancelled := false
-	var rec func(i int)
-	rec = func(i int) {
-		nodes++
-		if nodes&255 == 0 && ctx.Err() != nil {
-			cancelled = true
-		}
-		if cancelled {
-			return
-		}
-		if attrCost >= bestCost {
-			return // privatization cost is non-negative
-		}
-		if i == len(privates) {
-			sol := p.Complete(hidden.Clone())
-			c := p.Cost(sol)
-			if c < bestCost {
-				bestCost = c
-				best = sol
-			}
-			return
-		}
-		m := privates[i]
-		for _, r := range m.SetList {
-			var added []string
-			for a := range r.Attrs() {
-				if hideCount[a] == 0 {
-					hidden.Add(a)
-					attrCost += p.Costs.Of(a)
-					added = append(added, a)
-				}
-				hideCount[a]++
-			}
-			rec(i + 1)
-			for a := range r.Attrs() {
-				hideCount[a]--
-			}
-			for _, a := range added {
-				delete(hidden, a)
-				attrCost -= p.Costs.Of(a)
-			}
-			if cancelled {
-				return
-			}
-		}
-	}
-	rec(0)
-	if cancelled {
-		return best, ExactStats{Nodes: nodes}, ctx.Err()
-	}
-	return best, ExactStats{Nodes: nodes}, nil
-}
-
 // ExactCard finds an optimal solution for the cardinality variant. It is
 // ExactCardCtx without cancellation; see there for the budget contract.
 func ExactCard(p *Problem, maxAttrs int) (Solution, error) {

@@ -77,8 +77,11 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	best := incumbent
 	feasibleSeen := p.Feasible(incumbent, Cardinality)
 
+	// The completion bound runs at every node over every private module, so
+	// it reads each attribute's state (hidden, discarded or still open)
+	// from a slice, not from name sets.
+	bb := newCardBound(p, privates)
 	hidden := make(relation.NameSet)
-	discarded := make(relation.NameSet)
 	nodes := 0
 	var overBudget, cancelled bool
 
@@ -87,13 +90,15 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	// can no longer be satisfied.
 	completionBound := func() float64 {
 		bound := 0.0
-		for _, m := range privates {
-			if m.Satisfied(hidden, Cardinality) {
+		for i := range bb.mods {
+			m := &bb.mods[i]
+			hi, ho := bb.hiddenCounts(m)
+			if m.satisfied(hi, ho) {
 				continue
 			}
 			cheapest := -1.0
-			for _, r := range m.CardList {
-				c, ok := completionCost(p, m, r, hidden, discarded)
+			for _, r := range m.card {
+				c, ok := bb.completionCost(m, r, hi, ho)
 				if !ok {
 					continue
 				}
@@ -139,17 +144,20 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 			return
 		}
 		a := attrs[i]
+		id := bb.id[a]
 		// Branch 1: hide a.
 		hidden.Add(a)
+		bb.state[id] = hiddenAttr
 		rec(i+1, attrCost+p.Costs.Of(a))
 		delete(hidden, a)
 		if overBudget || cancelled {
+			bb.state[id] = openAttr
 			return
 		}
 		// Branch 2: discard a.
-		discarded.Add(a)
+		bb.state[id] = discardedAttr
 		rec(i+1, attrCost)
-		delete(discarded, a)
+		bb.state[id] = openAttr
 	}
 	rec(0, 0)
 	stats := ExactStats{Nodes: nodes}
@@ -164,45 +172,110 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	return best, stats, nil
 }
 
+// Attribute states during the cardinality branch and bound.
+const (
+	openAttr = iota
+	hiddenAttr
+	discardedAttr
+)
+
+// cardBound is the cardinality branch and bound's view of the private
+// modules for its completion bound: attributes as indexes into state and
+// cost.
+type cardBound struct {
+	id    map[string]int
+	state []uint8
+	cost  []float64
+	mods  []cardModule
+}
+
+// cardModule is one private module's interface as attribute indexes, in
+// list order (repeats included, as ModuleSpec.Satisfied counts them) and
+// again sorted by cost, and its requirement list.
+type cardModule struct {
+	in, out             []int
+	inByCost, outByCost []int
+	card                []CardReq
+}
+
+func newCardBound(p *Problem, privates []ModuleSpec) *cardBound {
+	b := &cardBound{id: make(map[string]int)}
+	ids := func(names []string) []int {
+		out := make([]int, len(names))
+		for i, a := range names {
+			id, ok := b.id[a]
+			if !ok {
+				id = len(b.cost)
+				b.id[a] = id
+				b.cost = append(b.cost, p.Costs.Of(a))
+			}
+			out[i] = id
+		}
+		return out
+	}
+	byCost := func(ids []int) []int {
+		out := append([]int(nil), ids...)
+		sort.SliceStable(out, func(x, y int) bool { return b.cost[out[x]] < b.cost[out[y]] })
+		return out
+	}
+	for _, m := range privates {
+		cm := cardModule{in: ids(m.Inputs), out: ids(m.Outputs), card: m.CardList}
+		cm.inByCost, cm.outByCost = byCost(cm.in), byCost(cm.out)
+		b.mods = append(b.mods, cm)
+	}
+	b.state = make([]uint8, len(b.cost))
+	return b
+}
+
+// hiddenCounts returns how many of the module's input and output entries
+// are hidden.
+func (b *cardBound) hiddenCounts(m *cardModule) (hi, ho int) {
+	for _, a := range m.in {
+		if b.state[a] == hiddenAttr {
+			hi++
+		}
+	}
+	for _, a := range m.out {
+		if b.state[a] == hiddenAttr {
+			ho++
+		}
+	}
+	return hi, ho
+}
+
+// satisfied reports whether hi hidden inputs and ho hidden outputs meet
+// one of the module's requirements.
+func (m *cardModule) satisfied(hi, ho int) bool {
+	for _, r := range m.card {
+		if hi >= r.Alpha && ho >= r.Beta {
+			return true
+		}
+	}
+	return false
+}
+
 // completionCost returns the cheapest extra cost to satisfy requirement r
-// of module m given already-hidden and permanently-discarded attributes,
-// or false if impossible.
-func completionCost(p *Problem, m ModuleSpec, r CardReq, hidden, discarded relation.NameSet) (float64, bool) {
-	needIn := r.Alpha
-	var availIn []float64
-	for _, a := range m.Inputs {
-		if hidden.Has(a) {
-			needIn--
-		} else if !discarded.Has(a) {
-			availIn = append(availIn, p.Costs.Of(a))
-		}
-	}
-	needOut := r.Beta
-	var availOut []float64
-	for _, a := range m.Outputs {
-		if hidden.Has(a) {
-			needOut--
-		} else if !discarded.Has(a) {
-			availOut = append(availOut, p.Costs.Of(a))
-		}
-	}
-	if needIn < 0 {
-		needIn = 0
-	}
-	if needOut < 0 {
-		needOut = 0
-	}
-	if needIn > len(availIn) || needOut > len(availOut) {
-		return 0, false
-	}
-	sort.Float64s(availIn)
-	sort.Float64s(availOut)
+// of module m, which has hi inputs and ho outputs hidden, from its open
+// attributes, or false if too few remain open. It adds the cheapest open
+// inputs and then the cheapest open outputs in ascending cost order.
+func (b *cardBound) completionCost(m *cardModule, r CardReq, hi, ho int) (float64, bool) {
 	cost := 0.0
-	for _, c := range availIn[:needIn] {
-		cost += c
-	}
-	for _, c := range availOut[:needOut] {
-		cost += c
+	for _, side := range [2]struct {
+		need   int
+		byCost []int
+	}{{r.Alpha - hi, m.inByCost}, {r.Beta - ho, m.outByCost}} {
+		for _, a := range side.byCost {
+			if side.need <= 0 {
+				break
+			}
+			if b.state[a] == openAttr {
+				cost += b.cost[a]
+				side.need--
+			}
+		}
+		if side.need > 0 {
+			return 0, false
+		}
 	}
 	return cost, true
 }

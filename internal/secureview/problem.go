@@ -20,7 +20,9 @@
 // and exact solvers used to measure approximation ratios. Problem.Compile
 // lowers the requirement lists onto a bitmask attribute universe, so the
 // feasibility test a subset search asks per candidate costs a few word
-// operations per option.
+// operations per option; ExactSetCtx, the set-variant exact solver, is a
+// branch and bound over the compiled options that returns the engine
+// solver's (cost, lex) optimum.
 package secureview
 
 import (

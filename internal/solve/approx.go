@@ -11,10 +11,10 @@ package solve
 // Bound.LP always holds, so the differential harness can assert it on
 // instances where no exact optimum will ever be known.
 //
-// The portfolio meta-solver races the exact tier against the approximation
-// tier under one context: the first solver to prove optimality wins and the
-// rest are cancelled mid-search; when nobody proves optimality (the mega
-// regime), the cheapest certified result wins.
+// The portfolio meta-solver runs a fixed plan: the exact tier under a probe
+// budget, then the certified tier. The first proven optimum is the answer;
+// when nobody proves optimality (the mega regime), the cheapest certified
+// result wins.
 
 import (
 	"context"
@@ -114,26 +114,34 @@ func (labelCoverApproxSolver) Solve(ctx context.Context, p *secureview.Problem, 
 		Counters{Checked: len(inst.LC.Edges)}), nil
 }
 
-// portfolioSolver races every other applicable registered solver under one
-// shared context. The first result proving optimality wins immediately and
-// the losers are cancelled mid-search (their next budget poll observes the
-// cancel). When nobody proves optimality — the mega regime, where the
-// exact tier exits early with typed budget errors — the cheapest certified
-// result wins, then the cheapest feasible one; names break cost ties so
-// the outcome is deterministic given the set of finishers.
+// portfolioSolver runs a fixed plan of registered solvers, one after
+// another on the caller's goroutine: a static algorithm-selection schedule
+// (Rice, 1976). First the exact tier, each step with its node budget
+// clamped to portfolioProbeNodes; a proven optimum ends the plan. Then the
+// certified tier; of its results (and any partial exact incumbents) the
+// cheapest certified one wins, else the cheapest feasible one, names
+// breaking cost ties. A step runs only when its solver supports the
+// instance. Registered solvers outside the plan never run.
 //
-// Exact racers get their node budget clamped to portfolioProbeNodes: an
-// unclamped branch and bound would grind out its full default budget on a
-// mega instance while the approximation tier sits finished, and the
-// portfolio cannot return an uncertified wait as its answer. The clamp is
+// The clamp keeps an exact step from grinding out its full default budget
+// on a mega instance before the approximation tier gets its turn. It is
 // orders of magnitude above what the small scenario classes need to prove
-// optimality, so the "exact wins when exact is feasible" behavior is
-// unchanged there.
+// optimality, so there the answer is the exact tier's optimum.
 type portfolioSolver struct{}
 
-// portfolioProbeNodes clamps the node budget of exact racers inside the
-// portfolio (see portfolioSolver).
+// portfolioProbeNodes clamps the node budget of the portfolio's exact
+// steps (see portfolioSolver).
 const portfolioProbeNodes = 1 << 16
+
+// portfolioPlan is the portfolio's schedule: the exact tier, whose steps
+// run under the probe budget, then the certified tier.
+var portfolioPlan = []struct {
+	solver string
+	probe  bool
+}{
+	{"bb", true}, {"exact", true}, {"engine", true},
+	{"approx-labelcover", false}, {"approx-setcover", false}, {"lp", false}, {"greedy", false},
+}
 
 func (portfolioSolver) Name() string { return "portfolio" }
 
@@ -142,64 +150,14 @@ func (portfolioSolver) Capabilities() Capabilities {
 		Factor: "best inner certificate (1 when an exact solver finishes)"}
 }
 
-func (portfolioSolver) Supports(p *secureview.Problem, v secureview.Variant) error {
-	if err := p.Validate(v); err != nil {
-		return err
-	}
-	if len(innerSolvers(p, v)) == 0 {
-		return fmt.Errorf("solve: portfolio has no applicable inner solver for this instance")
-	}
-	return nil
-}
-
-// innerSolvers returns, in name order, the applicable solvers the
-// portfolio races — every registered solver but itself. The portfolio is
-// excluded BEFORE its Supports is consulted (For would recurse through it).
-func innerSolvers(p *secureview.Problem, v secureview.Variant) []Solver {
-	var out []Solver
-	for _, n := range Names() {
-		if n == "portfolio" {
-			continue
-		}
-		if s, ok := Get(n); ok && s.Supports(p, v) == nil {
-			out = append(out, s)
-		}
-	}
-	return out
+// Supports accepts every valid instance of either variant: greedy, the
+// plan's last step, has no structural limits.
+func (s portfolioSolver) Supports(p *secureview.Problem, v secureview.Variant) error {
+	return s.Capabilities().check("portfolio", p, v)
 }
 
 func (portfolioSolver) Solve(ctx context.Context, p *secureview.Problem, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	inner := innerSolvers(p, opts.Variant)
-	if len(inner) == 0 {
-		return Result{Solver: "portfolio", Variant: opts.Variant},
-			fmt.Errorf("solve: portfolio has no applicable inner solver")
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res Result
-		err error
-	}
-	// Buffered to the racer count: losers finishing after the winner park
-	// their outcome in the channel and exit, leaking nothing.
-	results := make(chan outcome, len(inner))
-	for _, s := range inner {
-		s := s
-		innerOpts := opts
-		if s.Capabilities().Exact && innerOpts.NodeBudget > portfolioProbeNodes {
-			innerOpts.NodeBudget = portfolioProbeNodes
-		}
-		go func() {
-			res, err := s.Solve(raceCtx, p, innerOpts)
-			results <- outcome{res, err}
-		}()
-	}
-
-	tag := func(res Result) Result {
-		res.Solver = "portfolio/" + res.Solver
-		return res
-	}
 	better := func(a, b Result) bool { // does a beat the incumbent b?
 		if a.Cost != b.Cost {
 			return a.Cost < b.Cost
@@ -208,45 +166,55 @@ func (portfolioSolver) Solve(ctx context.Context, p *secureview.Problem, opts Op
 	}
 	var bestCertified, bestFeasible *Result
 	var lastErr error
-	for done := 0; done < len(inner); done++ {
-		o := <-results
-		if o.err == nil && o.res.Optimal {
-			// Proven optimum: cancel the losers and return without waiting
-			// for them (they park their outcomes in the buffered channel).
-			cancel()
-			return tag(o.res), nil
+	for _, step := range portfolioPlan {
+		if ctx.Err() != nil {
+			break
 		}
-		if o.err != nil && !o.res.Partial {
+		s, ok := Get(step.solver)
+		if !ok || s.Supports(p, opts.Variant) != nil {
+			continue
+		}
+		stepOpts := opts
+		if step.probe {
+			stepOpts.NodeBudget = min(stepOpts.NodeBudget, portfolioProbeNodes)
+		}
+		res, err := s.Solve(ctx, p, stepOpts)
+		if err == nil && res.Optimal {
+			res.Solver = "portfolio/" + res.Solver
+			return res, nil
+		}
+		if err != nil && !res.Partial {
 			// Keep the most informative error: anything beats nothing, and a
 			// real failure beats routine budget/deadline exhaustion.
-			routine := errors.Is(o.err, secureview.ErrNodeBudget) ||
-				errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded)
+			routine := errors.Is(err, secureview.ErrNodeBudget) ||
+				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 			if lastErr == nil || !routine {
-				lastErr = fmt.Errorf("portfolio %s: %w", o.res.Solver, o.err)
+				lastErr = fmt.Errorf("portfolio %s: %w", step.solver, err)
 			}
 			continue
 		}
-		res := o.res
 		if !p.Feasible(res.Solution, opts.Variant) {
 			continue
 		}
-		if res.Bound.Factor > 0 {
-			if bestCertified == nil || better(res, *bestCertified) {
-				bestCertified = &res
-			}
+		if res.Bound.Factor > 0 && (bestCertified == nil || better(res, *bestCertified)) {
+			bestCertified = &res
 		}
 		if bestFeasible == nil || better(res, *bestFeasible) {
 			bestFeasible = &res
 		}
 	}
+	best := bestCertified
+	if best == nil {
+		best = bestFeasible
+	}
 	switch {
-	case bestCertified != nil:
-		return tag(*bestCertified), nil
-	case bestFeasible != nil:
-		return tag(*bestFeasible), nil
+	case best != nil:
+		res := *best
+		res.Solver = "portfolio/" + res.Solver
+		return res, nil
 	case ctx.Err() != nil:
 		// The caller's own context died and nothing finished: report that,
-		// not whichever racer's budget error happened to arrive last.
+		// not whichever step's budget error came last.
 		return Result{Solver: "portfolio", Variant: opts.Variant}, ctx.Err()
 	case lastErr != nil:
 		return Result{Solver: "portfolio", Variant: opts.Variant}, lastErr

@@ -3,12 +3,13 @@ package solve_test
 // Tests for the certified approximation tier and the portfolio meta-solver:
 // the mega regime (universes far beyond 2^k exact search) must yield
 // feasible, certificate-true solutions fast; the small regime must still
-// yield proven optima through the portfolio; and losing racers must be
-// observably cancelled, not abandoned.
+// yield proven optima through the portfolio; and the portfolio runs its
+// fixed plan and nothing else.
 
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,7 +67,7 @@ func TestApproxCertifiedOnMega(t *testing.T) {
 	}
 }
 
-// TestPortfolioOptimalOnSmallClasses: whenever an exact racer can finish,
+// TestPortfolioOptimalOnSmallClasses: whenever an exact step can finish,
 // the portfolio must return its proven optimum, tagged with the winning
 // inner solver.
 func TestPortfolioOptimalOnSmallClasses(t *testing.T) {
@@ -133,47 +134,62 @@ func TestPortfolioCertifiedOnMega(t *testing.T) {
 	}
 }
 
-// blockingProbe is a registered racer that blocks until its context dies
-// and reports the cancellation on a channel — the observable proof that
-// the portfolio cancels losers instead of abandoning them.
-type blockingProbe struct {
-	cancelled chan struct{}
+// countingProbe is a registered solver that accepts every instance and
+// counts its runs.
+type countingProbe struct {
+	runs atomic.Int64
 }
 
-func (b *blockingProbe) Name() string { return "test-blocking-probe" }
+func (c *countingProbe) Name() string { return "test-counting-probe" }
 
-func (b *blockingProbe) Capabilities() solve.Capabilities {
-	return solve.Capabilities{Cardinality: true, Set: true}
+func (c *countingProbe) Capabilities() solve.Capabilities {
+	return solve.Capabilities{Cardinality: true, Set: true, Exact: true, Certified: true, Factor: "1"}
 }
 
-func (b *blockingProbe) Supports(p *secureview.Problem, v secureview.Variant) error { return nil }
+func (c *countingProbe) Supports(p *secureview.Problem, v secureview.Variant) error { return nil }
 
-func (b *blockingProbe) Solve(ctx context.Context, p *secureview.Problem, opts solve.Options) (solve.Result, error) {
-	<-ctx.Done()
-	close(b.cancelled)
-	return solve.Result{Solver: b.Name(), Variant: opts.Variant}, ctx.Err()
+func (c *countingProbe) Solve(ctx context.Context, p *secureview.Problem, opts solve.Options) (solve.Result, error) {
+	c.runs.Add(1)
+	return solve.Result{}, errors.New("the probe never answers")
 }
 
-// TestPortfolioCancelsLosers: an inner racer that never finishes on its own
-// must observe cancellation as soon as another racer proves optimality, and
-// the portfolio must return that optimum without waiting the loser out.
-func TestPortfolioCancelsLosers(t *testing.T) {
-	probe := &blockingProbe{cancelled: make(chan struct{})}
+// TestPortfolioRunsOnlyItsPlan: a registered solver outside the plan is
+// never run, whether the exact tier proves optimality (small instances) or
+// the plan reaches its certified tier (mega instances), and the answer is
+// the same with or without it registered.
+func TestPortfolioRunsOnlyItsPlan(t *testing.T) {
+	ctx := context.Background()
+	instances := []struct {
+		p *secureview.Problem
+		v secureview.Variant
+	}{
+		{gen.Problem(gen.ProblemConfig{Modules: 4}, 1), secureview.Set},
+		{gen.Problem(gen.ProblemConfig{Modules: 4}, 1), secureview.Cardinality},
+		{gen.Problem(gen.MegaProblemClasses()[0].Cfg, 1), secureview.Set},
+	}
+	var want []solve.Result
+	for _, in := range instances {
+		res, err := solve.Solve(ctx, "portfolio", in.p, solve.Options{Variant: in.v})
+		if err != nil {
+			t.Fatalf("portfolio: %v", err)
+		}
+		want = append(want, res)
+	}
+	probe := &countingProbe{}
 	solve.Register(probe)
 	t.Cleanup(func() { solve.Deregister(probe.Name()) })
-
-	p := gen.Problem(gen.ProblemConfig{Modules: 4}, 1)
-	res, err := solve.Solve(context.Background(), "portfolio", p, solve.Options{Variant: secureview.Set})
-	if err != nil {
-		t.Fatalf("portfolio: %v", err)
+	for i, in := range instances {
+		res, err := solve.Solve(ctx, "portfolio", in.p, solve.Options{Variant: in.v})
+		if err != nil {
+			t.Fatalf("portfolio with the probe registered: %v", err)
+		}
+		if res.Solver != want[i].Solver || res.Cost != want[i].Cost || !res.Solution.Hidden.Equal(want[i].Solution.Hidden) {
+			t.Errorf("instance %d: %s at %v hiding %v, without the probe %s at %v hiding %v", i,
+				res.Solver, res.Cost, res.Solution.Hidden.Sorted(), want[i].Solver, want[i].Cost, want[i].Solution.Hidden.Sorted())
+		}
 	}
-	if !res.Optimal {
-		t.Fatalf("portfolio did not return the exact winner: %+v", res)
-	}
-	select {
-	case <-probe.cancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing racer was never cancelled")
+	if n := probe.runs.Load(); n != 0 {
+		t.Fatalf("the portfolio ran a solver outside its plan %d times", n)
 	}
 }
 
@@ -193,7 +209,7 @@ func TestApproxSolversCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeadlineOnMega: a 50ms deadline reaches every racer on a
+// TestPortfolioDeadlineOnMega: a 50ms deadline reaches every step on a
 // mega instance and surfaces promptly. A certified result that happened to
 // finish in time is acceptable; an error must be the deadline, typed.
 func TestPortfolioDeadlineOnMega(t *testing.T) {

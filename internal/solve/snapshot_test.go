@@ -121,18 +121,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("restored solve %s: %v", pr.solver, err)
 		}
 		// Costs.Sum adds in sorted-key order, so two solves of the same
-		// problem produce bit-identical costs. The portfolio races its
-		// inner solvers and cancels the losers, so under scheduler noise a
-		// different winner can return a different equally-optimal set —
-		// identity of the solution sets is only an invariant for the
-		// deterministic solvers.
+		// problem produce bit-identical costs, and every solver is
+		// deterministic (the portfolio runs a fixed plan), so the
+		// solution sets must match too.
 		if res.Cost != pr.res.Cost {
 			t.Fatalf("%s/%s: restored cost diverged: %g vs %g",
 				pr.solver, pr.variant, res.Cost, pr.res.Cost)
 		}
-		if pr.solver != "portfolio" &&
-			(strings.Join(res.Solution.Hidden.Sorted(), ",") != strings.Join(pr.res.Solution.Hidden.Sorted(), ",") ||
-				strings.Join(res.Solution.Privatized.Sorted(), ",") != strings.Join(pr.res.Solution.Privatized.Sorted(), ",")) {
+		if strings.Join(res.Solution.Hidden.Sorted(), ",") != strings.Join(pr.res.Solution.Hidden.Sorted(), ",") ||
+			strings.Join(res.Solution.Privatized.Sorted(), ",") != strings.Join(pr.res.Solution.Privatized.Sorted(), ",") {
 			t.Fatalf("%s/%s: restored solution diverged: cost %g hidden %v vs cost %g hidden %v",
 				pr.solver, pr.variant, res.Cost, res.Solution.Hidden.Sorted(), pr.res.Cost, pr.res.Solution.Hidden.Sorted())
 		}

@@ -1,11 +1,11 @@
 // Package solve is the unified solver layer over the Secure-View code
 // paths. The paper's optimization problem is solved in this repo by five
-// historically independent implementations — exhaustive enumeration
-// (ExactSet/ExactCard), branch and bound (ExactCardBB), the greedy
-// (γ+1)-approximation, the LP roundings of Theorems 5/6, and the pruned
-// subset-search engine of internal/search — each with its own signature and
-// budget convention. This package puts one interface in front of all of
-// them:
+// historically independent implementations — branch and bound over
+// requirement options (ExactSet) or attributes (ExactCardBB), exhaustive
+// enumeration (ExactCard), the greedy (γ+1)-approximation, the LP
+// roundings of Theorems 5/6, and the pruned subset-search engine of
+// internal/search — each with its own signature and budget convention.
+// This package puts one interface in front of all of them:
 //
 //   - Solver: Solve(ctx, *secureview.Problem, Options) (Result, error),
 //     with uniform node/time budgets, worker counts and rounding seeds, and
@@ -19,6 +19,8 @@
 //     immutable state across goroutines.
 //   - SolveBatch: a concurrent front-end sharding many (problem, solver)
 //     jobs over a GOMAXPROCS pool with per-job deadlines.
+//   - the portfolio meta-solver: a fixed plan over the registry, exact tier
+//     first under a probe budget, then the certified approximation tier.
 //
 // Cancellation contract: every registered solver observes ctx within one
 // pruning epoch (one search-tree node, candidate mask, or possible-world

@@ -46,8 +46,9 @@ func partial(name string, p *secureview.Problem, v secureview.Variant,
 }
 
 // exactSolver proves optimality by exhaustive search: per-module option
-// branch and bound for set constraints, useful-attribute subset enumeration
-// for cardinality constraints.
+// branch and bound over the compiled problem for set constraints (the
+// engine's (cost, lex) optimum, in microseconds on the served instances),
+// useful-attribute subset enumeration for cardinality constraints.
 type exactSolver struct{}
 
 func (exactSolver) Name() string { return "exact" }
