@@ -35,10 +35,9 @@ const gateReps = 3
 
 // gatedRow reports whether a benchmark row guards the optimized hot paths:
 // the compiled standalone search, the engine solver scenario rows, the
-// warm-start edit loop (a regression there silently degrades every chained
-// re-solve to near-cold latency), the restored-start first solve (the
-// snapshot tier's whole point is that a restart does not pay the cold
-// derivation again), and the serving-path mixed-workload p50.
+// restored-start first solve (the snapshot tier's whole point is that a
+// restart does not pay the cold derivation again), and the serving-path
+// mixed-workload p50.
 //
 // The restored first solve is gated as a SAME-RUN ratio against its cold
 // sibling: the median cold/restored ratio of paired runs (see
@@ -53,7 +52,6 @@ const gateReps = 3
 // rename cannot silently drop it from the gate.
 func gatedRow(name string) bool {
 	return name == "standalone-search/engine-compiled" ||
-		name == "edit-loop/warm" ||
 		name == "snapshot/first-solve/restored" ||
 		name == "loadgen/mixed" ||
 		(strings.HasPrefix(name, "scenario/") && strings.HasSuffix(name, "/engine"))

@@ -142,11 +142,6 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 			})
 		}
 	}
-	edits, err := editLoopResults(quick, repsOverride)
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, edits...)
 	snaps, err := snapshotResults(quick, repsOverride)
 	if err != nil {
 		return nil, err

@@ -2,13 +2,13 @@ package main
 
 // Snapshot rows: what session snapshot/restore buys on the first solve
 // after a process start. For each standard benchmark instance the sweep
-// measures the first end-to-end solve (derive + engine search) on a cold
+// measures the first end-to-end solve (derive + exact solve) on a cold
 // session versus a session restored from a snapshot of a previous
-// process's hot state (derived problem + warm frontier) — the restored
-// path answers derivation from the cache and resumes the search from the
-// carried frontier. Both paths must return the same optimum; in full mode
-// the restored first solve must beat cold by at least minRestoredSpeedup,
-// so a committed baseline can never claim a restore that does not pay.
+// process's hot state (the derived problem) — the restored path answers
+// derivation from the cache, as a Session hit with no miss. Both paths must
+// return the same optimum; in full mode the restored first solve must beat
+// cold by at least minRestoredSpeedup, so a committed baseline can never
+// claim a restore that does not pay.
 //
 // The loadgen row commits the mixed-workload p50 against an in-process
 // server (see internal/load), so serving-path regressions — admission,
@@ -30,10 +30,10 @@ import (
 )
 
 // minRestoredSpeedup is the floor on cold/restored first-solve latency.
-// Restore skips the derivation sweep entirely and resumes the search from
-// the carried frontier. The full sweep measured 6.8× at k=14, 11× at k=16
-// and 18× at k=18 on a 2-CPU x86-64 host (cold 21 ms, 114 ms and 0.69 s),
-// so 5× holds at every k the gate compares. Quick mode's sweep skips the
+// Restore skips the derivation sweep entirely. With the exact solver behind
+// both paths, four full sweeps on a 2-CPU x86-64 host read a median 5.6×
+// at k=14 (5.4–6.6×), 7.9× at k=16 and 16× at k=18: 5× holds at every k
+// the gate compares, with little margin at k=14. Quick mode's sweep skips the
 // check (k=12 cold solves are small enough for scheduler noise to matter)
 // but the -benchgate ratio check enforces it at every k the gate run
 // measures.
@@ -56,27 +56,21 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 		reps = repsOverride
 	}
 	ctx := context.Background()
-	opts := func() solve.Options { return solve.Options{Variant: secureview.Set} }
+	opts := solve.Options{Variant: secureview.Set}
 
 	var results []benchResult
 	for _, k := range ks {
 		w, costs, gamma := exp.SearchBenchWorkflow(k)
 
-		// A previous process's hot state: derive, solve, carry the frontier.
+		// A previous process's hot state: derive and solve.
 		src := solve.NewSession()
 		p, err := src.Problem(ctx, w, secureview.Set, gamma, costs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot k=%d: derive: %w", k, err)
 		}
-		fp := solve.ProblemFingerprint(p, secureview.Set)
-		base, err := solve.Solve(ctx, "engine", p, opts())
-		if err != nil {
+		if _, err := solve.Solve(ctx, "exact", p, opts); err != nil {
 			return nil, fmt.Errorf("snapshot k=%d: base solve: %w", k, err)
 		}
-		if base.Frontier == nil {
-			return nil, fmt.Errorf("snapshot k=%d: base solve exported no frontier", k)
-		}
-		src.StoreWarm(fp, base.Frontier)
 		var buf bytes.Buffer
 		if err := src.Snapshot(&buf); err != nil {
 			return nil, fmt.Errorf("snapshot k=%d: %w", k, err)
@@ -96,7 +90,7 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: cold derive: %w", k, err)
 			}
-			res, err := solve.Solve(ctx, "engine", p2, opts())
+			res, err := solve.Solve(ctx, "exact", p2, opts)
 			cold := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: cold solve: %w", k, err)
@@ -121,15 +115,14 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: restored derive: %w", k, err)
 			}
-			o := opts()
-			o.Resume = sess.Warm(fp)
-			res, err = solve.Solve(ctx, "engine", p2, o)
+			res, err = solve.Solve(ctx, "exact", p2, opts)
 			d := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot k=%d: restored solve: %w", k, err)
 			}
-			if !res.Resumed {
-				return nil, fmt.Errorf("snapshot k=%d: restored solve did not resume from the carried frontier", k)
+			if st := sess.Stats(); st.Hits != 1 || st.Misses != 0 {
+				return nil, fmt.Errorf("snapshot k=%d: restored derive was not a Session hit (hits %d, misses %d)",
+					k, st.Hits, st.Misses)
 			}
 			if d < restoredBest {
 				restoredBest = d
@@ -153,16 +146,17 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 				k, speedup, len(ratios), minRestoredSpeedup)
 		}
 
+		// Checked records the exact solver's search nodes.
 		results = append(results,
 			benchResult{
 				Name: "snapshot/first-solve/cold", K: k, Gamma: gamma,
 				NsPerOp: coldBest.Nanoseconds(), Cost: coldRes.Cost,
-				Checked: coldRes.Counters.Checked, Pruned: coldRes.Counters.Pruned,
+				Checked: coldRes.Counters.Nodes,
 			},
 			benchResult{
 				Name: "snapshot/first-solve/restored", K: k, Gamma: gamma,
 				NsPerOp: restoredBest.Nanoseconds(), Cost: restoredRes.Cost,
-				Checked: restoredRes.Counters.Checked, Pruned: restoredRes.Counters.Pruned,
+				Checked: restoredRes.Counters.Nodes,
 				Speedup: speedup,
 			},
 			// Checked doubles as the restored entry count; Cost as snapshot KiB.

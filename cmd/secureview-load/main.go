@@ -1,7 +1,7 @@
 // Command secureview-load drives a mixed workload against a running
 // secureview-serve instance and prints a JSON report: latency percentiles
 // (p50/p99/max), throughput, and error/429 counts. The mix covers single
-// solves of generated scenarios, batches, and warm-start edit chains —
+// solves of generated scenarios, batches, and cost-only edit chains —
 // see internal/load for the exact shapes.
 //
 // Usage:

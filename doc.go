@@ -19,17 +19,12 @@
 //	                     lowered once to uint64 row codes, each Lemma 4 test
 //	                     a few array/bitset ops — compile once per search,
 //	                     share the read-only result across the worker pool
-//	internal/search      bitset subset-search engine: a cold run is a pure
+//	internal/search      bitset subset-search engine: MinCost is a pure
 //	                     (cost, lex) scan over a radix-sorted candidate
-//	                     list, a resumed one a cost-bounded scan with
-//	                     Proposition 1 pruning, both testing each surviving
-//	                     candidate with one oracle call; worker pool; warm
-//	                     starts — a finished run exports its domination
-//	                     frontiers, verdict memo and incumbent as a
-//	                     Frontier (a cold run's is built from its verdict
-//	                     logs on first read), re-imported via
-//	                     Options.Resume (sound across cost-only edits:
-//	                     verdicts are cost-free)
+//	                     list up to 22 attributes and a cost-bounded scan
+//	                     above, both testing each surviving candidate with
+//	                     one oracle call; Proposition 1 pruning in the
+//	                     level sweeps; worker pool; no warm-start state
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets
 //	internal/secureview  the Secure-View optimization (sections 4–5);
@@ -47,11 +42,11 @@
 //	                     problem once per solve and its workers share the
 //	                     compiled masks read-only) with declared
 //	                     Capabilities, uniform Options and bound-certified
-//	                     Results, fingerprint-keyed Session caches (derived
-//	                     problems and warm-start frontiers; length-prefixed
-//	                     collision-proof hashing, size-accounted LRU
-//	                     eviction, delta derivation re-costing cached
-//	                     problems on cost-only re-derives)
+//	                     Results, a fingerprint-keyed Session cache of
+//	                     derived problems (length-prefixed collision-proof
+//	                     hashing, size-accounted LRU eviction, delta
+//	                     derivation re-costing cached problems on cost-only
+//	                     re-derives)
 //	                     shared across goroutines, SolveBatch
 //	                     worker-pool front-end with per-job deadlines; every
 //	                     solver observes ctx within one pruning epoch; the
@@ -69,7 +64,7 @@
 //	                     nodes) assigning request fingerprints to replicas
 //	                     in shard mode
 //	internal/load        mixed-workload generator for the serving path:
-//	                     solves, batches and warm-start edit chains with
+//	                     solves, batches and cost-only edit chains with
 //	                     deterministic per-worker streams, reporting
 //	                     p50/p99/max latency, throughput and error/429
 //	                     counts
@@ -78,8 +73,9 @@
 //	                     deadlines mapped to solve.Options.Timeout (206
 //	                     partial incumbents on expiry), batch endpoint over
 //	                     SolveBatch, spec- and generated-(class, seed)
-//	                     request forms, byte-capped shared Session,
-//	                     fingerprint/base warm-start chaining for edit loops;
+//	                     request forms, byte-capped shared Session, a
+//	                     structure fingerprint on every response (a
+//	                     request's "base" is accepted and ignored);
 //	                     session snapshot/restore (periodic + on-SIGTERM,
 //	                     restore-on-boot gated by /readyz) and a sharded
 //	                     serving mode proxying each solve to the replica

@@ -17,20 +17,16 @@ import (
 
 // engineGolden is the digest TestEngineGolden records. It was computed by
 // the same test body, over this corpus.json, against the engine that still
-// offered requirement-class collapsing, with the collapse switched off in
-// both of its solves. The engine without that option must reproduce those
-// counters, optima and exported frontiers exactly, so any drift in a
-// single-worker engine solve fails the test. Entries are hashed in
-// Entries() order, which sorts by the committed checked counts, so
-// re-pinning a count can move the digest too.
-const engineGolden = "788797fd38305fd4b48f27144c68a62c5d39f6d535956ce6a1a7a2153f37d9ef"
+// exported warm-start frontiers; its cold solves must reproduce those
+// counters and optima exactly, so any drift in a single-worker engine solve
+// fails the test. Entries are hashed in Entries() order, which sorts by the
+// committed checked counts, so re-pinning a count can move the digest too.
+const engineGolden = "bd69eb6e5d196dfcd21338910eac0d70742021e30dce26f6011f6d8ac3a071d6"
 
 // TestEngineGolden hashes single-worker engine solves over every corpus
 // entry and every gen class at seeds 0–2, in both variants: Checked,
-// Pruned, OraclePasses, the sorted hidden names and the exported frontier's
-// encoding. Each exported frontier is then resumed once after a fixed
-// cost-only edit, and the warm run's counters, hidden names and frontier
-// encoding are hashed too.
+// Pruned, OraclePasses and the sorted hidden names. Each instance is then
+// solved again after a fixed cost-only edit, and that solve is hashed too.
 func TestEngineGolden(t *testing.T) {
 	h := sha256.New()
 	solves := 0
@@ -51,14 +47,15 @@ func TestEngineGolden(t *testing.T) {
 		}
 	}
 	got := hex.EncodeToString(h.Sum(nil))
-	t.Logf("%d engine solves (each with a warm resume), digest %s", solves, got)
+	t.Logf("%d engine solves (each with a cost-edited re-solve), digest %s", solves, got)
 	if got != engineGolden {
-		t.Fatalf("engine digest %s, want %s: a single-worker engine solve changed its counters, optimum or exported frontier", got, engineGolden)
+		t.Fatalf("engine digest %s, want %s: a single-worker engine solve changed its counters or optimum", got, engineGolden)
 	}
 }
 
-// hashEngineSolves writes the cold and warm engine solves of both variants
-// of the instance into h and returns how many cold solves it hashed.
+// hashEngineSolves writes the engine solves of both variants of the
+// instance, before and after a fixed cost-only edit, into h and returns how
+// many unedited solves it hashed.
 func hashEngineSolves(t *testing.T, h hash.Hash, name string, it *gen.Instance) int {
 	t.Helper()
 	ctx := context.Background()
@@ -77,10 +74,10 @@ func hashEngineSolves(t *testing.T, h hash.Hash, name string, it *gen.Instance) 
 		res, err := solve.Solve(ctx, "engine", p, opts)
 		solves++
 		if err != nil {
-			fmt.Fprintf(h, "%s/%v cold: %v\n", name, v, err)
+			fmt.Fprintf(h, "%s/%v: %v\n", name, v, err)
 			continue
 		}
-		hashEngineResult(h, name+" cold", v, res)
+		hashEngineResult(h, name, v, res)
 
 		names := make([]string, 0, len(p.Costs))
 		for a := range p.Costs {
@@ -91,24 +88,18 @@ func hashEngineSolves(t *testing.T, h hash.Hash, name string, it *gen.Instance) 
 		for i, a := range names {
 			edited[a] = float64((i*7+3)%5) + 0.5
 		}
-		warmOpts := opts
-		warmOpts.Resume = res.Frontier
-		warm, err := solve.Solve(ctx, "engine", &secureview.Problem{Modules: p.Modules, Costs: edited}, warmOpts)
+		res, err = solve.Solve(ctx, "engine", &secureview.Problem{Modules: p.Modules, Costs: edited}, opts)
 		if err != nil {
-			fmt.Fprintf(h, "%s/%v warm: %v\n", name, v, err)
+			fmt.Fprintf(h, "%s/%v edited: %v\n", name, v, err)
 			continue
 		}
-		hashEngineResult(h, name+" warm", v, warm)
+		hashEngineResult(h, name+" edited", v, res)
 	}
 	return solves
 }
 
 func hashEngineResult(h hash.Hash, name string, v secureview.Variant, res solve.Result) {
 	c := res.Counters
-	fmt.Fprintf(h, "%s/%v checked=%d pruned=%d passes=%d memo=%d resumed=%v/%d/%d hidden=%v\n",
-		name, v, c.Checked, c.Pruned, c.OraclePasses, c.MemoHits,
-		res.Resumed, c.ResumedSafe, c.ResumedUnsafe, res.Solution.Hidden.Sorted())
-	if res.Frontier != nil {
-		h.Write(res.Frontier.AppendBinary(nil))
-	}
+	fmt.Fprintf(h, "%s/%v checked=%d pruned=%d passes=%d hidden=%v\n",
+		name, v, c.Checked, c.Pruned, c.OraclePasses, res.Solution.Hidden.Sorted())
 }

@@ -17,17 +17,12 @@
 //   - layer agreement: the bitmask-compiled problem the engine solver
 //     searches (secureview.Compiled) agrees with Problem.Feasible on every
 //     mask of small universes, and the engine over it reproduces the
-//     Problem.Feasible-oracle engine bit for bit — optimum, counters and
-//     exported frontier (see checkLayers);
+//     Problem.Feasible-oracle engine bit for bit — optimum and counters
+//     (see checkLayers);
 //   - on instances small enough to enumerate, the assembled solution is
 //     Γ-workflow-private under exhaustive possible-world semantics
 //     (Theorems 4/8), and the worlds-grounded optimum never costs more
-//     than the assembly optimum;
-//   - warm-start resumption is invisible to correctness: re-solving after a
-//     deterministic cost-only edit with the previous run's exported frontier
-//     returns the identical (cost, lex) optimum a cold solve does, on both
-//     the registry engine path and the standalone compiled-oracle path
-//     (Proposition 1 verdicts are cost-independent).
+//     than the assembly optimum.
 //
 // Exact solvers that exhaust their budgets must say so with the typed
 // secureview.ErrNodeBudget (or report a genuinely infeasible derivation
@@ -44,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"secureview/internal/gen"
 	"secureview/internal/oracle"
@@ -186,21 +180,6 @@ func (r *Result) skipOrViolate(name, what string, err error) {
 // comparisons.
 func eps(x float64) float64 { return 1e-6 * (1 + x) }
 
-// warmEdit returns a deterministic cost-only rewrite over the given
-// attribute names: each gets a new positive cost from its sorted rank,
-// reshuffling which optima are cheap without touching structure — exactly
-// the regime where warm-start resumption is sound (safety verdicts are
-// cost-independent).
-func warmEdit(names []string) privacy.Costs {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	out := make(privacy.Costs, len(sorted))
-	for i, a := range sorted {
-		out[a] = float64((i*7+3)%5) + 0.5
-	}
-	return out
-}
-
 // CheckProblem runs the full solver matrix on an abstract instance (both
 // constraint variants) and returns the differential result. The name tags
 // violations. It is CheckProblemCtx without cancellation.
@@ -302,40 +281,6 @@ func (r *Result) checkEngine(ctx context.Context, name string, p *secureview.Pro
 	}
 	if dx := res.Cost - optCost; dx > eps(optCost) || -dx > eps(optCost) {
 		r.violatef("%s: engine cost %g != exact optimum %g", name, res.Cost, optCost)
-	}
-
-	// Warm-start invariant: resuming the frontier exported by that run
-	// after a cost-only edit must reproduce the cold optimum on the edited
-	// instance — the hidden set bit for bit, the cost within eps.
-	if res.Frontier == nil {
-		r.violatef("%s: engine run exported no warm-start frontier", name)
-		return
-	}
-	names := make([]string, 0, len(p.Costs))
-	for a := range p.Costs {
-		names = append(names, a)
-	}
-	ep := &secureview.Problem{Modules: p.Modules, Costs: warmEdit(names)}
-	cold, errC := solve.Solve(ctx, "engine", ep, opts.solveOptions(variant))
-	warmOpts := opts.solveOptions(variant)
-	warmOpts.Resume = res.Frontier
-	warm, errW := solve.Solve(ctx, "engine", ep, warmOpts)
-	r.SolverRuns += 2
-	if errC != nil || errW != nil {
-		if cancelled(errC) || cancelled(errW) {
-			r.Skips++
-			return
-		}
-		r.violatef("%s: warm-start engine re-solve failed: cold=%v warm=%v", name, errC, errW)
-		return
-	}
-	if !warm.Resumed {
-		r.violatef("%s: engine ignored a matching resume frontier", name)
-	}
-	if dx := warm.Cost - cold.Cost; !warm.Solution.Hidden.Equal(cold.Solution.Hidden) ||
-		dx > eps(cold.Cost) || -dx > eps(cold.Cost) {
-		r.violatef("%s: warm re-solve optimum %v (%g) != cold %v (%g) after a cost edit",
-			name, warm.Solution.Hidden.Sorted(), warm.Cost, cold.Solution.Hidden.Sorted(), cold.Cost)
 	}
 }
 
@@ -671,37 +616,6 @@ func (r *Result) checkStandalone(name string, it *gen.Instance, opts Options) {
 		if engineC.Stats.Checked+engineC.Stats.Pruned != 1<<sp.K() {
 			r.violatef("%s/%s: compiled engine counters Checked %d + Pruned %d != 2^%d",
 				name, m.Name(), engineC.Stats.Checked, engineC.Stats.Pruned, sp.K())
-		}
-
-		// Warm start: re-solve after a deterministic cost-only edit, once
-		// cold and once resuming the compiled run's frontier. Both runs share
-		// the lexicographic tie-break and integer cost keys, so the results
-		// must match bit for bit.
-		if engineC.Frontier == nil {
-			r.violatef("%s/%s: compiled engine exported no frontier", name, m.Name())
-			continue
-		}
-		ec := warmEdit(sp.Attrs())
-		spw := sp.WithCosts(ec.Of)
-		coldW, errC := spw.MinCost(compiled, opts.Search)
-		warmOpts := opts.Search
-		warmOpts.Resume = engineC.Frontier
-		warmW, errW := spw.MinCost(compiled, warmOpts)
-		r.SolverRuns += 2
-		if errC != nil || errW != nil {
-			r.violatef("%s/%s: warm-start standalone re-solve failed: cold=%v warm=%v", name, m.Name(), errC, errW)
-			continue
-		}
-		if !warmW.Stats.Resumed {
-			r.violatef("%s/%s: standalone engine ignored a matching resume frontier", name, m.Name())
-		}
-		if warmW.Found != coldW.Found || warmW.Hidden != coldW.Hidden || warmW.Cost != coldW.Cost {
-			r.violatef("%s/%s: warm standalone optimum (found=%v hidden=%b cost=%g) != cold (found=%v hidden=%b cost=%g) after a cost edit",
-				name, m.Name(), warmW.Found, warmW.Hidden, warmW.Cost, coldW.Found, coldW.Hidden, coldW.Cost)
-		}
-		if warmW.Stats.Checked+warmW.Stats.Pruned != 1<<sp.K() {
-			r.violatef("%s/%s: warm engine counters Checked %d + Pruned %d != 2^%d",
-				name, m.Name(), warmW.Stats.Checked, warmW.Stats.Pruned, sp.K())
 		}
 	}
 }

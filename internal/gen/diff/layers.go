@@ -1,7 +1,6 @@
 package diff
 
 import (
-	"bytes"
 	"context"
 	"math"
 
@@ -23,9 +22,8 @@ const compiledMaskLimit = 16
 //     universe, each when it has at most compiledMaskLimit attributes
 //     (counted in CompiledMasks);
 //   - where the engine applies, the registry engine ≡ the same search over
-//     a Problem.Feasible oracle at one worker: hidden set, cost bits,
-//     Checked/Pruned/OraclePasses and the exported Frontier's encoding, all
-//     identical;
+//     a Problem.Feasible oracle at one worker: hidden set, cost bits and
+//     Checked/Pruned/OraclePasses, all identical;
 //   - for the set variant, the exact solver's optimum ≡ that engine's, or
 //     ≡ a brute force where the engine does not apply (checkExactLayer).
 //
@@ -104,9 +102,6 @@ func (r *Result) checkEngineLayer(ctx context.Context, name string, p *securevie
 		r.violatef("%s: compiled engine counters %d/%d/%d != reference %d/%d/%d (checked/pruned/passes)",
 			name, c.Checked, c.Pruned, c.OraclePasses,
 			want.Stats.Checked, want.Stats.Pruned, want.Stats.OraclePasses)
-	case got.Frontier == nil || want.Frontier == nil ||
-		!bytes.Equal(got.Frontier.AppendBinary(nil), want.Frontier.AppendBinary(nil)):
-		r.violatef("%s: compiled engine exported a different frontier than the reference", name)
 	}
 	return &got
 }

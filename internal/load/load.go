@@ -9,8 +9,8 @@
 //     mixed in (hard instances under cheap certified solvers);
 //   - batches of generated jobs — the admission-weight path;
 //   - edit chains over a spec document — cost-only edits chaining each
-//     response's fingerprint into the next request's base, the warm-start
-//     path (the report counts how many responses actually resumed).
+//     response's fingerprint into the next request's base, which the
+//     server's Session answers by re-costing its cached problem.
 //
 // Every worker runs its own deterministic RNG stream, so a given (seed,
 // workers, duration) triple replays the same request sequence against
@@ -59,8 +59,6 @@ type Report struct {
 	Solves    int64 `json:"solves"`
 	Batches   int64 `json:"batches"`
 	EditSteps int64 `json:"editSteps"`
-	// Warm counts edit-chain responses that actually resumed from their base.
-	Warm int64 `json:"warmResponses"`
 	// Rejected counts 429s (load shed at admission — expected under
 	// saturation); Errors counts transport failures, 5xx and unexpected 4xx.
 	Rejected int64 `json:"rejected429"`
@@ -74,7 +72,7 @@ type Report struct {
 
 // editDoc is the all-private spec document the edit chains mutate: a single
 // private table module over four binary attributes, engine-solvable so
-// base-chaining exercises the real warm-start tier.
+// every step runs a real engine search.
 const editDoc = `{
   "name": "loadgen-edit",
   "gamma": 2,
@@ -106,13 +104,11 @@ type worker struct {
 	// Edit-chain state: current costs and the last response's fingerprint.
 	costs [4]float64
 	base  string
-	warm  bool // chain's solver resumed at least once this step
 
 	latencies []float64 // ms, successful requests only
 	solves    int64
 	batches   int64
 	editSteps int64
-	warmHits  int64
 	rejected  int64
 	errors    int64
 }
@@ -172,7 +168,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.Solves += w.solves
 		rep.Batches += w.batches
 		rep.EditSteps += w.editSteps
-		rep.Warm += w.warmHits
 		rep.Rejected += w.rejected
 		rep.Errors += w.errors
 		lat = append(lat, w.latencies...)
@@ -246,14 +241,10 @@ func (w *worker) editStep() {
 	})
 	var resp struct {
 		Fingerprint string `json:"fingerprint"`
-		Warm        bool   `json:"warm"`
 	}
 	w.post("/v1/solve", req, &resp)
 	if resp.Fingerprint != "" {
 		w.base = resp.Fingerprint
-	}
-	if resp.Warm {
-		w.warmHits++
 	}
 }
 

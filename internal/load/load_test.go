@@ -16,8 +16,8 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunMixedWorkload drives the generator against a real in-process
-// server: no errors, every workload shape exercised, warm chaining
-// observed, and the percentile rows ordered sanely.
+// server: no errors, every workload shape exercised, edit chains served by
+// delta derivation, and the percentile rows ordered sanely.
 func TestRunMixedWorkload(t *testing.T) {
 	s := server.MustNew(server.Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -42,11 +42,6 @@ func TestRunMixedWorkload(t *testing.T) {
 	if rep.Requests != rep.Solves+rep.Batches+rep.EditSteps {
 		t.Fatalf("request accounting off: %+v", rep)
 	}
-	// Edit chains re-solve the same structure per worker; all but each
-	// worker's first step must resume warm.
-	if rep.Warm == 0 {
-		t.Fatalf("no edit-chain response resumed warm: %+v", rep)
-	}
 	if rep.P50Ms <= 0 || rep.P50Ms > rep.P99Ms || rep.P99Ms > rep.MaxMs {
 		t.Fatalf("percentiles disordered: p50=%g p99=%g max=%g", rep.P50Ms, rep.P99Ms, rep.MaxMs)
 	}
@@ -57,5 +52,10 @@ func TestRunMixedWorkload(t *testing.T) {
 	// over and over; the shared session must show cache reuse.
 	if st := s.Session().Stats(); st.Hits == 0 {
 		t.Fatalf("no session cache reuse under load: %+v", st)
+	}
+	// Edit chains only re-cost one structure, so the session must re-cost
+	// its cached problem rather than re-derive it.
+	if st := s.Session().Stats(); st.DeltaDerives == 0 {
+		t.Fatalf("no edit-chain step was delta-derived: %+v", st)
 	}
 }

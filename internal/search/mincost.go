@@ -19,18 +19,12 @@ type Result struct {
 	Found bool
 	// Stats reports safety tests performed vs candidates pruned.
 	Stats Stats
-	// Frontier is the run's exported warm-start state (domination stores,
-	// verdict memo and incumbent), reusable via Options.Resume for later
-	// searches over the same universe — in particular after cost-only
-	// edits. A cold sorted run builds it on first read. Nil when the run
-	// was cancelled or failed.
-	Frontier *Frontier
 }
 
 // sortedMax is the largest universe for which MinCost materializes the full
 // candidate list in (cost, lex) order (~32 bytes per mask across the lex
 // scatter, cost table, radix buffers and sorted list; ~130 MiB at k=22).
-// Above it, and for every accepted resume, the streaming scan is used.
+// Above it the streaming scan is used.
 const sortedMax = 22
 
 // MinCost finds the minimum-cost hidden mask whose complementary visible set
@@ -39,9 +33,8 @@ const sortedMax = 22
 // Candidates are explored in ascending (cost, lexicographic) order, so the
 // first accepted candidate is the optimum and bounds everything after it;
 // ties on cost are broken deterministically toward the hidden set that is
-// lexicographically smallest as a sorted name sequence. A resumed search
-// scans by cost bound instead, and Proposition 1 monotonicity prunes masks
-// dominated by an already-decided visible set.
+// lexicographically smallest as a sorted name sequence. Universes above
+// sortedMax are scanned by cost bound instead, with the same tie-break.
 func (s *Space) MinCost(oracle Oracle, opts Options) (Result, error) {
 	return s.MinCostCtx(context.Background(), oracle, opts)
 }
@@ -70,7 +63,7 @@ func (s *Space) MinCostCtx(ctx context.Context, oracle Oracle, opts Options) (Re
 	}
 	var res Result
 	var err error
-	if s.K() <= sortedMax && !opts.Resume.matches(s) {
+	if s.K() <= sortedMax {
 		res, err = s.minCostSorted(oracle, opts, &cancelled)
 	} else {
 		res, err = s.minCostStreaming(oracle, opts, &cancelled)
@@ -97,10 +90,10 @@ func orderedCostBits(f float64) uint64 {
 // The order is the preorder walk of the subset tree over name ranks, in
 // which a node's children extend it by one rank above its maximum; the walk
 // runs in rank space and maps each node back to universe bits through three
-// byte tables. The order is cost-independent, so it is computed once per
-// WithCosts family of Spaces and cached; cost-only re-solves skip it.
+// byte tables. It is computed on the first search over the Space and
+// cached.
 func (s *Space) lexMasks() []Mask {
-	s.scat.once.Do(func() {
+	s.lexOnce.Do(func() {
 		k := s.K()
 		var rankBit [MaxAttrs]Mask // universe bit of each name rank
 		for i, p := range s.permBit {
@@ -131,14 +124,14 @@ func (s *Space) lexMasks() []Mask {
 				}
 			}
 		}
-		s.scat.masks = out
+		s.lex = out
 	})
-	return s.scat.masks
+	return s.lex
 }
 
 // sortCandidates returns every hidden mask in ascending (cost, lexLess)
 // order, plus the subset-sum cost table, without a comparison sort. The
-// cached lex-order scatter (see lexMasks) realizes the lex order, and a
+// lex-order scatter (see lexMasks) realizes the lex order, and a
 // stable LSD radix sort on the order-preserving cost bits lifts it to the
 // full order. Only the span of key bits that differ between candidates is
 // sorted, and each candidate travels as one word: up to keyBits of its key
@@ -240,14 +233,10 @@ func radixSort(words, spare []uint64, span, k int) (sorted, other []uint64) {
 	return words, spare
 }
 
-// minCostSorted is the cold scan: it materializes all candidates in
-// (cost, lex) order and strides workers over the sorted list. The answer is
-// the lowest-index safe candidate; workers past the current best index stop
-// wholesale. Per candidate it does one index-bound check and one oracle
-// call whose verdict goes to the worker's log. It keeps no domination
-// stores and ignores Options.Resume (MinCost sends accepted resumes to the
-// streaming scan); the exported Frontier holds the logs and is built on
-// first read.
+// minCostSorted materializes all candidates in (cost, lex) order and
+// strides workers over the sorted list. The answer is the lowest-index safe
+// candidate; workers past the current best index stop wholesale. Per
+// candidate it does one index-bound check and one oracle call.
 func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Bool) (Result, error) {
 	masks, sums := s.sortCandidates()
 	n := len(masks)
@@ -258,20 +247,18 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 	all := s.All()
 	var bestIdx atomic.Int64
 	bestIdx.Store(int64(n)) // sentinel: nothing found
-	var pruned atomic.Int64
+	var checked, pruned atomic.Int64
 	var firstErr atomic.Value
 	var failed atomic.Bool
-	logs := make([][]verdict, workers)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var log []verdict
-			var nPruned int64
+			var nChecked, nPruned int64
 			defer func() {
-				logs[w] = log
+				checked.Add(nChecked)
 				pruned.Add(nPruned)
 			}()
 			for idx := w; idx < n; idx += workers {
@@ -284,14 +271,13 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 					nPruned += int64((n - idx + workers - 1) / workers)
 					return
 				}
-				visible := all &^ masks[idx]
-				safe, err := oracle(visible)
+				safe, err := oracle(all &^ masks[idx])
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					failed.Store(true)
 					return
 				}
-				log = append(log, verdict{visible, safe})
+				nChecked++
 				if safe {
 					lowerBest(&bestIdx, int64(idx))
 				}
@@ -302,24 +288,12 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 	if err, ok := firstErr.Load().(error); ok {
 		return Result{}, err
 	}
-	checked := 0
-	for _, log := range logs {
-		checked += len(log)
-	}
-	res := Result{Stats: Stats{Checked: checked, Pruned: int(pruned.Load()), OraclePasses: checked}}
+	c := int(checked.Load())
+	res := Result{Stats: Stats{Checked: c, Pruned: int(pruned.Load()), OraclePasses: c}}
 	if idx := bestIdx.Load(); idx < int64(n) {
 		res.Hidden = masks[idx]
 		res.Cost = sums[masks[idx]]
 		res.Found = true
-	}
-	// Every tested candidate is a distinct mask, so the memo the build
-	// merges from the logs holds exactly Checked verdicts.
-	res.Frontier = &Frontier{
-		attrs:     s.attrs,
-		incumbent: res.Hidden,
-		found:     res.Found,
-		memoLen:   res.Stats.Checked,
-		log:       logs,
 	}
 	return res, nil
 }
@@ -339,9 +313,9 @@ func (s *Space) costSums() []float64 {
 
 // minCostStreaming scans the mask space in numeric order without the sorted
 // candidate list (used above sortedMax, where the list would not fit in
-// memory). Pruning uses a shared best-cost bound plus the domination stores;
-// each worker keeps its own incumbent and the results merge at the end with
-// the same (cost, lex) tie-break.
+// memory). Pruning uses a shared best-cost bound; each worker keeps its own
+// incumbent and the results merge at the end with the same (cost, lex)
+// tie-break.
 func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.Bool) (Result, error) {
 	n := 1 << s.K()
 	workers := opts.workers()
@@ -349,40 +323,11 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 		workers = n
 	}
 	all := s.All()
-	unsafeFront := newFrontier(DefaultFrontierCap)
-	safeFront := newFrontier(DefaultFrontierCap)
-	resumed, nSafe, nUnsafe := s.seedResume(opts.Resume, safeFront, unsafeFront)
-	memo := s.resumeMemo(opts.Resume)
-	// Below sortedMax (the warm-resume dispatch) a subset-sum table turns
-	// the per-mask cost into one array load; above it the table would not
-	// fit and the bit-loop CostOf stays.
-	var sums []float64
-	if s.K() <= sortedMax {
-		sums = s.costSums()
-	}
-	costAt := func(hidden Mask) float64 {
-		if sums != nil {
-			return sums[hidden]
-		}
-		return s.CostOf(hidden)
-	}
 	var bound atomicFloat
 	bound.Store(math.Inf(1))
-	if resumed {
-		// The complement of any seeded safe visible mask is a feasible
-		// hidden set under the current costs; its cost bounds the optimum
-		// from above, so candidates strictly above it prune immediately.
-		// Equal-cost candidates stay in play, keeping the lex tie-break —
-		// and thus the result — byte-identical to a cold run. The seed is
-		// priced with costAt, the scan's own evaluator, because a different
-		// summation order could land an ulp above the scan's price for the
-		// same mask and prune the known optimum (see seedBound).
-		bound.Store(s.seedBound(opts.Resume, costAt))
-	}
-	var pruned, memoHits atomic.Int64
+	var checked, pruned atomic.Int64
 	var firstErr atomic.Value
 	var failed atomic.Bool
-	freshVerd := make([][]verdict, workers)
 
 	type incumbent struct {
 		mask  Mask
@@ -397,93 +342,50 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var fresh []verdict
-			defer func() { freshVerd[w] = fresh }()
 			best := &bests[w]
-			accept := func(hidden Mask, cost float64) {
-				perm := s.perm(hidden)
-				if !best.found || cost < best.cost ||
-					(cost == best.cost && lexLess(perm, best.perm)) {
-					*best = incumbent{mask: hidden, perm: perm, cost: cost, found: true}
-					bound.StoreMin(cost)
-				}
-			}
 			// Masks are claimed in contiguous chunks (not a per-mask stride)
 			// so the shared atomics — the cancellation flags, the cost bound
-			// and the pruned counter — are touched once per chunk instead of
-			// once per mask. A stale (higher) bound read is sound: any value
-			// the bound ever held is the cost of a known-feasible solution,
-			// so masks strictly above it can never be optimal.
+			// and the counters — are touched once per chunk instead of once
+			// per mask. A stale (higher) bound read is sound: any value the
+			// bound ever held is the cost of a known-feasible solution, so
+			// masks strictly above it can never be optimal.
 			const chunk = 4096
-			prunedLocal, memoLocal := int64(0), int64(0)
+			var nChecked, nPruned int64
 			defer func() {
-				pruned.Add(prunedLocal)
-				memoHits.Add(memoLocal)
+				checked.Add(nChecked)
+				pruned.Add(nPruned)
 			}()
 			for base := w * chunk; base < n; base += workers * chunk {
 				if failed.Load() || cancelled.Load() {
 					return
 				}
 				b := bound.Load()
-				hi := base + chunk
-				if hi > n {
-					hi = n
-				}
+				hi := min(base+chunk, n)
 				for m := base; m < hi; m++ {
 					hidden := Mask(m)
 					// Strictly worse than the bound can never win; equal cost
-					// stays in play for the lexicographic tie-break. On warm
-					// re-solves the seeded bound prunes almost every mask
-					// here, before the domination scans.
-					var cost float64
-					if sums != nil {
-						cost = sums[m]
-					} else {
-						cost = s.CostOf(hidden)
-					}
+					// stays in play for the lexicographic tie-break.
+					cost := s.CostOf(hidden)
 					if cost > b {
-						prunedLocal++
+						nPruned++
 						continue
 					}
-					visible := all &^ hidden
-					switch {
-					case unsafeFront.dominatesSuper(visible):
-						prunedLocal++
-						continue
-					case safeFront.dominatesSub(visible):
-						prunedLocal++
-						accept(hidden, cost)
-						b = bound.Load()
-					default:
-						if safe, ok := memo[visible]; ok {
-							// Replay a memoized verdict; re-grow the stores in
-							// case a capped store dropped this mask before.
-							prunedLocal++
-							memoLocal++
-							if safe {
-								safeFront.insertMaximal(visible)
-								accept(hidden, cost)
-								b = bound.Load()
-							} else {
-								unsafeFront.insertMinimal(visible)
-							}
-							continue
-						}
-						safe, err := oracle(visible)
-						if err != nil {
-							firstErr.CompareAndSwap(nil, err)
-							failed.Store(true)
-							return
-						}
-						fresh = append(fresh, verdict{visible, safe})
-						if safe {
-							safeFront.insertMaximal(visible)
-							accept(hidden, cost)
-						} else {
-							unsafeFront.insertMinimal(visible)
-						}
-						b = bound.Load()
+					safe, err := oracle(all &^ hidden)
+					if err != nil {
+						firstErr.CompareAndSwap(nil, err)
+						failed.Store(true)
+						return
 					}
+					nChecked++
+					if safe {
+						perm := s.perm(hidden)
+						if !best.found || cost < best.cost ||
+							(cost == best.cost && lexLess(perm, best.perm)) {
+							*best = incumbent{mask: hidden, perm: perm, cost: cost, found: true}
+							bound.StoreMin(cost)
+						}
+					}
+					b = bound.Load()
 				}
 			}
 		}(w)
@@ -492,19 +394,8 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 	if err, ok := firstErr.Load().(error); ok {
 		return Result{}, err
 	}
-	checked := 0
-	for _, fresh := range freshVerd {
-		checked += len(fresh)
-	}
-	res := Result{Stats: Stats{
-		Checked:       checked,
-		Pruned:        int(pruned.Load()),
-		OraclePasses:  checked,
-		Resumed:       resumed,
-		ResumedSafe:   nSafe,
-		ResumedUnsafe: nUnsafe,
-		MemoHits:      int(memoHits.Load()),
-	}}
+	c := int(checked.Load())
+	res := Result{Stats: Stats{Checked: c, Pruned: int(pruned.Load()), OraclePasses: c}}
 	for _, b := range bests {
 		if !b.found {
 			continue
@@ -515,16 +406,6 @@ func (s *Space) minCostStreaming(oracle Oracle, opts Options, cancelled *atomic.
 			res.Cost = b.cost
 			res.Found = true
 		}
-	}
-	merged := mergeMemo(memo, freshVerd)
-	res.Frontier = &Frontier{
-		attrs:     s.attrs,
-		incumbent: res.Hidden,
-		found:     res.Found,
-		memoLen:   len(merged),
-		safe:      safeFront.snapshot(),
-		unsafe:    unsafeFront.snapshot(),
-		memo:      merged,
 	}
 	return res, nil
 }

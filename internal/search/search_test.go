@@ -228,8 +228,8 @@ func TestStreamingMatchesSortedAndNaive(t *testing.T) {
 
 // TestCheckedCountsOracleCalls pins the Stats.Checked contract: it counts
 // safety tests actually performed, nothing else, and each test is one
-// oracle call (OraclePasses == Checked == calls) — on the sorted,
-// streaming and resumed scans, at 1 and 4 workers.
+// oracle call (OraclePasses == Checked == calls) — on the sorted and
+// streaming scans, at 1 and 4 workers.
 func TestCheckedCountsOracleCalls(t *testing.T) {
 	attrs := []string{"a", "b", "c", "d", "e", "f"}
 	s := testSpace(t, attrs, map[string]float64{"a": 1, "b": 1, "c": 1, "d": 2, "e": 2, "f": 3})
@@ -238,13 +238,6 @@ func TestCheckedCountsOracleCalls(t *testing.T) {
 		calls.Add(1)
 		return bits.OnesCount32(uint32(v)) <= 3, nil
 	}
-	base, err := s.MinCost(oracle, Options{Parallelism: 1})
-	if err != nil || !base.Found {
-		t.Fatal(err)
-	}
-	// A cost-only edit, so the resumed scan has something left to test.
-	edits := map[string]float64{"a": 4, "b": 1, "c": 1, "d": 1, "e": 1, "f": 2}
-	edited := s.WithCosts(func(a string) float64 { return edits[a] })
 	for _, par := range []int{1, 4} {
 		scans := []struct {
 			name string
@@ -255,9 +248,6 @@ func TestCheckedCountsOracleCalls(t *testing.T) {
 			}},
 			{"streaming", func() (Result, error) {
 				return s.minCostStreaming(oracle, Options{Parallelism: par}, new(atomic.Bool))
-			}},
-			{"resumed", func() (Result, error) {
-				return edited.MinCost(oracle, Options{Parallelism: par, Resume: base.Frontier})
 			}},
 		}
 		for _, sc := range scans {
@@ -276,9 +266,6 @@ func TestCheckedCountsOracleCalls(t *testing.T) {
 			}
 			if st.Checked == 0 || st.Checked == 1<<len(attrs) {
 				t.Errorf("%s par=%d: Checked = %d, want some tests and some pruning", sc.name, par, st.Checked)
-			}
-			if sc.name == "resumed" && !st.Resumed {
-				t.Errorf("resumed par=%d: frontier not accepted", par)
 			}
 		}
 	}
@@ -419,84 +406,6 @@ func TestMinimalSafeHiddenMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestFrontier(t *testing.T) {
-	f := newFrontier(8)
-	f.insertMinimal(0b1100)
-	f.insertMinimal(0b0100) // subsumes 1100
-	f.insertMinimal(0b1100) // covered, ignored
-	if !f.dominatesSuper(0b0101) || f.dominatesSuper(0b0011) {
-		t.Error("minimal frontier domination wrong")
-	}
-	if len(f.masks) != 1 || f.masks[0] != 0b0100 {
-		t.Errorf("minimal frontier = %b", f.masks)
-	}
-	g := newFrontier(8)
-	g.insertMaximal(0b0100)
-	g.insertMaximal(0b1100) // subsumes 0100
-	g.insertMaximal(0b0100) // covered, ignored
-	if !g.dominatesSub(0b1000) || g.dominatesSub(0b0011) {
-		t.Error("maximal frontier domination wrong")
-	}
-	if len(g.masks) != 1 || g.masks[0] != 0b1100 {
-		t.Errorf("maximal frontier = %b", g.masks)
-	}
-}
-
-// twoPassInsert is the frontier insert the one-pass insertMinimal and
-// insertMaximal replaced, kept as their reference: a covering scan, then a
-// filtering rebuild, then append unless the store is at its cap. covers(e, u)
-// reports that entry e makes u redundant; evicts(u, e) that u makes e
-// redundant (⊆ for both in a minimal store, ⊇ in a maximal one).
-func twoPassInsert(f *frontier, u Mask, covers, evicts func(a, b Mask) bool) {
-	for _, e := range f.masks {
-		if covers(e, u) {
-			return
-		}
-	}
-	kept := f.masks[:0]
-	for _, e := range f.masks {
-		if !evicts(u, e) {
-			kept = append(kept, e)
-		}
-	}
-	f.masks = kept
-	if len(f.masks) < f.cap {
-		f.masks = append(f.masks, u)
-	}
-}
-
-// TestFrontierInsertMatchesTwoPass drives random insert sequences — small
-// universes so masks repeat, small caps so the store fills, and mixed
-// minimal/maximal inserts so the store need not be an antichain — through
-// the one-pass inserts and the two-pass reference, requiring identical
-// masks and order after every step.
-func TestFrontierInsertMatchesTwoPass(t *testing.T) {
-	subset := func(a, b Mask) bool { return a&b == a }   // a ⊆ b
-	superset := func(a, b Mask) bool { return a&b == b } // a ⊇ b
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 2000; trial++ {
-		capacity := 1 + rng.Intn(6)
-		width := 1 + rng.Intn(6)
-		mode := rng.Intn(3) // 0 minimal only, 1 maximal only, 2 mixed
-		got, want := newFrontier(capacity), newFrontier(capacity)
-		for step := 0; step < 40; step++ {
-			u := Mask(rng.Intn(1 << width))
-			minimal := mode == 0 || (mode == 2 && rng.Intn(2) == 0)
-			if minimal {
-				got.insertMinimal(u)
-				twoPassInsert(want, u, subset, subset)
-			} else {
-				got.insertMaximal(u)
-				twoPassInsert(want, u, superset, superset)
-			}
-			if !slices.Equal(got.masks, want.masks) {
-				t.Fatalf("trial %d step %d (cap %d, minimal=%v, insert %b): one-pass %b, two-pass %b",
-					trial, step, capacity, minimal, u, got.masks, want.masks)
-			}
-		}
-	}
-}
-
 func TestSetDefaultParallelism(t *testing.T) {
 	defer SetDefaultParallelism(0)
 	SetDefaultParallelism(3)
@@ -515,8 +424,8 @@ func TestSetDefaultParallelism(t *testing.T) {
 // TestPrunedBeatsNaiveOnChecks demonstrates the engine's point: when safety
 // hinges on hiding output attributes (which sit on the high mask bits, as in
 // ModuleView.Attrs), the naive numeric scan burns safety tests on a huge
-// prefix of the space while cost-ordered exploration plus the Proposition 1
-// frontier gets there in a handful.
+// prefix of the space while cost-ordered exploration with the best-index
+// bound gets there in a handful.
 func TestPrunedBeatsNaiveOnChecks(t *testing.T) {
 	k := 12
 	attrs := make([]string, k)

@@ -48,6 +48,15 @@ func ExactSetCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Exact
 	if err := p.Validate(Set); err != nil {
 		return Solution{}, ExactStats{}, err
 	}
+	return ExactSetValidCtx(ctx, p, maxNodes)
+}
+
+// ExactSetValidCtx is ExactSetCtx for a problem the caller has already
+// checked with p.Validate(Set), as the solve registry's capability check
+// does before every solve. Validation looks up every option's attribute
+// names, so on option-heavy problems a second pass costs about a quarter
+// of the solve. On a problem Validate rejects, the result is unspecified.
+func ExactSetValidCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, ExactStats, error) {
 	space := 1.0
 	for _, m := range p.Modules {
 		if !m.Public {

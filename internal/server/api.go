@@ -44,12 +44,7 @@ type SolveRequest struct {
 	// solve.Options.Timeout and propagates through the solver cancellation
 	// contract, so expiry surfaces within one pruning epoch.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-	// Base names the fingerprint of an earlier response to warm-start from
-	// (SolveResponse.Fingerprint). When the server still holds warm-start
-	// state for it, an engine solve resumes from that state — sound across
-	// cost-only edits because safety verdicts are cost-independent. A
-	// missing or evicted base silently degrades to a cold solve; the
-	// response's Warm field reports which happened.
+	// Base is accepted and ignored (see the package comment).
 	Base string `json:"base,omitempty"`
 	// Options tunes the solver budgets (zero fields keep solve defaults).
 	Options *OptionsSpec `json:"options,omitempty"`
@@ -90,13 +85,10 @@ type SolveResponse struct {
 	Counters   CountersSpec `json:"counters"`
 	ElapsedMs  int64        `json:"elapsedMs"`
 	// Fingerprint identifies THIS request's problem structure (costs
-	// excluded) — always returned, whether or not the request named a base,
-	// so an edit loop chains by echoing each response's fingerprint as the
-	// next request's base.
+	// excluded, solve.ProblemFingerprint): cost-only edits of one workflow
+	// share it.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Warm is true when the solver actually resumed from the request's base
-	// fingerprint; false on cold solves and when the base was unknown,
-	// evicted, or structurally incompatible.
+	// Warm is always false (see the package comment).
 	Warm bool `json:"warm,omitempty"`
 }
 
@@ -113,8 +105,7 @@ type CountersSpec struct {
 	Nodes   int `json:"nodes,omitempty"`
 	Checked int `json:"checked,omitempty"`
 	Pruned  int `json:"pruned,omitempty"`
-	// MemoHits counts candidates a warm-started engine answered from its
-	// imported verdict memo instead of the oracle.
+	// MemoHits is always zero (see the package comment).
 	MemoHits int `json:"memoHits,omitempty"`
 }
 

@@ -33,9 +33,9 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) *http.Resp
 
 // TestSnapshotRestoreOverHTTP is the operator's restart story end to end:
 // populate a server, snapshot via POST /v1/snapshot, boot a second server
-// from the file, and require byte-identical answers with the restored
-// warm state actually resuming. A corrupted file must boot a working cold
-// server, never a broken one.
+// from the file, and require byte-identical answers served from the
+// restored Session (a hit, never a re-derivation). A corrupted file must
+// boot a working cold server, never a broken one.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "session.snap")
@@ -46,8 +46,8 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	tsA := httptest.NewServer(a.Handler())
 	defer tsA.Close()
 
-	// Populate: an engine solve (derives a problem, exports a frontier)
-	// and a generated-class solve.
+	// Populate: an engine solve over a spec (derives a problem through the
+	// Session) and a generated-class solve.
 	engineReq := server.SolveRequest{Spec: allPrivateDoc(t, `{"a1": 1, "a2": 2, "b1": 3, "b2": 4}`), Solver: "engine"}
 	resp, raw := post(t, tsA, "/v1/solve", engineReq)
 	if resp.StatusCode != http.StatusOK {
@@ -95,17 +95,15 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 		t.Fatalf("restore not visible in stats: %+v", stB.Snapshot)
 	}
 
-	// The restored server must answer identically, resume warm from the
-	// carried frontier, and never re-derive (zero misses).
-	warmReq := engineReq
-	warmReq.Base = first.Fingerprint
-	resp, raw = post(t, tsB, "/v1/solve", warmReq)
+	// The restored server must answer identically, as a Session hit with
+	// zero misses.
+	resp, raw = post(t, tsB, "/v1/solve", engineReq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restored solve status %d: %s", resp.StatusCode, raw)
 	}
 	out := decodeSolve(t, raw)
-	if !out.Warm {
-		t.Fatal("restored server did not resume from the snapshot's frontier")
+	if st := b.Session().Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("restored solve was not served as a Session hit: %+v", st)
 	}
 	if out.Cost != first.Cost || strings.Join(out.Hidden, ",") != strings.Join(first.Hidden, ",") ||
 		out.Fingerprint != first.Fingerprint {

@@ -22,19 +22,19 @@
 // HTTP analog of cmd/secureview's exit code 3 — and one without returns
 // 504.
 //
-// Warm starts: every solve response carries the problem's structure
-// fingerprint (costs excluded). A client editing only costs echoes it back
-// as the next request's "base"; the engine solver then resumes from the
-// previous run's domination frontiers and verdict memo instead of
-// re-testing the whole candidate space, which turns an edit loop's
-// tens-of-milliseconds solves into low-millisecond ones. An unknown or
-// evicted base silently falls back to a cold solve (the response's "warm"
-// field reports which path ran), so chaining is always safe.
+// Edit chains: every solve response carries the problem's structure
+// fingerprint (costs excluded). Every solve runs cold; what makes a
+// cost-only edit cheap is the Session, which re-costs the cached problem
+// instead of re-deriving it. Three wire fields outlive the retired
+// warm-start tier, for clients and the served-path benchmark that still
+// name them: a request's "base" (the fingerprint to warm-start from) is
+// accepted and ignored, and SolveResponse.Warm and CountersSpec.MemoHits
+// are always zero, so "warm" and "memoHits" never appear on the wire.
 //
-// The shared Session is size-accounted: derived problems and warm-start
-// frontiers are evicted least-recently-used beyond Config.SessionBytes, so
-// serving an unbounded stream of distinct workflows holds steady-state
-// memory (watch /v1/stats to size the budget).
+// The shared Session is size-accounted: derived problems are evicted
+// least-recently-used beyond Config.SessionBytes, so serving an unbounded
+// stream of distinct workflows holds steady-state memory (watch /v1/stats
+// to size the budget).
 package server
 
 import (
@@ -442,9 +442,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		jr := &req.Jobs[i]
 		opts := jr.solveOptions(rj.v)
 		opts.Timeout = s.timeout(jr.TimeoutMs)
-		if jr.Base != "" {
-			opts.Resume = s.sess.Warm(jr.Base)
-		}
 		jobs = append(jobs, solve.Job{
 			Name:    fmt.Sprintf("job%d", i),
 			Problem: rj.p,
@@ -456,14 +453,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for j, res := range solve.SolveBatch(ctx, jobs, workers) {
 		i := jobIdx[j]
-		if res.Result.Frontier != nil {
-			s.sess.StoreWarm(jobFps[j], res.Result.Frontier)
-		}
 		elapsed := int64(0) // per-job wall clock is folded into the batch
 		code, resp, errMsg := mapOutcome(res.Result, res.Err, elapsed)
 		if resp != nil {
 			resp.Fingerprint = jobFps[j]
-			resp.Warm = res.Result.Resumed
 		}
 		out.Results[i] = BatchResult{Code: code, Response: resp, Error: errMsg}
 	}
@@ -472,11 +465,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // runJob resolves and solves one request, returning the HTTP status, the
 // response on success/partial, or an error message. The request's problem
-// fingerprint is computed from the resolved instance (never trusted from
-// the client), warm-start state for req.Base is looked up — an unknown or
-// evicted base silently degrades to a cold solve — and any frontier the
-// solver exports is stored under the request's own fingerprint so the
-// client can chain cost edits.
+// fingerprint is computed from the resolved instance, never trusted from
+// the client.
 func (s *Server) runJob(ctx context.Context, req *SolveRequest, d time.Duration) (int, *SolveResponse, string) {
 	v, p, code, errMsg := s.resolve(ctx, req)
 	if errMsg != "" {
@@ -484,19 +474,11 @@ func (s *Server) runJob(ctx context.Context, req *SolveRequest, d time.Duration)
 	}
 	opts := req.solveOptions(v)
 	opts.Timeout = d
-	fp := solve.ProblemFingerprint(p, v)
-	if req.Base != "" {
-		opts.Resume = s.sess.Warm(req.Base)
-	}
 	start := time.Now()
 	res, err := solve.Solve(ctx, req.Solver, p, opts)
-	if res.Frontier != nil {
-		s.sess.StoreWarm(fp, res.Frontier)
-	}
 	code, resp, errMsg := mapOutcome(res, err, time.Since(start).Milliseconds())
 	if resp != nil {
-		resp.Fingerprint = fp
-		resp.Warm = res.Resumed
+		resp.Fingerprint = solve.ProblemFingerprint(p, v)
 	}
 	return code, resp, errMsg
 }
@@ -595,10 +577,9 @@ func toResponse(res solve.Result, elapsedMs int64) *SolveResponse {
 			Theorem: res.Bound.Theorem,
 		},
 		Counters: CountersSpec{
-			Nodes:    res.Counters.Nodes,
-			Checked:  res.Counters.Checked,
-			Pruned:   res.Counters.Pruned,
-			MemoHits: res.Counters.MemoHits,
+			Nodes:   res.Counters.Nodes,
+			Checked: res.Counters.Checked,
+			Pruned:  res.Counters.Pruned,
 		},
 		ElapsedMs: elapsedMs,
 	}

@@ -12,19 +12,15 @@ import (
 
 // Shard mode routes every request fingerprint over the consistent-hash ring
 // and PROXIES non-owned solves to their owner, rather than fetching the
-// owner's warm frontier and solving locally. The tradeoff:
+// owner's cached state and solving locally. The tradeoff:
 //
-//   - Proxying keeps exactly one hot copy of each cache entry (problem,
-//     warm frontier) in the cluster, works for every solver (frontier
-//     fetch only helps the engine), costs one hop, and keeps the owner's
-//     LRU recency honest — the replica that owns a fingerprint sees all of
-//     its traffic.
-//   - Frontier fetch would keep solve CPU on the entry replica and tolerate
-//     slow owners better, but it duplicates the derived problem on every
-//     replica that ever sees the fingerprint (the cache scales per replica
-//     again, which is what sharding is meant to fix),
-//     and each fetched frontier goes stale the moment the owner advances
-//     the chain.
+//   - Proxying keeps exactly one hot copy of each derived problem in the
+//     cluster, costs one hop, and keeps the owner's LRU recency honest —
+//     the replica that owns a fingerprint sees all of its traffic.
+//   - Fetching would keep solve CPU on the entry replica and tolerate slow
+//     owners better, but it duplicates the derived problem on every replica
+//     that ever sees the fingerprint: the cache scales per replica again,
+//     which is what sharding is meant to fix.
 //
 // Since the point of the ring is to scale CACHE capacity horizontally, the
 // single-hot-copy property wins. Owner failure is absorbed locally: a
@@ -40,8 +36,8 @@ const forwardedHeader = "X-Secureview-Forwarded"
 //
 //   - spec documents route on the cost-EXCLUDED structural fingerprint of
 //     the derivation, so an edit chain (same workflow, tweaked costs) pins
-//     to one owner and aggregates its warm frontiers and delta sources
-//     there instead of scattering them across the ring;
+//     to one owner, whose Session re-costs its cached problem instead of
+//     each replica deriving it again;
 //   - generated references route on the literal (class, seed, variant, Γ)
 //     tuple — no need to build the instance just to route it.
 //

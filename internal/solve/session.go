@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"secureview/internal/privacy"
-	"secureview/internal/search"
 	"secureview/internal/secureview"
 	"secureview/internal/workflow"
 )
@@ -19,8 +18,7 @@ import (
 // Session caches the expensive immutable state behind repeated solve
 // requests: derived Secure-View problems (the per-module standalone
 // analyses of Theorems 4/8 dominate end-to-end latency), keyed by content
-// fingerprints so renamed handles to the same workflow share entries, and
-// the engine's warm-start frontiers, keyed by problem fingerprint. All
+// fingerprints so renamed handles to the same workflow share entries. All
 // cached values are immutable after construction and safe to share across
 // goroutines; a Session is safe for concurrent use, and concurrent requests
 // for the same fingerprint perform the work once (later arrivals block on
@@ -42,7 +40,6 @@ type Session struct {
 	maxBytes int64
 	bytes    int64
 	problems map[string]*sessionEntry
-	warm     map[string]*sessionEntry
 	// structIdx maps a derivation's cost-independent structure key to the
 	// most recent completed problem entry with that structure, powering the
 	// DeltaDerive fast path: a request whose full key misses but whose
@@ -50,25 +47,22 @@ type Session struct {
 	// the per-module analyses. Maintained under mu; entries are removed when
 	// the backing problem entry is evicted.
 	structIdx map[string]*sessionEntry
-	// LRU list over both caches; front = most recently used.
+	// LRU list; front = most recently used.
 	front, back  *sessionEntry
 	hits         int
 	misses       int
 	evictions    int
-	warmHits     int
-	warmMisses   int
 	deltaDerives int
 }
 
-// sessionEntry is one cached derivation or warm frontier. done/size/p/err
+// sessionEntry is one cached derivation. done/size/p/err
 // are guarded by mu (the singleflight lock: the first caller derives while
 // later arrivals block); the list links and the accounted/evicted flags are
 // guarded by the Session mutex. accounted marks that size has been added to
 // the session byte total (i.e. the derivation committed), which is what the
 // eviction walk keys on — entries still deriving carry no accounted bytes.
 type sessionEntry struct {
-	key  string
-	kind entryKind // which map the entry lives in
+	key string
 
 	mu   sync.Mutex
 	done bool
@@ -79,23 +73,10 @@ type sessionEntry struct {
 	prev, next *sessionEntry
 	accounted  bool
 	evicted    bool
-	// structKey links a completed problem entry to its structIdx slot so
-	// eviction can drop the index entry; f is a warm entry's payload. Both
-	// are guarded by the Session mutex (warm entries never use the
-	// singleflight lock: StoreWarm installs a complete value in one step).
+	// structKey links a completed entry to its structIdx slot so eviction
+	// can drop the index entry. Guarded by the Session mutex.
 	structKey string
-	f         *search.Frontier
 }
-
-// entryKind selects which Session map an entry lives in. The values are
-// the snapshot wire tags, so they must not change; 0 is retired (earlier
-// snapshots used it for compiled-oracle entries) and Restore refuses it.
-type entryKind int8
-
-const (
-	kindProblem entryKind = 1
-	kindWarm    entryKind = 2
-)
 
 // NewSession returns an empty session with no size bound.
 func NewSession() *Session {
@@ -104,13 +85,11 @@ func NewSession() *Session {
 
 // NewSessionBytes returns an empty session that keeps its accounted cache
 // size at or below maxBytes by LRU eviction (0 = unbounded). The accounting
-// is an estimate of resident size (problem specs and warm frontiers), not
-// exact heap usage.
+// is an estimate of resident size (problem specs), not exact heap usage.
 func NewSessionBytes(maxBytes int64) *Session {
 	return &Session{
 		maxBytes:  maxBytes,
 		problems:  make(map[string]*sessionEntry),
-		warm:      make(map[string]*sessionEntry),
 		structIdx: make(map[string]*sessionEntry),
 	}
 }
@@ -124,26 +103,21 @@ type SessionStats struct {
 	Misses int `json:"misses"`
 	// Evictions counts entries removed under memory pressure.
 	Evictions int `json:"evictions"`
-	// WarmHits and WarmMisses count warm-start frontier lookups by
-	// fingerprint; they are tracked separately from Hits/Misses because a
-	// warm miss is not a derivation (the solve proceeds cold) and a warm hit
-	// does not skip one.
+	// WarmHits and WarmMisses are always 0 (see RetiredFrontier).
 	WarmHits   int `json:"warmHits"`
 	WarmMisses int `json:"warmMisses"`
 	// DeltaDerives counts problem derivations served by re-costing a cached
 	// structurally identical problem instead of re-running the per-module
 	// analyses (a subset of Misses).
 	DeltaDerives int `json:"deltaDerives"`
-	// Entries and Bytes are the current occupancy across all caches;
-	// MaxBytes echoes the configured budget (0 = unbounded). Bytes never
+	// Entries and Bytes are the current occupancy; MaxBytes echoes the configured budget (0 = unbounded). Bytes never
 	// exceeds MaxBytes when a budget is set.
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
 	MaxBytes int64 `json:"maxBytes"`
 }
 
-// Stats reports cache hits, misses, evictions and current occupancy across
-// both caches.
+// Stats reports cache hits, misses, evictions and current occupancy.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,21 +125,11 @@ func (s *Session) Stats() SessionStats {
 		Hits:         s.hits,
 		Misses:       s.misses,
 		Evictions:    s.evictions,
-		WarmHits:     s.warmHits,
-		WarmMisses:   s.warmMisses,
 		DeltaDerives: s.deltaDerives,
-		Entries:      len(s.problems) + len(s.warm),
+		Entries:      len(s.problems),
 		Bytes:        s.bytes,
 		MaxBytes:     s.maxBytes,
 	}
-}
-
-// mapFor returns the cache map an entry kind lives in. Caller holds s.mu.
-func (s *Session) mapFor(k entryKind) map[string]*sessionEntry {
-	if k == kindWarm {
-		return s.warm
-	}
-	return s.problems
 }
 
 // lookup returns the problem entry for key, creating it on first request,
@@ -175,7 +139,7 @@ func (s *Session) lookup(key string) *sessionEntry {
 	defer s.mu.Unlock()
 	e, ok := s.problems[key]
 	if !ok {
-		e = &sessionEntry{key: key, kind: kindProblem}
+		e = &sessionEntry{key: key}
 		s.problems[key] = e
 	}
 	s.touchLocked(e)
@@ -269,18 +233,17 @@ func (s *Session) discard(e *sessionEntry) {
 	if e.evicted || e.accounted {
 		return
 	}
-	m := s.mapFor(e.kind)
 	// Guard against ABA: if pressure evicted e and a later caller re-created
 	// the key, the map now holds a different entry that must survive.
-	if m[e.key] != e {
+	if s.problems[e.key] != e {
 		return
 	}
 	e.evicted = true
-	delete(m, e.key)
+	delete(s.problems, e.key)
 	s.unlinkLocked(e)
 }
 
-// evictLocked removes e from its map and the LRU list. Caller holds s.mu.
+// evictLocked removes e from the cache and the LRU list. Caller holds s.mu.
 func (s *Session) evictLocked(e *sessionEntry) {
 	if e.evicted {
 		return
@@ -290,7 +253,7 @@ func (s *Session) evictLocked(e *sessionEntry) {
 		s.bytes -= e.size
 		e.accounted = false
 	}
-	delete(s.mapFor(e.kind), e.key)
+	delete(s.problems, e.key)
 	if e.structKey != "" && s.structIdx[e.structKey] == e {
 		delete(s.structIdx, e.structKey)
 	}

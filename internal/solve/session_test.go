@@ -3,11 +3,14 @@ package solve_test
 import (
 	"context"
 	"errors"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"secureview/internal/gen"
+	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
 )
@@ -204,6 +207,122 @@ func TestSessionCancelledBeforeLookup(t *testing.T) {
 	}
 	if st := sess.Stats(); st.Entries != 0 {
 		t.Fatalf("dead-on-arrival request created an entry: %+v", st)
+	}
+}
+
+// editCosts returns a deterministic cost-only rewrite of p: every attribute
+// gets a new positive cost derived from its rank, shuffling which optima are
+// cheap without touching structure.
+func editCosts(p *secureview.Problem, round int) privacy.Costs {
+	names := make([]string, 0, len(p.Costs))
+	for a := range p.Costs {
+		names = append(names, a)
+	}
+	sort.Strings(names)
+	out := make(privacy.Costs, len(names))
+	for i, a := range names {
+		out[a] = float64((i*7+round*3)%5) + 0.5
+	}
+	return out
+}
+
+// TestProblemFingerprintCostOnly pins the warm-start key contract: the
+// fingerprint ignores costs (so cost-only edits chain through one warm
+// entry) but separates variants and structures.
+func TestProblemFingerprintCostOnly(t *testing.T) {
+	p := gen.Problem(gen.ProblemClasses()[0].Cfg, 1)
+	fp := solve.ProblemFingerprint(p, secureview.Set)
+	if len(fp) != 64 || strings.ContainsAny(fp, "{}\"\n") {
+		t.Fatalf("fingerprint not a hex digest: %q", fp)
+	}
+
+	edited := &secureview.Problem{Modules: p.Modules, Costs: editCosts(p, 1)}
+	if got := solve.ProblemFingerprint(edited, secureview.Set); got != fp {
+		t.Fatalf("cost-only edit changed the fingerprint: %s vs %s", got, fp)
+	}
+	if got := solve.ProblemFingerprint(p, secureview.Cardinality); got == fp {
+		t.Fatal("variants share a fingerprint")
+	}
+	other := gen.Problem(gen.ProblemClasses()[0].Cfg, 2)
+	if got := solve.ProblemFingerprint(other, secureview.Set); got == fp {
+		t.Fatal("distinct structures share a fingerprint")
+	}
+}
+
+// TestSessionDeltaDerive: a second derivation of the same workflow under new
+// costs must be served by re-costing the cached problem (DeltaDerives=1),
+// and the re-costed problem must be indistinguishable from a fresh
+// derivation with those costs.
+func TestSessionDeltaDerive(t *testing.T) {
+	ctx := context.Background()
+	it := tinyInstance(t, 7)
+	sess := solve.NewSession()
+	if _, err := sess.Problem(ctx, it.W, secureview.Cardinality,
+		it.Gamma, it.Costs, it.PrivatizeCosts); err != nil {
+		t.Fatal(err)
+	}
+	edited := make(privacy.Costs, len(it.Costs))
+	for i, a := range it.W.Schema().Names() {
+		edited[a] = float64((i*5)%3) + 1.5
+	}
+	got, err := sess.Problem(ctx, it.W, secureview.Cardinality,
+		it.Gamma, edited, it.PrivatizeCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sess.Stats()
+	if st.DeltaDerives != 1 || st.Misses != 2 {
+		t.Fatalf("deltaDerives=%d misses=%d, want 1/2 (cost-only edit must re-cost, and still count as a miss)",
+			st.DeltaDerives, st.Misses)
+	}
+	fresh, err := secureview.DeriveCardProblem(it.W, it.Gamma, edited, it.PrivatizeCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.ProblemFingerprint(got) != gen.ProblemFingerprint(fresh) {
+		t.Fatal("delta-derived problem differs from a fresh derivation under the same costs")
+	}
+
+	// A structural change (different Γ) must NOT take the delta path. The
+	// derivation may legitimately fail (infeasible at the higher Γ) — a
+	// delta hit would instead have silently returned the cached Γ problem.
+	if _, err := sess.Problem(ctx, it.W, secureview.Cardinality,
+		it.Gamma+1, edited, it.PrivatizeCosts); err == nil {
+		dp, err := secureview.DeriveCardProblem(it.W, it.Gamma+1, edited, it.PrivatizeCosts)
+		if err != nil {
+			t.Fatalf("session derived at Γ+1 where direct derivation fails: %v", err)
+		}
+		_ = dp
+	}
+	if st := sess.Stats(); st.DeltaDerives != 1 {
+		t.Fatalf("gamma change was delta-derived (deltaDerives=%d)", st.DeltaDerives)
+	}
+}
+
+// TestSessionWarmCache pins the retired warm cache's inert surface, which
+// the served-path benchmark still calls: Warm returns nil and counts
+// nothing, and StoreWarm stores nothing, so no warm traffic reaches the
+// derivation counters or the byte accounting.
+func TestSessionWarmCache(t *testing.T) {
+	ctx := context.Background()
+	p := gen.Problem(gen.ProblemClasses()[0].Cfg, 1)
+	res, err := solve.Solve(ctx, "engine", p, solve.Options{Variant: secureview.Set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frontier != nil || res.Resumed || res.Counters.MemoHits != 0 {
+		t.Fatalf("engine result carries warm state: frontier=%v resumed=%v memoHits=%d",
+			res.Frontier, res.Resumed, res.Counters.MemoHits)
+	}
+	fp := solve.ProblemFingerprint(p, secureview.Set)
+	sess := solve.NewSessionBytes(1 << 20)
+	sess.StoreWarm(fp, res.Frontier)
+	sess.StoreWarm(fp, &solve.RetiredFrontier{})
+	if f := sess.Warm(fp); f != nil {
+		t.Fatalf("Warm returned %p, want nil", f)
+	}
+	if st := sess.Stats(); st != (solve.SessionStats{MaxBytes: 1 << 20}) {
+		t.Fatalf("warm calls changed the session: %+v", st)
 	}
 }
 

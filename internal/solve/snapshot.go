@@ -9,38 +9,42 @@ import (
 	"sort"
 
 	"secureview/internal/privacy"
-	"secureview/internal/search"
 	"secureview/internal/secureview"
 	"secureview/internal/wire"
 	"secureview/internal/workflow"
 )
 
-// Session snapshot/restore: the hot state a warmed server carries — derived
-// problems and warm-start frontiers — serialized to a versioned, checksummed
-// binary stream so a restart (or a fresh replica) boots with the cache it
-// would otherwise spend minutes re-deriving.
+// Session snapshot/restore: the hot state a warmed server carries — its
+// derived problems — serialized to a versioned, checksummed binary stream
+// so a restart (or a fresh replica) boots with the cache it would otherwise
+// spend minutes re-deriving.
 //
 // Restore is all-or-nothing and trust-bounded: the whole payload is
-// CRC-verified and fully decoded (every count, domain, digit and mask
-// re-validated by the per-package codecs) before a single entry is
-// installed, so a corrupt, truncated or version-bumped file degrades to an
-// empty session instead of a panic, a poisoned cache, or an error loop.
+// CRC-verified and fully decoded (every count, key length and requirement
+// bound re-validated) before a single entry is installed, so a corrupt,
+// truncated or version-bumped file degrades to an empty session instead of
+// a panic, a poisoned cache, or an error loop.
 // Entry sizes are recomputed locally — never trusted from the file — and
 // installation runs through the normal accounting paths, so restoring into
 // a smaller byte budget simply evicts from the least-recent end.
 
 // SnapshotVersion is the wire version of the session snapshot format. It
-// must be bumped on ANY change to the entry encodings below or to the
-// frontier codec in internal/search; restore refuses other versions
-// outright — snapshots are rebuildable caches, so cross-version migration
-// is deliberately not attempted.
+// must be bumped on ANY change to the entry encoding below; restore refuses
+// other versions outright — snapshots are rebuildable caches, so
+// cross-version migration is deliberately not attempted.
 const SnapshotVersion = 1
+
+// problemEntry is the wire tag of a derived-problem entry, the only kind a
+// snapshot carries. Tags 0 (compiled module oracles) and 2 (warm-start
+// frontiers) are retired: Restore refuses a snapshot holding either, as a
+// whole.
+const problemEntry = 1
 
 // StructuralFingerprint returns the hex cost-independent structure key of a
 // derivation request. Cost-only edits of a workflow share it, which is what
 // makes it the sharding route key: an edit chain pins to one owner replica,
-// whose session then aggregates the chain's warm frontiers and delta
-// sources instead of scattering them across the ring.
+// whose session then holds the chain's delta source instead of scattering
+// re-derivations across the ring.
 func StructuralFingerprint(w *workflow.Workflow, v secureview.Variant, gamma uint64) string {
 	_, structural := workflowKeys(w, v, gamma, nil, nil)
 	return hex.EncodeToString([]byte(structural))
@@ -60,30 +64,13 @@ func (s *Session) Snapshot(w io.Writer) error {
 	for e := s.back; e != nil; e = e.prev {
 		// accounted was set under s.mu strictly after the deriving goroutine
 		// completed the entry, so reading the payload fields here is ordered.
-		if !e.accounted || e.err != nil {
+		if !e.accounted || e.err != nil || e.p == nil {
 			continue
 		}
-		var enc []byte
-		switch e.kind {
-		case kindProblem:
-			if e.p == nil {
-				continue
-			}
-			enc = wire.AppendU32(enc, uint32(kindProblem))
-			enc = wire.AppendString(enc, e.key)
-			enc = wire.AppendString(enc, e.structKey)
-			enc = appendProblem(enc, e.p)
-		case kindWarm:
-			if e.f == nil {
-				continue
-			}
-			enc = wire.AppendU32(enc, uint32(kindWarm))
-			enc = wire.AppendString(enc, e.key)
-			enc = e.f.AppendBinary(enc)
-		default:
-			continue
-		}
-		body = append(body, enc...)
+		body = wire.AppendU32(body, problemEntry)
+		body = wire.AppendString(body, e.key)
+		body = wire.AppendString(body, e.structKey)
+		body = appendProblem(body, e.p)
 		n++
 	}
 	s.mu.Unlock()
@@ -97,11 +84,9 @@ func (s *Session) Snapshot(w io.Writer) error {
 // restoredEntry is one fully decoded and validated snapshot entry, staged
 // before installation.
 type restoredEntry struct {
-	kind      entryKind
 	key       string
 	structKey string
 	p         *secureview.Problem
-	f         *search.Frontier
 }
 
 // Restore reads a snapshot from rd and installs its entries into the
@@ -127,34 +112,26 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 	}
 	entries := make([]restoredEntry, 0, n)
 	for i := 0; i < n; i++ {
-		re := restoredEntry{kind: entryKind(r.U32()), key: r.String()}
+		kind := r.U32()
+		re := restoredEntry{key: r.String()}
 		if err := r.Err(); err != nil {
 			return 0, err
 		}
-		switch re.kind {
-		case kindProblem:
-			if len(re.key) != sha256.Size {
-				return 0, fmt.Errorf("solve: snapshot problem key of %d bytes", len(re.key))
-			}
-			re.structKey = r.String()
-			if err := r.Err(); err != nil {
-				return 0, err
-			}
-			if len(re.structKey) != 0 && len(re.structKey) != sha256.Size {
-				return 0, fmt.Errorf("solve: snapshot structure key of %d bytes", len(re.structKey))
-			}
-			if re.p, err = decodeProblem(r); err != nil {
-				return 0, err
-			}
-		case kindWarm:
-			if len(re.key) != 2*sha256.Size {
-				return 0, fmt.Errorf("solve: snapshot warm key of %d bytes", len(re.key))
-			}
-			if re.f, err = search.DecodeFrontier(r); err != nil {
-				return 0, err
-			}
-		default:
-			return 0, fmt.Errorf("solve: snapshot entry kind %d", re.kind)
+		if kind != problemEntry {
+			return 0, fmt.Errorf("solve: snapshot entry kind %d", kind)
+		}
+		if len(re.key) != sha256.Size {
+			return 0, fmt.Errorf("solve: snapshot problem key of %d bytes", len(re.key))
+		}
+		re.structKey = r.String()
+		if err := r.Err(); err != nil {
+			return 0, err
+		}
+		if len(re.structKey) != 0 && len(re.structKey) != sha256.Size {
+			return 0, fmt.Errorf("solve: snapshot structure key of %d bytes", len(re.structKey))
+		}
+		if re.p, err = decodeProblem(r); err != nil {
+			return 0, err
 		}
 		entries = append(entries, re)
 	}
@@ -169,21 +146,12 @@ func (s *Session) Restore(rd io.Reader) (int, error) {
 	defer s.mu.Unlock()
 	installed := 0
 	for _, re := range entries {
-		m := s.mapFor(re.kind)
-		if _, ok := m[re.key]; ok {
+		if _, ok := s.problems[re.key]; ok {
 			continue
 		}
-		e := &sessionEntry{key: re.key, kind: re.kind, done: true}
-		switch re.kind {
-		case kindProblem:
-			e.p = re.p
-			e.size = problemSize(re.p)
-			e.structKey = re.structKey
-		case kindWarm:
-			e.f = re.f
-			e.size = entrySize + int64(len(re.key)) + re.f.MemSize()
-		}
-		m[re.key] = e
+		e := &sessionEntry{key: re.key, done: true, p: re.p,
+			size: problemSize(re.p), structKey: re.structKey}
+		s.problems[re.key] = e
 		s.touchLocked(e)
 		e.accounted = true
 		s.bytes += e.size

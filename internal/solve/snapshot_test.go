@@ -15,10 +15,9 @@ import (
 	"secureview/internal/wire"
 )
 
-// populatedSession derives and warm-solves every generator class into one
+// populateSession derives and solves every generator class through one
 // session, returning the solve results the restored session must
-// reproduce. Engine results carry frontiers, which also populates the warm
-// tier.
+// reproduce.
 type popResult struct {
 	inst    *gen.Instance
 	variant secureview.Variant
@@ -42,9 +41,6 @@ func populateSession(t *testing.T, sess *solve.Session) []popResult {
 				if err != nil {
 					continue
 				}
-				if res.Frontier != nil {
-					sess.StoreWarm(solve.ProblemFingerprint(p, v), res.Frontier)
-				}
 				out = append(out, popResult{inst, v, sv.Name(), res})
 			}
 		}
@@ -58,9 +54,8 @@ func populateSession(t *testing.T, sess *solve.Session) []popResult {
 // TestSnapshotRoundTrip is the tentpole property: a restored session is
 // indistinguishable from the source. Re-snapshotting it is byte-identical
 // (same entries, same LRU order, same deterministic encodings), every
-// derivation re-request is a cache hit, every warm fingerprint is a warm
-// hit, and re-solving through the restored state returns byte-identical
-// solutions.
+// derivation re-request is a cache hit, and re-solving through the
+// restored state returns byte-identical solutions.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	src := solve.NewSession()
@@ -108,15 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restored derivation failed: %v", err)
 		}
-		opts := solve.Options{Variant: pr.variant}
-		if pr.res.Frontier != nil {
-			if f := restored.Warm(solve.ProblemFingerprint(p, pr.variant)); f == nil {
-				t.Fatalf("%s/%s: warm frontier did not survive the snapshot", pr.solver, pr.variant)
-			} else {
-				opts.Resume = f
-			}
-		}
-		res, err := solve.Solve(ctx, pr.solver, p, opts)
+		res, err := solve.Solve(ctx, pr.solver, p, solve.Options{Variant: pr.variant})
 		if err != nil {
 			t.Fatalf("restored solve %s: %v", pr.solver, err)
 		}
@@ -138,8 +125,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if stats.Misses != 0 {
 		t.Fatalf("restored session re-derived: %+v", stats)
 	}
-	if stats.Hits == 0 || stats.WarmHits == 0 {
-		t.Fatalf("restored session did not serve from cache: %+v", stats)
+	if stats.Hits != len(results) {
+		t.Fatalf("restored session served %d of %d derivations from cache: %+v", stats.Hits, len(results), stats)
 	}
 }
 
@@ -244,12 +231,14 @@ func TestRestoreKeepsLiveEntries(t *testing.T) {
 	_ = p1
 }
 
-// committedSnapshot reads a snapshot file committed under testdata. Both
-// were written by an earlier build of this package: session-v1.snap holds
-// the set and cardinality problems of the chain and tree-constant classes
-// (seed 3) plus the engine's warm frontier for each; session-v1-oracle.snap
-// holds one problem entry followed by an entry of kind 0, the compiled
-// module oracle that snapshots used to carry.
+// committedSnapshot reads a snapshot file committed under testdata. All
+// were written by earlier builds of this package, from the set and
+// cardinality problems of the chain and tree-constant classes (seed 3):
+// session-v1-problems.snap holds those four problem entries alone;
+// session-v1.snap holds them plus the engine's warm-start frontier for each
+// (entry kind 2); session-v1-oracle.snap holds one problem entry followed
+// by an entry of kind 0, the compiled module oracle that snapshots used to
+// carry.
 func committedSnapshot(tb testing.TB, name string) []byte {
 	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -259,17 +248,18 @@ func committedSnapshot(tb testing.TB, name string) []byte {
 	return data
 }
 
-// TestRestoreCommittedSnapshot pins format compatibility: a snapshot
-// written before the oracle entries were dropped still restores and
+// TestRestoreCommittedSnapshot pins format compatibility: a problems-only
+// snapshot written before warm starts were retired still restores and
 // re-snapshots byte for byte, and its entries still answer the requests
-// that produced them (derivation keys and warm fingerprints unchanged). A
-// snapshot carrying the removed oracle kind is refused as a whole.
+// that produced them (derivation keys unchanged). Snapshots carrying a
+// retired entry kind — warm-start frontiers or compiled oracles — are
+// refused as a whole.
 func TestRestoreCommittedSnapshot(t *testing.T) {
 	ctx := context.Background()
-	snap := committedSnapshot(t, "session-v1.snap")
+	snap := committedSnapshot(t, "session-v1-problems.snap")
 	sess, n, err := solve.RestoreSession(bytes.NewReader(snap), 0)
-	if err != nil || n != 8 {
-		t.Fatalf("RestoreSession: n=%d err=%v, want 8 entries", n, err)
+	if err != nil || n != 4 {
+		t.Fatalf("RestoreSession: n=%d err=%v, want 4 entries", n, err)
 	}
 	var again bytes.Buffer
 	if err := sess.Snapshot(&again); err != nil {
@@ -285,35 +275,35 @@ func TestRestoreCommittedSnapshot(t *testing.T) {
 		}
 		inst := rv.Instance
 		for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
-			p, err := sess.Problem(ctx, inst.W, v, inst.Gamma, inst.Costs, inst.PrivatizeCosts)
-			if err != nil {
+			if _, err := sess.Problem(ctx, inst.W, v, inst.Gamma, inst.Costs, inst.PrivatizeCosts); err != nil {
 				t.Fatalf("%s/%s: %v", class, v, err)
-			}
-			if sess.Warm(solve.ProblemFingerprint(p, v)) == nil {
-				t.Fatalf("%s/%s: warm frontier missing", class, v)
 			}
 		}
 	}
-	if st := sess.Stats(); st.Misses != 0 || st.Hits != 4 || st.WarmHits != 4 {
+	if st := sess.Stats(); st.Misses != 0 || st.Hits != 4 {
 		t.Fatalf("restored entries did not serve their requests: %+v", st)
 	}
 
-	s, n, err := solve.RestoreSession(bytes.NewReader(committedSnapshot(t, "session-v1-oracle.snap")), 0)
-	if err == nil || !strings.Contains(err.Error(), "entry kind 0") {
-		t.Fatalf("oracle-kind snapshot: got %v, want an entry-kind rejection", err)
-	}
-	if n != 0 || s.Stats().Entries != 0 {
-		t.Fatalf("oracle-kind snapshot partially installed: n=%d %+v", n, s.Stats())
+	for _, c := range []struct{ file, kind string }{
+		{"session-v1.snap", "entry kind 2"},
+		{"session-v1-oracle.snap", "entry kind 0"},
+	} {
+		s, n, err := solve.RestoreSession(bytes.NewReader(committedSnapshot(t, c.file)), 0)
+		if err == nil || !strings.Contains(err.Error(), c.kind) {
+			t.Fatalf("%s: got %v, want an %q rejection", c.file, err, c.kind)
+		}
+		if n != 0 || s.Stats().Entries != 0 {
+			t.Fatalf("%s partially installed: n=%d %+v", c.file, n, s.Stats())
+		}
 	}
 }
 
 // FuzzRestoreSession drives snapshot payloads through Restore. Every input
 // is sealed with the current version and a valid checksum, so mutations
-// reach the entry decoders (problems and search frontiers) rather than
-// stopping at the envelope. Restore must never panic; a refused payload
+// reach the entry decoder rather than stopping at the envelope. Restore must never panic; a refused payload
 // leaves the session empty, and either way the session keeps serving.
 func FuzzRestoreSession(f *testing.F) {
-	for _, name := range []string{"session-v1.snap", "session-v1-oracle.snap"} {
+	for _, name := range []string{"session-v1.snap", "session-v1-oracle.snap", "session-v1-problems.snap"} {
 		payload, err := wire.Open(committedSnapshot(f, name), solve.SnapshotVersion)
 		if err != nil {
 			f.Fatal(err)

@@ -14,9 +14,10 @@
 //   - a registry keyed by solver name with per-(problem, variant)
 //     capability checks, so callers enumerate what is applicable instead of
 //     hard-coding call sites.
-//   - Session: fingerprint-keyed caches of derived problems and warm-start
-//     frontiers, so repeated requests against the same workflow share
-//     immutable state across goroutines.
+//   - Session: a fingerprint-keyed cache of derived problems, so repeated
+//     requests against the same workflow share immutable state across
+//     goroutines, and cost-only edits re-cost a cached problem instead of
+//     re-deriving it.
 //   - SolveBatch: a concurrent front-end sharding many (problem, solver)
 //     jobs over a GOMAXPROCS pool with per-job deadlines.
 //   - the portfolio meta-solver: a fixed plan over the registry, exact tier
@@ -35,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"secureview/internal/search"
 	"secureview/internal/secureview"
 )
 
@@ -53,13 +53,8 @@ type Options struct {
 	MaxAttrs int
 	// Workers is the engine solver's worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Resume seeds the engine solver with warm-start state exported by an
-	// earlier run over the same attribute universe (Result.Frontier).
-	// Safety verdicts are cost-independent, so a frontier stays valid across
-	// cost-only edits of a problem; a mismatched universe is conservatively
-	// ignored and the solve degrades to a cold run (Result.Resumed reports
-	// which happened). Solvers other than the engine ignore it.
-	Resume *search.Frontier
+	// Resume is ignored (see RetiredFrontier).
+	Resume *RetiredFrontier
 	// Seed seeds the randomized cardinality LP rounding (default 1).
 	Seed int64
 	// Trials repeats the randomized rounding, keeping the cheapest feasible
@@ -114,12 +109,7 @@ type Counters struct {
 	// OraclePasses counts engine oracle invocations: one per safety test,
 	// so it equals Checked.
 	OraclePasses int
-	// ResumedSafe and ResumedUnsafe count warm-start masks imported from
-	// Options.Resume into the engine's domination stores (0 on cold runs).
-	ResumedSafe   int
-	ResumedUnsafe int
-	// MemoHits counts candidates answered from the warm-start verdict memo
-	// instead of the oracle.
+	// MemoHits is always 0 (see RetiredFrontier).
 	MemoHits int
 }
 
@@ -141,14 +131,10 @@ type Result struct {
 	Bound Bound
 	// Counters reports search effort.
 	Counters Counters
-	// Resumed is true when the engine solver accepted Options.Resume and
-	// actually seeded its search from it (false on cold runs and when the
-	// frontier's universe did not match).
-	Resumed bool
-	// Frontier is the warm-start state the engine solver exported for this
-	// problem's attribute universe — feed it back via Options.Resume after a
-	// cost-only edit. Nil for every other solver and for cancelled runs.
-	Frontier *search.Frontier
+	// Resumed is always false and Frontier always nil (see
+	// RetiredFrontier).
+	Resumed  bool
+	Frontier *RetiredFrontier
 }
 
 // Capabilities declares what a solver can do, as data: which variants it
@@ -224,9 +210,11 @@ type Solver interface {
 	// universe too large, ...). Implementations derive this from
 	// Capabilities().check plus any instance-shape checks of their own.
 	Supports(p *secureview.Problem, v secureview.Variant) error
-	// Solve runs the solver. Implementations observe ctx within one pruning
-	// epoch and return ctx.Err() on expiry (with Result.Partial set when an
-	// incumbent is available).
+	// Solve runs the solver on a problem Supports accepted: the
+	// package-level Solve, For and the portfolio check Supports first, so
+	// implementations need not validate p again. They observe ctx within
+	// one pruning epoch and return ctx.Err() on expiry (with Result.Partial
+	// set when an incumbent is available).
 	Solve(ctx context.Context, p *secureview.Problem, opts Options) (Result, error)
 }
 

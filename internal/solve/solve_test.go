@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -263,6 +264,44 @@ func TestSolveBatchCancelledContext(t *testing.T) {
 	for _, r := range solve.SolveBatch(ctx, jobs, 2) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", r.Job.Name, r.Err)
+		}
+	}
+}
+
+// TestEngineWarmResumeMatchesCold: Options.Resume is accepted and ignored.
+// Per generated class, a solve handed a resume value after a cost-only
+// edit returns exactly the cold solve of the edited instance: optimum,
+// cost bits and counters, with nothing resumed and no frontier exported.
+func TestEngineWarmResumeMatchesCold(t *testing.T) {
+	ctx := context.Background()
+	eng, _ := solve.Get("engine")
+	for _, pc := range gen.ProblemClasses() {
+		p := gen.Problem(pc.Cfg, 3)
+		for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
+			if eng.Supports(p, v) != nil {
+				continue
+			}
+			name := fmt.Sprintf("%s/%s", pc.Name, v)
+			ep := &secureview.Problem{Modules: p.Modules, Costs: editCosts(p, 2)}
+			cold, err := solve.Solve(ctx, "engine", ep, solve.Options{Variant: v, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			warm, err := solve.Solve(ctx, "engine", ep,
+				solve.Options{Variant: v, Workers: 1, Resume: &solve.RetiredFrontier{}})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if warm.Resumed || warm.Frontier != nil {
+				t.Fatalf("%s: resumed=%v frontier=%v, want a cold solve", name, warm.Resumed, warm.Frontier)
+			}
+			if !warm.Solution.Hidden.Equal(cold.Solution.Hidden) || math.Float64bits(warm.Cost) != math.Float64bits(cold.Cost) {
+				t.Fatalf("%s: optimum %v (%g) != cold %v (%g)", name,
+					warm.Solution.Hidden.Sorted(), warm.Cost, cold.Solution.Hidden.Sorted(), cold.Cost)
+			}
+			if warm.Counters != cold.Counters {
+				t.Fatalf("%s: counters %+v != cold %+v", name, warm.Counters, cold.Counters)
+			}
 		}
 	}
 }

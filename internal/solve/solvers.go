@@ -69,7 +69,7 @@ func (exactSolver) Solve(ctx context.Context, p *secureview.Problem, opts Option
 		err error
 	)
 	if opts.Variant == secureview.Set {
-		sol, st, err = secureview.ExactSetCtx(ctx, p, opts.NodeBudget)
+		sol, st, err = secureview.ExactSetValidCtx(ctx, p, opts.NodeBudget)
 	} else {
 		sol, st, err = secureview.ExactCardCtx(ctx, p, opts.MaxAttrs)
 	}
@@ -141,33 +141,27 @@ func (engineSolver) Solve(ctx context.Context, p *secureview.Problem, opts Optio
 		return Result{}, err
 	}
 	// Hiding more only helps private modules (Proposition 1 at the
-	// requirement level), so safe visible sets are subset-closed and the
-	// engine's monotonicity pruning is sound.
+	// requirement level), so safe visible sets are subset-closed: the
+	// oracle is monotone, as the engine requires.
 	all := sp.All()
 	oracle := search.Oracle(func(visible search.Mask) (bool, error) {
 		return cp.Feasible(uint64(all &^ visible)), nil
 	})
-	res, err := sp.MinCostCtx(ctx, oracle, search.Options{Parallelism: opts.Workers, Resume: opts.Resume})
+	res, err := sp.MinCostCtx(ctx, oracle, search.Options{Parallelism: opts.Workers})
 	c := Counters{
-		Checked:       res.Stats.Checked,
-		Pruned:        res.Stats.Pruned,
-		OraclePasses:  res.Stats.OraclePasses,
-		ResumedSafe:   res.Stats.ResumedSafe,
-		ResumedUnsafe: res.Stats.ResumedUnsafe,
-		MemoHits:      res.Stats.MemoHits,
+		Checked:      res.Stats.Checked,
+		Pruned:       res.Stats.Pruned,
+		OraclePasses: res.Stats.OraclePasses,
 	}
 	if err != nil {
-		return Result{Solver: "engine", Variant: opts.Variant, Counters: c, Resumed: res.Stats.Resumed}, err
+		return Result{Solver: "engine", Variant: opts.Variant, Counters: c}, err
 	}
 	if !res.Found {
-		return Result{Solver: "engine", Variant: opts.Variant, Counters: c, Resumed: res.Stats.Resumed},
+		return Result{Solver: "engine", Variant: opts.Variant, Counters: c},
 			fmt.Errorf("solve: no feasible solution")
 	}
-	out := finish("engine", p, opts.Variant, p.Complete(sp.NameSet(res.Hidden)), true,
-		Bound{Factor: 1, Theorem: "exhaustive over useful attributes (Proposition 1 pruning)"}, c)
-	out.Resumed = res.Stats.Resumed
-	out.Frontier = res.Frontier
-	return out, nil
+	return finish("engine", p, opts.Variant, p.Complete(sp.NameSet(res.Hidden)), true,
+		Bound{Factor: 1, Theorem: "exhaustive over useful attributes (Proposition 1 pruning)"}, c), nil
 }
 
 // greedySolver is the per-module cheapest-option union.

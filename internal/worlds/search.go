@@ -20,7 +20,7 @@ import (
 // Workflow privacy is monotone in the hidden set: shrinking the visible set
 // only relaxes the agreement constraint in Definition 4, so Worlds(R, V', P)
 // ⊇ Worlds(R, V, P) whenever V' ⊆ V, and every OUT set can only grow. The
-// engine's Proposition 1 pruning is therefore sound here too.
+// oracle therefore meets the engine's monotonicity requirement.
 type HidingProblem struct {
 	// W is the workflow; R its provenance relation over W.Schema().
 	W *workflow.Workflow
@@ -93,8 +93,8 @@ func (hp HidingProblem) MinCostHidingCtx(ctx context.Context, opts search.Option
 	// each safety test is then one sharded pass over the possible worlds per
 	// target, answering every input's OUT set simultaneously. The engine asks
 	// about each candidate mask at most once per run, so no per-call memo is
-	// needed; Proposition 1 pruning is what keeps the number of enumerations
-	// down.
+	// needed; the engine's (cost, lex) order and best-index bound are what
+	// keep the number of enumerations down.
 	type targetPlan struct {
 		layout  *targetLayout
 		queries []uint64
