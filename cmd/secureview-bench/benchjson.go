@@ -202,7 +202,7 @@ func corpusResults(quick bool, repsOverride int) ([]benchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", e.ID, err)
 		}
-		sopts := solve.Options{Variant: secureview.Set, NodeBudget: 1 << 22, MaxAttrs: 16, Workers: 1}
+		sopts := solve.Options{Variant: secureview.Set, NodeBudget: 1 << 22, Workers: 1}
 		res, best, err := timeSolve(reps, "engine", p, sopts)
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s engine: %w", e.ID, err)
@@ -360,41 +360,21 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 			})
 		}
 
-		// Registry rows: the exact engine (set variant, when its all-private
-		// ≤MaxAttrs capability admits the instance) and the attribute-level
-		// branch and bound (cardinality variant). Both are exact, so their
-		// costs are pinned to the variant's optimum, not just bounded by it.
-		registryRows := []struct {
-			name    string
-			variant secureview.Variant
-		}{
-			{"engine", secureview.Set},
-			{"bb", secureview.Cardinality},
-		}
-		for _, row := range registryRows {
-			s, ok := solve.Get(row.name)
-			if !ok || p.Validate(row.variant) != nil || s.Supports(p, row.variant) != nil {
-				continue
-			}
-			sopts := solve.Options{Variant: row.variant, NodeBudget: 1 << 22, MaxAttrs: 16}
-			ref := optCost
-			if row.variant == secureview.Cardinality {
-				er, err := solve.Solve(context.Background(), "exact", p, sopts)
-				if err != nil {
-					return nil, fmt.Errorf("scenario %s exact/card: %w", cl.Name, err)
-				}
-				ref = er.Cost
-			}
-			res, best, err := timeSolve(reps, row.name, p, sopts)
+		// Registry row: the engine solver (set variant, when its all-private
+		// ≤24-attribute capability admits the instance), exact, so its cost
+		// is pinned to the optimum, not just bounded by it.
+		if s, ok := solve.Get("engine"); ok && s.Supports(p, secureview.Set) == nil {
+			sopts := solve.Options{Variant: secureview.Set, NodeBudget: 1 << 22}
+			res, best, err := timeSolve(reps, "engine", p, sopts)
 			if err != nil {
-				return nil, fmt.Errorf("scenario %s %s: %w", cl.Name, row.name, err)
+				return nil, fmt.Errorf("scenario %s engine: %w", cl.Name, err)
 			}
-			if diff := res.Cost - ref; diff > 1e-9*(1+ref) || -diff > 1e-9*(1+ref) {
-				return nil, fmt.Errorf("scenario %s: %s cost %g diverges from exact optimum %g",
-					cl.Name, row.name, res.Cost, ref)
+			if diff := res.Cost - optCost; diff > 1e-9*(1+optCost) || -diff > 1e-9*(1+optCost) {
+				return nil, fmt.Errorf("scenario %s: engine cost %g diverges from exact optimum %g",
+					cl.Name, res.Cost, optCost)
 			}
 			results = append(results, benchResult{
-				Name: "scenario/" + cl.Name + "/" + row.name, K: k, Gamma: it.Gamma,
+				Name: "scenario/" + cl.Name + "/engine", K: k, Gamma: it.Gamma,
 				NsPerOp: best.Nanoseconds(), Cost: res.Cost,
 				Hidden:       res.Solution.Hidden.Sorted(),
 				Checked:      res.Counters.Checked,
@@ -405,28 +385,30 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 	}
 
 	// The derived workflow instances carry set requirements only, so the
-	// cardinality-variant branch and bound is timed on the canonical
-	// abstract classes instead, anchored to the exact cardinality optimum.
+	// cardinality variant of the exact solver (its attribute branch and
+	// bound) is timed on the canonical abstract classes instead, anchored
+	// to the brute-force cardinality optimum.
 	for _, pc := range gen.ProblemClasses() {
 		p := gen.Problem(pc.Cfg, 1)
 		if p.Validate(secureview.Cardinality) != nil {
 			continue
 		}
-		sopts := solve.Options{Variant: secureview.Cardinality, NodeBudget: 1 << 22, MaxAttrs: 16}
-		er, err := solve.Solve(context.Background(), "exact", p, sopts)
+		ref, err := secureview.BruteForceCard(p, 16)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s brute-force card: %w", pc.Name, err)
+		}
+		refCost := p.Cost(ref)
+		sopts := solve.Options{Variant: secureview.Cardinality, NodeBudget: 1 << 22}
+		res, best, err := timeSolve(reps, "exact", p, sopts)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s exact/card: %w", pc.Name, err)
 		}
-		res, best, err := timeSolve(reps, "bb", p, sopts)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s bb: %w", pc.Name, err)
-		}
-		if diff := res.Cost - er.Cost; diff > 1e-9*(1+er.Cost) || -diff > 1e-9*(1+er.Cost) {
-			return nil, fmt.Errorf("scenario %s: bb cost %g diverges from exact optimum %g",
-				pc.Name, res.Cost, er.Cost)
+		if diff := res.Cost - refCost; diff > 1e-9*(1+refCost) || -diff > 1e-9*(1+refCost) {
+			return nil, fmt.Errorf("scenario %s: exact card cost %g diverges from brute-force optimum %g",
+				pc.Name, res.Cost, refCost)
 		}
 		results = append(results, benchResult{
-			Name:    "scenario/" + pc.Name + "/bb",
+			Name:    "scenario/" + pc.Name + "/exact",
 			K:       len(p.UsefulAttributes(secureview.Cardinality)),
 			NsPerOp: best.Nanoseconds(), Cost: res.Cost,
 			Hidden: res.Solution.Hidden.Sorted(),

@@ -11,7 +11,7 @@
 //	secureview -in instance.json          # solve (exact)
 //	secureview -in instance.json -solver lp -variant set
 //	secureview -in instance.json -solver greedy -variant cardinality
-//	secureview -in instance.json -solver bb -timeout 2s
+//	secureview -in instance.json -variant cardinality -timeout 2s
 //	secureview -gen mega-shared -solver portfolio   # solve a generated class
 //	secureview -wf workflow.json -solver greedy     # derive, solve and publish a view
 //
@@ -175,14 +175,9 @@ func main() {
 		p = toProblem(in)
 	}
 
-	if err := p.Validate(v); err != nil {
-		fatal(err)
-	}
-
 	res, err := solve.Solve(context.Background(), *solver, p, solve.Options{
 		Variant:    v,
 		NodeBudget: 1 << 24,
-		MaxAttrs:   22,
 		Workers:    *parallel,
 		Seed:       *seed,
 		Trials:     9,

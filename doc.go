@@ -28,15 +28,17 @@
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets
 //	internal/secureview  the Secure-View optimization (sections 4–5);
-//	                     context-cancellable exact/BB/greedy/LP solvers with
-//	                     the typed ErrNodeBudget budget sentinel; Compiled
+//	                     context-cancellable branch-and-bound (one per
+//	                     variant), greedy and LP solvers with the typed
+//	                     ErrNodeBudget up-front budget refusal, and the
+//	                     brute-force cardinality reference; Compiled
 //	                     lowers a problem to bitmasks over an attribute
 //	                     universe (a subset test per set option, two
 //	                     popcounts per cardinality module), the engine
 //	                     solver's per-candidate feasibility test and, in
 //	                     multi-word form, the search space of the exact set
 //	                     branch and bound
-//	internal/solve       unified solver layer: Solver registry (exact, bb,
+//	internal/solve       unified solver layer: Solver registry (exact,
 //	                     engine, greedy, lp, approx-setcover,
 //	                     approx-labelcover, portfolio; engine compiles the
 //	                     problem once per solve and its workers share the
@@ -102,8 +104,9 @@
 //	                     configs the adversarial miner found to defeat the
 //	                     engine's pruning, replayed by CI) plus the
 //	                     deterministic hill-climb miner itself
-//	internal/gen/diff    cross-solver differential harness: exact ≡ BB ≡
-//	                     engine, greedy/LP feasibility + approximation
+//	internal/gen/diff    cross-solver differential harness: exact ≡
+//	                     engine (≡ brute force on small cardinality
+//	                     universes), greedy/LP feasibility + approximation
 //	                     bounds, compiled ≡ interpreted oracle, compiled
 //	                     problem ≡ Problem.Feasible on every mask of small
 //	                     universes and compiled-oracle engine ≡

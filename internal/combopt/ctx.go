@@ -162,9 +162,9 @@ func (sc SetCover) ExactCtx(ctx context.Context, maxNodes int) ([]int, error) {
 	return best, nil
 }
 
-// GreedyAssignmentCtx is GreedyAssignment with label weights and
-// cancellation: for each edge in order it chooses the admissible pair adding
-// the least new label weight. Its cost is at most the sum over edges of each
+// GreedyAssignmentCtx builds a feasible assignment: for each edge in order
+// it chooses the admissible pair adding the least new label weight (ties
+// on the first pair listed). Its cost is at most the sum over edges of each
 // edge's cheapest pair weight — the certificate the forward label-cover
 // reduction builds on. The context is observed once per edge batch; on
 // expiry ctx.Err() is returned and the partial assignment discarded.
@@ -269,8 +269,9 @@ func (lc LabelCover) ExactCtx(ctx context.Context, maxNodes int) (Assignment, er
 	return best, nil
 }
 
-// ExactVertexCoverCtx is ExactVertexCover with a node budget and
-// cancellation: branch-and-bound nodes count against maxNodes (<= 0 means
+// ExactVertexCoverCtx finds a minimum vertex cover by branch and bound,
+// seeded with the matching cover: it branches on either endpoint of the
+// first uncovered edge. Nodes count against maxNodes (<= 0 means
 // unbounded; exhaustion wraps ErrBudget), and the context is observed every
 // few hundred nodes.
 func (g Graph) ExactVertexCoverCtx(ctx context.Context, maxNodes int) ([]int, error) {

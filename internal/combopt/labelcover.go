@@ -2,7 +2,6 @@ package combopt
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -19,9 +18,7 @@ type LabelCover struct {
 	Edges  []LCEdge
 	// Weights holds one non-negative weight per (vertex, label), indexed
 	// like Assignment: rows 0..NU-1 are left vertices, NU..NU+NW-1 right
-	// (nil = every label weighs 1). Only the Ctx solvers and CostOf consult
-	// it; GreedyAssignment and Exact keep the historical unit-cost
-	// objective.
+	// (nil = every label weighs 1).
 	Weights [][]float64
 }
 
@@ -91,19 +88,6 @@ func (lc LabelCover) Validate() error {
 // NU..NU+NW-1 are right vertices.
 type Assignment [][]bool
 
-// Cost returns the total number of assigned labels.
-func (a Assignment) Cost() int {
-	n := 0
-	for _, labels := range a {
-		for _, on := range labels {
-			if on {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Feasible reports whether the assignment covers every edge.
 func (lc LabelCover) Feasible(a Assignment) bool {
 	if len(a) != lc.NU+lc.NW {
@@ -122,78 +106,6 @@ func (lc LabelCover) Feasible(a Assignment) bool {
 		}
 	}
 	return true
-}
-
-// GreedyAssignment builds a feasible solution by choosing, for each edge in
-// order, the pair adding the fewest new labels. It is a heuristic upper
-// bound, not an approximation guarantee.
-func (lc LabelCover) GreedyAssignment() Assignment {
-	a := lc.emptyAssignment()
-	for _, e := range lc.Edges {
-		bestPair := e.Rel[0]
-		bestNew := math.MaxInt
-		for _, p := range e.Rel {
-			added := 0
-			if !a[e.U][p[0]] {
-				added++
-			}
-			if !a[lc.NU+e.W][p[1]] {
-				added++
-			}
-			if added < bestNew {
-				bestNew = added
-				bestPair = p
-			}
-		}
-		a[e.U][bestPair[0]] = true
-		a[lc.NU+e.W][bestPair[1]] = true
-	}
-	return a
-}
-
-// Exact finds a minimum-cost assignment by branching over the pair chosen
-// for each edge, pruning on the incumbent. Exponential; for small
-// experiment instances only.
-func (lc LabelCover) Exact() Assignment {
-	best := lc.GreedyAssignment()
-	bestCost := best.Cost()
-	a := lc.emptyAssignment()
-	cost := 0
-	var rec func(i int)
-	rec = func(i int) {
-		if cost >= bestCost {
-			return
-		}
-		if i == len(lc.Edges) {
-			bestCost = cost
-			best = cloneAssignment(a)
-			return
-		}
-		e := lc.Edges[i]
-		for _, p := range e.Rel {
-			du := !a[e.U][p[0]]
-			dw := !a[lc.NU+e.W][p[1]]
-			if du {
-				a[e.U][p[0]] = true
-				cost++
-			}
-			if dw {
-				a[lc.NU+e.W][p[1]] = true
-				cost++
-			}
-			rec(i + 1)
-			if du {
-				a[e.U][p[0]] = false
-				cost--
-			}
-			if dw {
-				a[lc.NU+e.W][p[1]] = false
-				cost--
-			}
-		}
-	}
-	rec(0)
-	return best
 }
 
 func (lc LabelCover) emptyAssignment() Assignment {

@@ -11,7 +11,6 @@ package combopt
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -19,15 +18,10 @@ import (
 // SetCover is an instance of minimum set cover: a universe {0..N-1} and a
 // family of subsets. The goal is a minimum number of subsets whose union is
 // the universe — or, when Weights is set, a minimum total weight.
-//
-// Greedy and Exact are the historical unit-cost solvers and ignore Weights;
-// the context-aware GreedyCtx and ExactCtx honor them (nil means every set
-// weighs 1, making the two families agree).
 type SetCover struct {
 	N    int
 	Sets [][]int
-	// Weights holds one non-negative weight per set (nil = all 1). Only the
-	// Ctx solvers consult it.
+	// Weights holds one non-negative weight per set (nil = all 1).
 	Weights []float64
 }
 
@@ -92,111 +86,6 @@ func (sc SetCover) IsCover(chosen []int) bool {
 		}
 	}
 	return n == sc.N
-}
-
-// Greedy runs the classical ln(n)-approximation: repeatedly pick the set
-// covering the most uncovered elements. Ties break on the smaller index for
-// determinism.
-func (sc SetCover) Greedy() []int {
-	covered := make([]bool, sc.N)
-	remaining := sc.N
-	var chosen []int
-	used := make([]bool, len(sc.Sets))
-	for remaining > 0 {
-		best, bestGain := -1, 0
-		for i, s := range sc.Sets {
-			if used[i] {
-				continue
-			}
-			gain := 0
-			for _, e := range s {
-				if !covered[e] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best == -1 {
-			return nil // uncoverable
-		}
-		used[best] = true
-		chosen = append(chosen, best)
-		for _, e := range sc.Sets[best] {
-			if !covered[e] {
-				covered[e] = true
-				remaining--
-			}
-		}
-	}
-	sort.Ints(chosen)
-	return chosen
-}
-
-// Exact finds a minimum cover by branch and bound over elements (always
-// branching on the first uncovered element, trying each set containing it).
-// Exponential in the worst case; intended for the modest instances used in
-// experiments.
-func (sc SetCover) Exact() []int {
-	memberships := make([][]int, sc.N)
-	for i, s := range sc.Sets {
-		for _, e := range s {
-			memberships[e] = append(memberships[e], i)
-		}
-	}
-	bestLen := math.MaxInt
-	var best []int
-	greedy := sc.Greedy()
-	if greedy == nil {
-		return nil
-	}
-	bestLen = len(greedy)
-	best = append([]int(nil), greedy...)
-
-	covered := make([]int, sc.N) // coverage multiplicity
-	remaining := sc.N
-	var current []int
-	var rec func()
-	rec = func() {
-		if remaining == 0 {
-			if len(current) < bestLen {
-				bestLen = len(current)
-				best = append(best[:0:0], current...)
-			}
-			return
-		}
-		// At least one more set is needed, so any completion has size
-		// >= len(current)+1; prune if that cannot beat the incumbent.
-		if len(current)+1 >= bestLen {
-			return
-		}
-		// First uncovered element.
-		e := 0
-		for covered[e] > 0 {
-			e++
-		}
-		for _, i := range memberships[e] {
-			current = append(current, i)
-			for _, x := range sc.Sets[i] {
-				if covered[x] == 0 {
-					remaining--
-				}
-				covered[x]++
-			}
-			rec()
-			for _, x := range sc.Sets[i] {
-				covered[x]--
-				if covered[x] == 0 {
-					remaining++
-				}
-			}
-			current = current[:len(current)-1]
-		}
-	}
-	rec()
-	sort.Ints(best)
-	return best
 }
 
 // RandomSetCover draws an instance with n elements and m sets, each element

@@ -87,45 +87,6 @@ func (g Graph) MatchingCover() []int {
 	return cover
 }
 
-// ExactVertexCover finds a minimum vertex cover by branch and bound:
-// repeatedly branch on an endpoint of the first uncovered edge. Suitable
-// for the small/medium graphs used in experiments.
-func (g Graph) ExactVertexCover() []int {
-	best := g.MatchingCover()
-	in := make([]bool, g.N)
-	var current []int
-	var rec func()
-	rec = func() {
-		if len(current) >= len(best) {
-			return
-		}
-		// First uncovered edge.
-		var edge [2]int
-		found := false
-		for _, e := range g.Edges {
-			if !in[e[0]] && !in[e[1]] {
-				edge = e
-				found = true
-				break
-			}
-		}
-		if !found {
-			best = append(best[:0:0], current...)
-			return
-		}
-		for _, v := range edge {
-			in[v] = true
-			current = append(current, v)
-			rec()
-			current = current[:len(current)-1]
-			in[v] = false
-		}
-	}
-	rec()
-	sort.Ints(best)
-	return best
-}
-
 // RandomCubicGraph draws a random 3-regular simple graph on n vertices
 // (n even, n >= 4) using the pairing model with rejection. Cubic graphs are
 // the APX-hard vertex-cover family used by Theorem 7's reduction.

@@ -332,7 +332,7 @@ func runE8(quick bool) []*Table {
 	for _, s := range sizes {
 		sc := combopt.RandomSetCover(s.n, s.m, 0.35, rng)
 		p := reductions.FromSetCoverCardinality(sc)
-		exact, err := secureview.ExactCard(p, 14)
+		exact, err := secureview.BruteForceCard(p, 14)
 		if err != nil {
 			t.Note("(%d,%d): %v", s.n, s.m, err)
 			continue
@@ -377,8 +377,12 @@ func runE9(quick bool) []*Table {
 			t.Note("trial %d: %v", i, err)
 			continue
 		}
-		lcOpt := lc.Exact().Cost()
-		t.Add(i, p.LMax(secureview.Set), lcOpt, opt, lpVal, p.Cost(rounded), p.Cost(rounded)/opt)
+		lcSol, err := lc.ExactCtx(context.Background(), 0)
+		if err != nil {
+			t.Note("trial %d: %v", i, err)
+			continue
+		}
+		t.Add(i, p.LMax(secureview.Set), lc.CostOf(lcSol), opt, lpVal, p.Cost(rounded), p.Cost(rounded)/opt)
 	}
 	t.Note("paper: ℓmax-approximation (B.5.1); SV OPT equals LC OPT exactly (Lemma 5)")
 	return []*Table{t}
@@ -392,10 +396,12 @@ func runE10(quick bool) []*Table {
 	}
 	g := combopt.RandomCubicGraph(4, rng)
 	p := reductions.FromVertexCoverNoSharing(g)
-	exact, err := secureview.ExactCard(p, 18)
+	exact, err := secureview.BruteForceCard(p, 18)
 	if err == nil {
 		greedy := secureview.Greedy(p, secureview.Cardinality)
-		k := len(g.ExactVertexCover())
+		// Without a node budget or a deadline the search cannot fail.
+		vc, _ := g.ExactVertexCoverCtx(context.Background(), 0)
+		k := len(vc)
 		t.Add("cubic VC (K4)", p.DataSharing(), p.Cost(exact), p.Cost(greedy),
 			p.Cost(greedy)/p.Cost(exact), p.DataSharing()+1)
 		t.Note("vertex-cover correspondence: OPT = |E|+K = %d+%d = %v (Lemma 6)",
@@ -479,7 +485,12 @@ func runE12(quick bool) []*Table {
 			continue
 		}
 		greedy := secureview.Greedy(p, secureview.Set)
-		opt := float64(len(sc.Exact()))
+		cover, err := sc.ExactCtx(context.Background(), 0)
+		if err != nil {
+			t.Note("n=%d: %v", n, err)
+			continue
+		}
+		opt := sc.CostOf(cover)
 		ratio := 0.0
 		if p.Cost(exact) > 0 {
 			ratio = p.Cost(greedy) / p.Cost(exact)
@@ -503,12 +514,17 @@ func runE13(quick bool) []*Table {
 	for i := 0; i < trials; i++ {
 		lc := combopt.RandomLabelCover(2, 1, 2, 1, 2, rng)
 		p := reductions.FromLabelCoverGeneral(lc)
-		exact, err := secureview.ExactCard(p, 16)
+		exact, err := secureview.BruteForceCard(p, 16)
 		if err != nil {
 			t.Note("trial %d: %v", i, err)
 			continue
 		}
-		lcOpt := float64(lc.Exact().Cost())
+		lcSol, err := lc.ExactCtx(context.Background(), 0)
+		if err != nil {
+			t.Note("trial %d: %v", i, err)
+			continue
+		}
+		lcOpt := lc.CostOf(lcSol)
 		svOpt := p.Cost(exact)
 		greedy := secureview.Greedy(p, secureview.Cardinality)
 		ratio := 0.0
@@ -565,7 +581,7 @@ func runE15(quick bool) []*Table {
 		p := gapGadget(m)
 		weak, err1 := secureview.CardinalityLPValue(p, secureview.WeakForm)
 		full, err2 := secureview.CardinalityLPValue(p, secureview.FullForm)
-		exact, err3 := secureview.ExactCard(p, 10)
+		exact, err3 := secureview.BruteForceCard(p, 10)
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Note("M=%v: %v %v %v", m, err1, err2, err3)
 			continue
@@ -670,7 +686,7 @@ func runE17(quick bool) []*Table {
 		sc := combopt.RandomSetCover(n, n, 0.35, rng)
 		p := reductions.FromSetCoverCardinality(sc)
 		start := time.Now()
-		enum, err1 := secureview.ExactCard(p, 16)
+		enum, err1 := secureview.BruteForceCard(p, 16)
 		enumMS := float64(time.Since(start).Microseconds()) / 1000
 		start = time.Now()
 		bb, err2 := secureview.ExactCardBB(p, 1<<22)
@@ -991,7 +1007,7 @@ func runE22(quick bool) []*Table {
 			t2.Note("VIOLATION %s", v)
 		}
 	}
-	t2.Note("invariants: greedy/LP feasible and >= OPT, greedy <= multiplicity×OPT on all-private instances (Theorem 7), rounded <= ℓmax×LP (Theorem 6), LP <= OPT, exact == BB == engine, compiled ≡ interpreted oracle, compiled problem ≡ Problem.Feasible on every mask of ≤16-attribute universes and compiled-oracle engine ≡ reference-oracle engine, worlds-verified on small instances")
+	t2.Note("invariants: greedy/LP feasible and >= OPT, greedy <= multiplicity×OPT on all-private instances (Theorem 7), rounded <= ℓmax×LP (Theorem 6), LP <= OPT, exact == engine (== brute force on ≤16-attribute cardinality universes), compiled ≡ interpreted oracle, compiled problem ≡ Problem.Feasible on every mask of ≤16-attribute universes and compiled-oracle engine ≡ reference-oracle engine, worlds-verified on small instances")
 	return []*Table{t1, t2}
 }
 

@@ -3,10 +3,11 @@
 // each instance — through the internal/solve registry — and checks the
 // invariants the paper's theorems promise:
 //
-//   - exact enumeration, branch-and-bound and the pruned parallel engine
-//     agree on the optimal cost, and the set-variant exact solver and the
-//     engine on the hidden set too, since both break ties by the same
-//     (cost, lex) order;
+//   - the exact solver, the pruned parallel engine and (for cardinality
+//     instances of at most ExactCardAttrs useful attributes) a brute-force
+//     enumeration agree on the optimal cost, and the set-variant exact
+//     solver and the engine on the hidden set too, since both break ties
+//     by the same (cost, lex) order;
 //   - Greedy and LP-rounded solutions are always feasible, never cheaper
 //     than the optimum, and within the paper's approximation bounds —
 //     Multiplicity()×OPT for greedy on all-private instances (Theorem 7)
@@ -54,9 +55,11 @@ import (
 type Options struct {
 	// RoundSeed seeds the randomized cardinality LP rounding (default 1).
 	RoundSeed int64
-	// ExactSetNodes caps the exact set-variant search (default 1<<22).
-	ExactSetNodes int
-	// ExactCardAttrs caps the exact cardinality enumeration (default 16).
+	// ExactNodes is the exact solver's node budget for both variants
+	// (default 1<<22; see solve.Options.NodeBudget).
+	ExactNodes int
+	// ExactCardAttrs caps the brute-force cardinality reference
+	// (default 16).
 	ExactCardAttrs int
 	// WorldsAttrLimit gates exhaustive possible-world verification: it runs
 	// only when the workflow has at most this many attributes (default 11).
@@ -74,8 +77,8 @@ func (o Options) withDefaults() Options {
 	if o.RoundSeed == 0 {
 		o.RoundSeed = 1
 	}
-	if o.ExactSetNodes == 0 {
-		o.ExactSetNodes = 1 << 22
+	if o.ExactNodes == 0 {
+		o.ExactNodes = 1 << 22
 	}
 	if o.ExactCardAttrs == 0 {
 		o.ExactCardAttrs = 16
@@ -93,8 +96,7 @@ func (o Options) withDefaults() Options {
 func (o Options) solveOptions(v secureview.Variant) solve.Options {
 	return solve.Options{
 		Variant:    v,
-		NodeBudget: o.ExactSetNodes,
-		MaxAttrs:   o.ExactCardAttrs,
+		NodeBudget: o.ExactNodes,
 		Workers:    o.Search.Parallelism,
 		Seed:       o.RoundSeed,
 		Trials:     5,
@@ -224,29 +226,12 @@ func CheckProblemCtx(ctx context.Context, name string, p *secureview.Problem, op
 	// --- cardinality variant ---
 	if err := p.Validate(secureview.Cardinality); err == nil {
 		r.checkLayers(ctx, name+"/card", p, secureview.Cardinality)
-		exact, errE := solve.Solve(ctx, "exact", p, opts.solveOptions(secureview.Cardinality))
-		bb, errB := solve.Solve(ctx, "bb", p, opts.solveOptions(secureview.Cardinality))
-		r.SolverRuns += 2
-		switch {
-		case errE != nil || errB != nil:
-			if errE != nil {
-				r.skipOrViolate(name, "exact card solver", errE)
-			}
-			if errB != nil {
-				r.skipOrViolate(name, "branch-and-bound solver", errB)
-			}
-		default:
+		exact, err := solve.Solve(ctx, "exact", p, opts.solveOptions(secureview.Cardinality))
+		r.SolverRuns++
+		if err != nil {
+			r.skipOrViolate(name, "exact card solver", err)
+		} else if r.checkCardReferences(ctx, name, p, exact, opts) {
 			exactAnchored = true
-			if !p.Feasible(exact.Solution, secureview.Cardinality) {
-				r.violatef("%s: exact card solution infeasible", name)
-			}
-			if !p.Feasible(bb.Solution, secureview.Cardinality) {
-				r.violatef("%s: branch-and-bound solution infeasible", name)
-			}
-			if dx := exact.Cost - bb.Cost; dx > eps(exact.Cost) || -dx > eps(exact.Cost) {
-				r.violatef("%s: exact enumeration cost %g != branch-and-bound cost %g", name, exact.Cost, bb.Cost)
-			}
-			r.checkEngine(ctx, name+"/card", p, secureview.Cardinality, exact.Cost, opts)
 			r.checkHeuristics(ctx, name+"/card", p, secureview.Cardinality, exact.Cost, allPrivate, mult, opts)
 		}
 	}
@@ -257,24 +242,56 @@ func CheckProblemCtx(ctx context.Context, name string, p *secureview.Problem, op
 	return r
 }
 
+// checkCardReferences checks the exact cardinality optimum against the
+// independent references that apply: the brute-force enumeration when the
+// instance has at most ExactCardAttrs useful attributes, and the engine
+// solver when the instance is in its capability envelope. It reports
+// whether either applied; an optimum no reference checked anchors nothing
+// and counts as a skip.
+func (r *Result) checkCardReferences(ctx context.Context, name string, p *secureview.Problem,
+	exact solve.Result, opts Options) bool {
+	if !p.Feasible(exact.Solution, secureview.Cardinality) {
+		r.violatef("%s: exact card solution infeasible", name)
+	}
+	checked := false
+	if len(p.UsefulAttributes(secureview.Cardinality)) <= opts.ExactCardAttrs {
+		checked = true
+		ref, err := secureview.BruteForceCard(p, opts.ExactCardAttrs)
+		r.SolverRuns++
+		if err != nil {
+			r.violatef("%s: brute-force card reference failed: %v", name, err)
+		} else if c := p.Cost(ref); exact.Cost-c > eps(c) || c-exact.Cost > eps(c) {
+			r.violatef("%s: exact card cost %g != brute-force cost %g", name, exact.Cost, c)
+		}
+	}
+	if r.checkEngine(ctx, name+"/card", p, secureview.Cardinality, exact.Cost, opts) {
+		checked = true
+	}
+	if !checked {
+		r.Skips++
+	}
+	return checked
+}
+
 // checkEngine cross-checks the subset-search engine solver against the
 // exact optimum whenever the instance is in its capability envelope
-// (all-private, universe within the mask width).
+// (all-private, universe within the mask width), and reports whether it
+// did.
 func (r *Result) checkEngine(ctx context.Context, name string, p *secureview.Problem,
-	variant secureview.Variant, optCost float64, opts Options) {
+	variant secureview.Variant, optCost float64, opts Options) bool {
 	eng, ok := solve.Get("engine")
 	if !ok || eng.Supports(p, variant) != nil {
-		return
+		return false
 	}
 	res, err := solve.Solve(ctx, "engine", p, opts.solveOptions(variant))
 	r.SolverRuns++
 	if err != nil {
 		if cancelled(err) {
 			r.Skips++
-			return
+			return false
 		}
 		r.violatef("%s: engine solver failed: %v", name, err)
-		return
+		return true
 	}
 	if !p.Feasible(res.Solution, variant) {
 		r.violatef("%s: engine solution infeasible", name)
@@ -282,6 +299,7 @@ func (r *Result) checkEngine(ctx context.Context, name string, p *secureview.Pro
 	if dx := res.Cost - optCost; dx > eps(optCost) || -dx > eps(optCost) {
 		r.violatef("%s: engine cost %g != exact optimum %g", name, res.Cost, optCost)
 	}
+	return true
 }
 
 // checkHeuristics runs Greedy and the variant's LP rounding against the

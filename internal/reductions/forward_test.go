@@ -30,10 +30,14 @@ func TestToFromSetCoverCardinality(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		sc := combopt.RandomSetCover(5+rng.Intn(3), 6+rng.Intn(4), 0.35, rng)
-		srcOpt := len(sc.Exact())
+		src, err := sc.ExactCtx(ctx, 0)
+		if err != nil {
+			t.Fatalf("trial %d: source exact: %v", trial, err)
+		}
+		srcOpt := sc.CostOf(src)
 
 		p := reductions.FromSetCoverCardinality(sc)
-		exact, err := secureview.ExactCard(p, 16)
+		exact, err := secureview.ExactCardBB(p, 1<<16)
 		if err != nil {
 			t.Fatalf("trial %d: exact: %v", trial, err)
 		}
@@ -49,11 +53,11 @@ func TestToFromSetCoverCardinality(t *testing.T) {
 		}
 		derivedOpt := inst.SC.CostOf(cover)
 
-		if d := instOpt - float64(srcOpt); d > tol(instOpt) || -d > tol(instOpt) {
-			t.Errorf("trial %d: instance optimum %g != source cover size %d", trial, instOpt, srcOpt)
+		if d := instOpt - srcOpt; d > tol(instOpt) || -d > tol(instOpt) {
+			t.Errorf("trial %d: instance optimum %g != source cover size %g", trial, instOpt, srcOpt)
 		}
-		if d := derivedOpt - float64(srcOpt); d > tol(derivedOpt) || -d > tol(derivedOpt) {
-			t.Errorf("trial %d: derived SC optimum %g != source cover size %d", trial, derivedOpt, srcOpt)
+		if d := derivedOpt - srcOpt; d > tol(derivedOpt) || -d > tol(derivedOpt) {
+			t.Errorf("trial %d: derived SC optimum %g != source cover size %g", trial, derivedOpt, srcOpt)
 		}
 		sol := inst.PullBack(cover)
 		if !p.Feasible(sol, secureview.Cardinality) {
@@ -129,7 +133,7 @@ func TestToSetCoverCertificates(t *testing.T) {
 				if v == secureview.Set {
 					exact, err = secureview.ExactSet(p, 1<<22)
 				} else {
-					exact, err = secureview.ExactCard(p, 16)
+					exact, err = secureview.ExactCardBB(p, 1<<16)
 				}
 				if err != nil {
 					t.Fatalf("%s/%d/%s: exact: %v", pc.Name, seed, name, err)

@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,26 @@ import (
 	"secureview/internal/combopt"
 	"secureview/internal/secureview"
 )
+
+// setCoverOpt returns the least total weight of a cover of sc.
+func setCoverOpt(t *testing.T, sc combopt.SetCover) float64 {
+	t.Helper()
+	cover, err := sc.ExactCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc.CostOf(cover)
+}
+
+// labelCoverOpt returns the least weight of a feasible assignment of lc.
+func labelCoverOpt(t *testing.T, lc combopt.LabelCover) float64 {
+	t.Helper()
+	a, err := lc.ExactCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lc.CostOf(a)
+}
 
 // Theorem 5 reduction (B.4.2): the Secure-View optimum equals the set-cover
 // optimum, and solutions translate back to covers.
@@ -25,12 +46,11 @@ func TestSetCoverCardinalityEquivalence(t *testing.T) {
 	if err := p.Validate(secureview.Cardinality); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := secureview.ExactCard(p, 12)
+	sol, err := secureview.ExactCardBB(p, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scOpt := sc.Exact()
-	if got, want := p.Cost(sol), float64(len(scOpt)); got != want {
+	if got, want := p.Cost(sol), setCoverOpt(t, sc); got != want {
 		t.Fatalf("Secure-View optimum %v != set-cover optimum %v", got, want)
 	}
 	cover := SetCoverFromSolution(sc, sol)
@@ -46,11 +66,11 @@ func TestQuickSetCoverCardinality(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sc := combopt.RandomSetCover(3+rng.Intn(5), 2+rng.Intn(4), 0.35, rng)
 		p := FromSetCoverCardinality(sc)
-		sol, err := secureview.ExactCard(p, 12)
+		sol, err := secureview.ExactCardBB(p, 1<<12)
 		if err != nil {
 			return false
 		}
-		if p.Cost(sol) != float64(len(sc.Exact())) {
+		if p.Cost(sol) != setCoverOpt(t, sc) {
 			return false
 		}
 		rounded, lpVal, err := secureview.CardinalityLPRound(p,
@@ -87,8 +107,7 @@ func TestLabelCoverSetEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcOpt := lc.Exact()
-	if got, want := p.Cost(sol), float64(lcOpt.Cost()); got != want {
+	if got, want := p.Cost(sol), labelCoverOpt(t, lc); got != want {
 		t.Fatalf("Secure-View optimum %v != label-cover optimum %v", got, want)
 	}
 	a := LabelCoverFromSolution(lc, sol)
@@ -115,7 +134,7 @@ func TestQuickLabelCoverSet(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.Cost(sol) == float64(lc.Exact().Cost())
+		return p.Cost(sol) == labelCoverOpt(t, lc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -134,12 +153,15 @@ func TestVertexCoverEquivalence(t *testing.T) {
 	if p.DataSharing() != 1 {
 		t.Fatalf("γ = %d, want 1", p.DataSharing())
 	}
-	sol, err := secureview.ExactCard(p, 24)
+	sol, err := secureview.ExactCardBB(p, 1<<24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := len(g.ExactVertexCover())
-	if got, want := p.Cost(sol), float64(len(g.Edges)+k); got != want {
+	k, err := g.ExactVertexCoverCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Cost(sol), float64(len(g.Edges)+len(k)); got != want {
 		t.Fatalf("optimum = %v, want |E|+K = %v", got, want)
 	}
 	greedy := secureview.Greedy(p, secureview.Cardinality)
@@ -154,7 +176,7 @@ func TestVertexCoverEquivalence(t *testing.T) {
 func TestVertexCoverSolutionExtraction(t *testing.T) {
 	g := combopt.Graph{N: 3, Edges: [][2]int{{0, 1}, {1, 2}}}
 	p := FromVertexCoverNoSharing(g)
-	sol, err := secureview.ExactCard(p, 20)
+	sol, err := secureview.ExactCardBB(p, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +213,7 @@ func TestSetCoverGeneralEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Cost(sol), float64(len(sc.Exact())); got != want {
+	if got, want := p.Cost(sol), setCoverOpt(t, sc); got != want {
 		t.Fatalf("optimum = %v, want %v", got, want)
 	}
 	cover := PrivatizedSetsFromSolution(sc, sol)
@@ -230,12 +252,11 @@ func TestLabelCoverGeneralEquivalence(t *testing.T) {
 			t.Fatalf("unexpected attribute cost %v", c)
 		}
 	}
-	sol, err := secureview.ExactCard(p, 14)
+	sol, err := secureview.ExactCardBB(p, 1<<14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcOpt := lc.Exact()
-	if got, want := p.Cost(sol), float64(lcOpt.Cost()); got != want {
+	if got, want := p.Cost(sol), labelCoverOpt(t, lc); got != want {
 		t.Fatalf("optimum = %v, want label-cover optimum %v", got, want)
 	}
 	a := GeneralLabelAssignmentFromSolution(lc, sol)
@@ -261,7 +282,7 @@ func TestExample5Gap(t *testing.T) {
 			t.Fatalf("n=%d: greedy = %v, want %d", n, got, n+1)
 		}
 		// Cardinality variant agrees.
-		exactC, err := secureview.ExactCard(p, 16)
+		exactC, err := secureview.ExactCardBB(p, 1<<16)
 		if err == nil && p.Cost(exactC) != 2.5 {
 			t.Fatalf("n=%d: cardinality optimum = %v, want 2.5", n, p.Cost(exactC))
 		}

@@ -1,7 +1,6 @@
 package secureview
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,54 +9,52 @@ import (
 )
 
 // ErrNodeBudget is the typed sentinel wrapped (errors.Is-able) by the exact
-// solvers when their search space or node budget is exhausted before the
-// optimum is proven, mirroring worlds.ErrBudgetExhausted. Callers distinguish
-// a legitimately-too-large instance from a solver defect with errors.Is; the
-// differential harness's skip logic asserts exactly that.
+// solvers when a search would exceed its node budget, mirroring
+// worlds.ErrBudgetExhausted. Both exact solvers refuse such a search up
+// front, before visiting a node, so the error comes with no incumbent.
+// Callers distinguish a legitimately-too-large instance from a solver
+// defect with errors.Is; the differential harness's skip logic asserts
+// exactly that.
 var ErrNodeBudget = errors.New("secureview: node budget exhausted")
 
-// ExactStats reports how an exact solver spent its budget: search-tree nodes
-// for ExactSet and ExactCardBB, candidate masks for ExactCard.
+// ExactStats reports how an exact solver spent its budget: the search-tree
+// nodes it visited.
 type ExactStats struct {
 	Nodes int
 }
 
-// ExactCard finds an optimal solution for the cardinality variant. It is
-// ExactCardCtx without cancellation; see there for the budget contract.
-func ExactCard(p *Problem, maxAttrs int) (Solution, error) {
-	sol, _, err := ExactCardCtx(context.Background(), p, maxAttrs)
-	return sol, err
+// checkLeaves returns an error wrapping ErrNodeBudget when a search tree
+// with the given number of leaves exceeds maxNodes. The exact solvers call
+// it before searching: a search they start runs to the end or to its
+// deadline.
+func checkLeaves(what string, leaves float64, maxNodes int) error {
+	if leaves > float64(maxNodes) {
+		return fmt.Errorf("secureview: %s search space %g exceeds %d: %w", what, leaves, maxNodes, ErrNodeBudget)
+	}
+	return nil
 }
 
-// ExactCardCtx finds an optimal solution for the cardinality variant by
-// enumerating all subsets of the instance's useful attributes (2^|A'|; the
-// problem is NP-hard even restricted, Theorem 5); see UsefulAttributes for
-// why nothing else can appear in an optimum.
+// BruteForceCard is the reference optimum of the cardinality variant, for
+// tests, the differential harness and experiments that check ExactCardBB
+// against an independent method: it enumerates all subsets of the useful
+// attributes (2^|A'|; see UsefulAttributes for why nothing else can appear
+// in an optimum), completes each with its privatization closure, and keeps
+// the cheapest feasible one.
 //
-// A useful-attribute count exceeding maxAttrs returns an error wrapping
-// ErrNodeBudget. Cancellation is observed every few thousand masks; on
-// expiry the call returns ctx.Err() together with the cheapest feasible
-// solution seen so far, if any.
-func ExactCardCtx(ctx context.Context, p *Problem, maxAttrs int) (Solution, ExactStats, error) {
+// A useful-attribute count exceeding maxAttrs (or 26) returns an error
+// wrapping ErrNodeBudget.
+func BruteForceCard(p *Problem, maxAttrs int) (Solution, error) {
 	if err := p.Validate(Cardinality); err != nil {
-		return Solution{}, ExactStats{}, err
+		return Solution{}, err
 	}
 	attrs := p.UsefulAttributes(Cardinality)
 	if len(attrs) > maxAttrs || len(attrs) > 26 {
-		return Solution{}, ExactStats{}, fmt.Errorf("secureview: %d attributes too many for exact enumeration: %w", len(attrs), ErrNodeBudget)
+		return Solution{}, fmt.Errorf("secureview: %d attributes too many for exact enumeration: %w", len(attrs), ErrNodeBudget)
 	}
 	bestCost := math.Inf(1)
 	var best Solution
 	found := false
-	nodes := 0
 	for mask := 0; mask < 1<<len(attrs); mask++ {
-		nodes++
-		if mask&4095 == 0 && ctx.Err() != nil {
-			if found {
-				return best, ExactStats{Nodes: nodes}, ctx.Err()
-			}
-			return Solution{}, ExactStats{Nodes: nodes}, ctx.Err()
-		}
 		hidden := make(relation.NameSet)
 		attrCost := 0.0
 		for i, a := range attrs {
@@ -73,15 +70,14 @@ func ExactCardCtx(ctx context.Context, p *Problem, maxAttrs int) (Solution, Exac
 		if !p.Feasible(sol, Cardinality) {
 			continue
 		}
-		c := p.Cost(sol)
-		if c < bestCost {
+		if c := p.Cost(sol); c < bestCost {
 			bestCost = c
 			best = sol
 			found = true
 		}
 	}
 	if !found {
-		return Solution{}, ExactStats{Nodes: nodes}, fmt.Errorf("secureview: no feasible solution")
+		return Solution{}, fmt.Errorf("secureview: no feasible solution")
 	}
-	return best, ExactStats{Nodes: nodes}, nil
+	return best, nil
 }

@@ -2,40 +2,47 @@ package secureview
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"sort"
 
 	"secureview/internal/relation"
 )
 
-// ExactCardBB finds an optimal cardinality-variant solution. It is
-// ExactCardBBCtx without cancellation; see there for the budget contract.
+// ExactCardBB finds an optimal cardinality-variant solution: it validates
+// p and runs ExactCardBBCtx without cancellation.
 func ExactCardBB(p *Problem, maxNodes int) (Solution, error) {
+	if err := p.Validate(Cardinality); err != nil {
+		return Solution{}, err
+	}
 	sol, _, err := ExactCardBBCtx(context.Background(), p, maxNodes)
 	return sol, err
 }
 
-// ExactCardBBCtx finds an optimal cardinality-variant solution by
-// depth-first branch and bound over attributes, which scales further than
-// ExactCard's 2^|A| enumeration on instances whose optima hide few
-// attributes.
+// ExactCardBBCtx finds an optimal cardinality-variant solution (the
+// problem is NP-hard, Theorem 5) by depth-first branch and bound over the
+// useful attributes, seeded with the Greedy solution. p must pass
+// p.Validate(Cardinality), as the solve registry's capability check
+// ensures; on a problem Validate rejects, the result is unspecified.
 //
-// Branching: attributes are considered in decreasing "demand" order; at
+// Branching: attributes are considered in decreasing "demand" order (how
+// many private modules name them), ties by ascending cost, then name; at
 // each node the attribute is either hidden (cost incurred) or discarded.
-// Pruning: (a) cost-based against the incumbent, (b) feasibility-based —
-// if discarding attributes makes some module's cheapest remaining option
-// unreachable, the branch dies, (c) a simple lower bound adding, per
-// unsatisfied module, the cheapest completion cost of its easiest option
-// restricted to still-available attributes (admissible because option
-// completions may overlap, which only lowers true cost... the bound uses
-// the maximum single-module completion, which never overestimates).
+// A node is pruned when some unsatisfied module can no longer be satisfied
+// from the attributes still open, or when its cost so far plus the largest
+// cheapest completion among the unsatisfied modules reaches the
+// incumbent's cost. A module's cheapest completion adds the cheapest open
+// inputs and outputs one of its requirements still lacks; the largest one
+// never overestimates the cost of completing them all.
 //
-// Exceeding maxNodes returns an error wrapping ErrNodeBudget; cancellation
-// is observed every few hundred nodes and returns ctx.Err(). In both cases
-// the best incumbent found so far is returned alongside the error (always
-// feasible, since the greedy seed is).
+// The search tree has 2^k leaves, k the useful-attribute count; when that
+// exceeds maxNodes the call returns an error wrapping ErrNodeBudget before
+// any search, with no incumbent. Otherwise the search runs to the end, or
+// until ctx expires: cancellation is observed every 256 nodes and returns
+// ctx.Err() with the best incumbent so far, always feasible since the
+// greedy seed is.
 func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, ExactStats, error) {
-	if err := p.Validate(Cardinality); err != nil {
+	useful := relation.NewNameSet(p.UsefulAttributes(Cardinality)...)
+	if err := checkLeaves("exact cardinality", math.Ldexp(1, len(useful)), maxNodes); err != nil {
 		return Solution{}, ExactStats{}, err
 	}
 	var privates []ModuleSpec
@@ -44,7 +51,6 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 			privates = append(privates, m)
 		}
 	}
-	useful := relation.NewNameSet(p.UsefulAttributes(Cardinality)...)
 	attrs := useful.Sorted()
 	// Order attributes by how many modules reference them (descending), so
 	// impactful decisions happen early; ties by cost ascending.
@@ -72,10 +78,10 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 		return attrs[i] < attrs[j]
 	})
 
-	incumbent := Greedy(p, Cardinality)
-	bestCost := p.Cost(incumbent)
-	best := incumbent
-	feasibleSeen := p.Feasible(incumbent, Cardinality)
+	// Greedy hides a cheapest requirement of every private module, so on
+	// a valid problem the seed is feasible.
+	best := Greedy(p, Cardinality)
+	bestCost := p.Cost(best)
 
 	// The completion bound runs at every node over every private module, so
 	// it reads each attribute's state (hidden, discarded or still open)
@@ -83,7 +89,7 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	bb := newCardBound(p, privates)
 	hidden := make(relation.NameSet)
 	nodes := 0
-	var overBudget, cancelled bool
+	cancelled := false
 
 	// completionBound returns a lower bound on extra attribute cost needed
 	// to satisfy all currently unsatisfied modules, or -1 if some module
@@ -119,10 +125,6 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	var rec func(i int, attrCost float64)
 	rec = func(i int, attrCost float64) {
 		nodes++
-		if nodes > maxNodes {
-			overBudget = true
-			return
-		}
 		if nodes&255 == 0 && ctx.Err() != nil {
 			cancelled = true
 			return
@@ -136,10 +138,9 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 			if !p.Feasible(sol, Cardinality) {
 				return
 			}
-			if c := p.Cost(sol); c < bestCost || !feasibleSeen {
+			if c := p.Cost(sol); c < bestCost {
 				bestCost = c
 				best = sol
-				feasibleSeen = true
 			}
 			return
 		}
@@ -150,7 +151,7 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 		bb.state[id] = hiddenAttr
 		rec(i+1, attrCost+p.Costs.Of(a))
 		delete(hidden, a)
-		if overBudget || cancelled {
+		if cancelled {
 			bb.state[id] = openAttr
 			return
 		}
@@ -161,13 +162,8 @@ func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, Ex
 	}
 	rec(0, 0)
 	stats := ExactStats{Nodes: nodes}
-	switch {
-	case cancelled:
+	if cancelled {
 		return best, stats, ctx.Err()
-	case overBudget:
-		return best, stats, fmt.Errorf("secureview: branch-and-bound exceeded %d nodes: %w", maxNodes, ErrNodeBudget)
-	case !feasibleSeen:
-		return Solution{}, stats, fmt.Errorf("secureview: no feasible solution")
 	}
 	return best, stats, nil
 }

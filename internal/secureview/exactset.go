@@ -10,9 +10,12 @@ import (
 	"secureview/internal/relation"
 )
 
-// ExactSet finds an optimal solution for the set-constraints variant. It is
-// ExactSetCtx without cancellation; see there for the budget contract.
+// ExactSet finds an optimal solution for the set-constraints variant: it
+// validates p and runs ExactSetCtx without cancellation.
 func ExactSet(p *Problem, maxNodes int) (Solution, error) {
+	if err := p.Validate(Set); err != nil {
+		return Solution{}, err
+	}
 	sol, _, err := ExactSetCtx(context.Background(), p, maxNodes)
 	return sol, err
 }
@@ -21,15 +24,21 @@ func ExactSet(p *Problem, maxNodes int) (Solution, error) {
 // depth-first branch and bound over per-module option choices (ℓmax^n
 // worst case; the problem is NP-hard, Theorem 6). It searches the problem
 // compiled over its useful attributes (Problem.Compile), so a node costs a
-// few word operations per option.
+// few word operations per option. p must pass p.Validate(Set), as the
+// solve registry's capability check ensures; on a problem Validate
+// rejects, the result is unspecified.
 //
 // Modules are branched in order of fewest options, and each module's
 // options in order of cost; a module that earlier choices already satisfy
-// is not branched on. A node is pruned when its cost so far plus the
-// largest cheapest marginal option among the modules it leaves unsatisfied
-// exceeds the incumbent's cost; ties are explored, since the lex order may
-// still prefer them. A public module is privatized, at its cost, once a
-// hidden attribute touches its interface mask.
+// is not branched on. A node is pruned when its cost so far plus a lower
+// bound on the rest exceeds the incumbent's cost; ties are explored, since
+// the lex order may still prefer them. The bound partitions the private
+// modules into components that no two share an option attribute, and sums
+// over the components the largest cheapest marginal option among their
+// unsatisfied modules: the attributes any completion adds for one
+// component are disjoint from those it adds for another. A public module
+// is privatized, at its cost, once a hidden attribute touches its
+// interface mask.
 //
 // Among optimal solutions it returns the least hidden set in (cost, lex)
 // order, the order in which the engine solver scans: cost sums the hiding
@@ -39,32 +48,21 @@ func ExactSet(p *Problem, maxNodes int) (Solution, error) {
 // completed with the free attributes below its largest attribute: the
 // zero-cost ones that touch no public module it would newly pay for.
 //
-// A search space (the product of the option counts) exceeding maxNodes
-// returns an error wrapping ErrNodeBudget before any search. Cancellation
-// is observed at the first solution, which the search reaches without
-// backtracking, and every 256 nodes after it; on expiry the call returns
-// ctx.Err() with the best solution so far, always feasible.
+// A search space (the product of the option counts, the number of leaves)
+// exceeding maxNodes returns an error wrapping ErrNodeBudget before any
+// search. Otherwise the search runs to the end, or until ctx expires:
+// cancellation is observed at the first solution, which the search reaches
+// without backtracking, and every 256 nodes after it; on expiry the call
+// returns ctx.Err() with the best solution so far, always feasible.
 func ExactSetCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, ExactStats, error) {
-	if err := p.Validate(Set); err != nil {
-		return Solution{}, ExactStats{}, err
-	}
-	return ExactSetValidCtx(ctx, p, maxNodes)
-}
-
-// ExactSetValidCtx is ExactSetCtx for a problem the caller has already
-// checked with p.Validate(Set), as the solve registry's capability check
-// does before every solve. Validation looks up every option's attribute
-// names, so on option-heavy problems a second pass costs about a quarter
-// of the solve. On a problem Validate rejects, the result is unspecified.
-func ExactSetValidCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, ExactStats, error) {
 	space := 1.0
 	for _, m := range p.Modules {
 		if !m.Public {
 			space *= float64(len(m.SetList))
 		}
 	}
-	if space > float64(maxNodes) {
-		return Solution{}, ExactStats{}, fmt.Errorf("secureview: exact set search space %g exceeds %d: %w", space, maxNodes, ErrNodeBudget)
+	if err := checkLeaves("exact set", space, maxNodes); err != nil {
+		return Solution{}, ExactStats{}, err
 	}
 	c, err := p.Compile(Set, p.UsefulAttributes(Set))
 	if err != nil {
@@ -97,8 +95,13 @@ type setSearch struct {
 	w    int
 	cost []float64  // per attribute
 	mods [][]uint64 // private modules' options in search order, by cost
-	zero []uint64   // the zero-cost attributes
-	pubs []publicMask
+	// comp is each module's component (modules in one component are
+	// linked by shared option attributes); compMax is the bound's per-
+	// component scratch.
+	comp    []int
+	compMax []float64
+	zero    []uint64 // the zero-cost attributes
+	pubs    []publicMask
 	// attrPubs lists, per attribute, the public modules naming it; touched
 	// marks those the current hidden mask privatizes, in the order touchLog
 	// records for undo.
@@ -168,7 +171,41 @@ func newSetSearch(ctx context.Context, c *Compiled, cost func(string) float64) *
 		s.mods = append(s.mods, sorted)
 	}
 	sort.SliceStable(s.mods, func(x, y int) bool { return len(s.mods[x]) < len(s.mods[y]) })
+	s.comp = components(s.mods, len(c.attrs), w)
+	s.compMax = make([]float64, len(s.mods))
 	return s
+}
+
+// components labels each module with its connected component in the graph
+// that links two modules when their options share an attribute.
+func components(mods [][]uint64, attrs, w int) []int {
+	parent := make([]int, len(mods))
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	owner := make([]int, attrs) // the first module naming each attribute, plus one
+	for i, opts := range mods {
+		parent[i] = i
+		for o, x := range opts {
+			for ; x != 0; x &= x - 1 {
+				a := o%w*64 + bits.TrailingZeros64(x)
+				if owner[a] == 0 {
+					owner[a] = i + 1
+				} else if r, q := find(i), find(owner[a]-1); r != q {
+					parent[r] = q
+				}
+			}
+		}
+	}
+	comp := make([]int, len(mods))
+	for i := range comp {
+		comp[i] = find(i)
+	}
+	return comp
 }
 
 // maskCost sums the costs of the mask's attributes in ascending order.
@@ -262,10 +299,13 @@ func (s *setSearch) privatize(a int) float64 {
 }
 
 // prune reports whether every leaf below the node (hidden mask h, module
-// i next, cost so far cost) costs more than the incumbent.
+// i next, cost so far cost) costs more than the incumbent: whether cost
+// plus the sum over components of their modules' largest cheapest
+// marginal option does.
 func (s *setSearch) prune(i int, h []uint64, cost float64) bool {
+	clear(s.compMax)
 	bound := 0.0
-	for _, opts := range s.mods[i:] {
+	for j, opts := range s.mods[i:] {
 		cheapest := math.Inf(1)
 		for o := 0; o < len(opts) && cheapest > 0; o += s.w {
 			c := 0.0
@@ -276,8 +316,12 @@ func (s *setSearch) prune(i int, h []uint64, cost float64) bool {
 			}
 			cheapest = min(cheapest, c)
 		}
-		if bound = max(bound, cheapest); cost+bound > s.limit {
-			return true
+		if m := &s.compMax[s.comp[i+j]]; cheapest > *m {
+			bound += cheapest - *m
+			*m = cheapest
+			if cost+bound > s.limit {
+				return true
+			}
 		}
 	}
 	return false

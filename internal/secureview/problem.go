@@ -415,11 +415,9 @@ func (p *Problem) Complete(hidden relation.NameSet) Solution {
 }
 
 // cheapestK returns the k cheapest attribute names from the list under the
-// problem costs (stable on name for determinism), or nil if k > len.
+// problem costs (stable on name for determinism); k must not exceed the
+// list's length.
 func (p *Problem) cheapestK(names []string, k int) []string {
-	if k > len(names) {
-		return nil
-	}
 	sorted := append([]string(nil), names...)
 	sort.Slice(sorted, func(i, j int) bool {
 		ci, cj := p.Costs.Of(sorted[i]), p.Costs.Of(sorted[j])
@@ -447,11 +445,11 @@ func (p *Problem) minCostOption(m ModuleSpec, variant Variant) (relation.NameSet
 	switch variant {
 	case Cardinality:
 		for _, r := range m.CardList {
-			in := p.cheapestK(m.Inputs, r.Alpha)
-			out := p.cheapestK(m.Outputs, r.Beta)
-			if in == nil || out == nil {
+			if r.Alpha > len(m.Inputs) || r.Beta > len(m.Outputs) {
 				continue
 			}
+			in := p.cheapestK(m.Inputs, r.Alpha)
+			out := p.cheapestK(m.Outputs, r.Beta)
 			consider(relation.NewNameSet(in...).Union(relation.NewNameSet(out...)))
 		}
 	case Set:

@@ -134,7 +134,7 @@ func TestExactSetChain(t *testing.T) {
 
 func TestExactCardChain(t *testing.T) {
 	p := chainProblem(1, 5, 1)
-	sol, err := ExactCard(p, 20)
+	sol, err := BruteForceCard(p, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestIntegralityGapAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactCard(p, 10)
+	exact, err := BruteForceCard(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,11 +60,12 @@ type GeneratedRef struct {
 
 // OptionsSpec mirrors the tunable subset of solve.Options.
 type OptionsSpec struct {
-	NodeBudget int   `json:"nodeBudget,omitempty"`
-	MaxAttrs   int   `json:"maxAttrs,omitempty"`
-	Workers    int   `json:"workers,omitempty"`
-	Seed       int64 `json:"seed,omitempty"`
-	Trials     int   `json:"trials,omitempty"`
+	NodeBudget int `json:"nodeBudget,omitempty"`
+	// MaxAttrs is accepted and ignored, like solve.Options.MaxAttrs.
+	MaxAttrs int   `json:"maxAttrs,omitempty"`
+	Workers  int   `json:"workers,omitempty"`
+	Seed     int64 `json:"seed,omitempty"`
+	Trials   int   `json:"trials,omitempty"`
 }
 
 // SolveResponse is the wire shape of a solve outcome. Status is "optimal"
@@ -232,7 +233,6 @@ func (r *SolveRequest) solveOptions(v secureview.Variant) solve.Options {
 	opts := solve.Options{Variant: v}
 	if o := r.Options; o != nil {
 		opts.NodeBudget = o.NodeBudget
-		opts.MaxAttrs = o.MaxAttrs
 		opts.Workers = o.Workers
 		opts.Seed = o.Seed
 		opts.Trials = o.Trials

@@ -535,10 +535,10 @@ func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Var
 
 // mapOutcome turns a solve result into (HTTP status, response, error):
 // 200 for a completed solve; 206 + status "partial" whenever the solver
-// carried a feasible incumbent out of a deadline or node-budget expiry
-// (the exit-code-3 analog); 504 for an empty-handed deadline; 422 for an
-// empty-handed exhaustion of a client-requested node budget; 500 for
-// anything else.
+// carried a feasible incumbent out of a deadline (the exit-code-3
+// analog); 504 for an empty-handed deadline; 422 for a search the exact
+// solver refused up front because its leaves exceed the client-requested
+// node budget, which never carries an incumbent; 500 for anything else.
 func mapOutcome(res solve.Result, err error, elapsedMs int64) (int, *SolveResponse, string) {
 	switch {
 	case err == nil:

@@ -170,7 +170,7 @@ func TestSolveGeneratedClasses(t *testing.T) {
 	// Abstract problem class: generated directly.
 	resp, raw = post(t, ts, "/v1/solve", server.SolveRequest{
 		Generated: &server.GeneratedRef{Class: "sparse", Seed: 3},
-		Solver:    "bb", Variant: "cardinality",
+		Solver:    "exact", Variant: "cardinality",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sparse: status %d: %s", resp.StatusCode, raw)
@@ -196,7 +196,7 @@ func TestBatch(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	req := server.BatchRequest{Jobs: []server.SolveRequest{
 		{Generated: &server.GeneratedRef{Class: "sparse", Seed: 1}, Solver: "exact", Variant: "cardinality"},
-		{Generated: &server.GeneratedRef{Class: "sparse", Seed: 1}, Solver: "bb", Variant: "cardinality"},
+		{Generated: &server.GeneratedRef{Class: "sparse", Seed: 1}, Solver: "engine", Variant: "cardinality"},
 		{Generated: &server.GeneratedRef{Class: "nope", Seed: 1}, Solver: "exact"},
 		{Spec: parseDoc(t), Solver: "greedy", Variant: "set"},
 	}}
@@ -212,11 +212,11 @@ func TestBatch(t *testing.T) {
 		t.Fatalf("got %d results", len(out.Results))
 	}
 	if out.Results[0].Code != http.StatusOK || out.Results[1].Code != http.StatusOK {
-		t.Fatalf("exact/bb failed: %+v", out.Results[:2])
+		t.Fatalf("exact/engine failed: %+v", out.Results[:2])
 	}
 	costA, costB := out.Results[0].Response.Cost, out.Results[1].Response.Cost
 	if d := costA - costB; d < -1e-9*(1+costA) || d > 1e-9*(1+costA) {
-		t.Fatalf("exact %g != bb %g on one instance", costA, costB)
+		t.Fatalf("exact %g != engine %g on one instance", costA, costB)
 	}
 	if out.Results[2].Code != http.StatusBadRequest || out.Results[2].Error == "" {
 		t.Fatalf("unknown class not rejected per-job: %+v", out.Results[2])
@@ -402,30 +402,18 @@ func TestDeadlinePartialIncumbent(t *testing.T) {
 		t.Fatalf("partial response: %+v", out)
 	}
 
-	// A client-requested node budget that exhausts mid-search with a
-	// feasible incumbent (bb always carries its greedy seed out) is the
-	// same partial contract, not a server fault.
-	resp, raw = post(t, ts, "/v1/solve", server.SolveRequest{
-		Generated: &server.GeneratedRef{Class: "wide", Seed: 1},
-		Solver:    "bb", Variant: "cardinality",
-		Options: &server.OptionsSpec{NodeBudget: 1},
-	})
-	if resp.StatusCode != http.StatusPartialContent {
-		t.Fatalf("node-budget exhaustion: status %d: %s", resp.StatusCode, raw)
-	}
-	if out := decodeSolve(t, raw); out.Status != "partial" || len(out.Hidden) == 0 {
-		t.Fatalf("node-budget partial response: %+v", out)
-	}
-
-	// The exact set solver rejects an over-budget search space up front
-	// with no incumbent: an unprocessable request, not a server fault.
-	resp, raw = post(t, ts, "/v1/solve", server.SolveRequest{
-		Generated: &server.GeneratedRef{Class: "wide", Seed: 1},
-		Solver:    "exact", Variant: "set",
-		Options: &server.OptionsSpec{NodeBudget: 1},
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("up-front budget rejection: status %d: %s", resp.StatusCode, raw)
+	// The exact solver rejects an over-budget search space up front with
+	// no incumbent, for either variant: an unprocessable request, not a
+	// server fault.
+	for _, variant := range []string{"set", "cardinality"} {
+		resp, raw = post(t, ts, "/v1/solve", server.SolveRequest{
+			Generated: &server.GeneratedRef{Class: "wide", Seed: 1},
+			Solver:    "exact", Variant: variant,
+			Options: &server.OptionsSpec{NodeBudget: 1},
+		})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s up-front budget rejection: status %d: %s", variant, resp.StatusCode, raw)
+		}
 	}
 
 	// Deadline with no incumbent -> 504.
@@ -480,7 +468,7 @@ func TestBadRequests(t *testing.T) {
 			Generated: &server.GeneratedRef{Class: "mystery"}, Solver: "exact",
 		}, http.StatusBadRequest},
 		{"wrong-variant solver", server.SolveRequest{
-			Generated: &server.GeneratedRef{Class: "sparse"}, Solver: "bb", Variant: "set",
+			Generated: &server.GeneratedRef{Class: "sparse"}, Solver: "approx-labelcover", Variant: "cardinality",
 		}, http.StatusBadRequest},
 		// An instance carries one Γ: a per-module requirement would be
 		// silently weakened to the document's Γ, so it is refused.
@@ -502,6 +490,13 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q", tc.name, raw)
 		}
+	}
+	// The attribute branch and bound answers as "exact"; "bb" is no
+	// solver name any more.
+	if resp, raw := post(t, ts, "/v1/solve", server.SolveRequest{
+		Generated: &server.GeneratedRef{Class: "sparse"}, Solver: "bb", Variant: "cardinality",
+	}); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "unknown solver") {
+		t.Errorf("retired solver bb: status %d: %s", resp.StatusCode, raw)
 	}
 
 	// Unknown JSON fields are rejected (catches schema drift early).
@@ -567,11 +562,14 @@ func TestStatsAndSolvers(t *testing.T) {
 	for _, info := range sv.Solvers {
 		found[info.Name] = info.Capabilities
 	}
-	for _, want := range []string{"exact", "bb", "engine", "greedy", "lp",
+	for _, want := range []string{"exact", "engine", "greedy", "lp",
 		"approx-setcover", "approx-labelcover", "portfolio"} {
 		if _, ok := found[want]; !ok {
 			t.Fatalf("solver %q missing from %v", want, sv.Solvers)
 		}
+	}
+	if _, ok := found["bb"]; ok || len(found) != 7 {
+		t.Fatalf("want the 7 solvers without bb, got %v", sv.Solvers)
 	}
 	// Capabilities must round-trip with meaningful content, not zero values.
 	if c := found["exact"]; !c.Exact || !c.Cardinality || !c.Set || c.Factor == "" {

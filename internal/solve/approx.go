@@ -116,16 +116,17 @@ func (labelCoverApproxSolver) Solve(ctx context.Context, p *secureview.Problem, 
 
 // portfolioSolver runs a fixed plan of registered solvers, one after
 // another on the caller's goroutine: a static algorithm-selection schedule
-// (Rice, 1976). First the exact tier, each step with its node budget
-// clamped to portfolioProbeNodes; a proven optimum ends the plan. Then the
-// certified tier; of its results (and any partial exact incumbents) the
-// cheapest certified one wins, else the cheapest feasible one, names
-// breaking cost ties. A step runs only when its solver supports the
-// instance. Registered solvers outside the plan never run.
+// (Rice, 1976). First the exact tier, exact with its node budget clamped
+// to portfolioProbeNodes, then engine; a proven optimum ends the plan.
+// Then the certified tier; of its results (and any partial exact
+// incumbents) the cheapest certified one wins, else the cheapest feasible
+// one, names breaking cost ties. A step runs only when its solver supports
+// the instance. Registered solvers outside the plan never run.
 //
-// The clamp keeps an exact step from grinding out its full default budget
-// on a mega instance before the approximation tier gets its turn. It is
-// orders of magnitude above what the small scenario classes need to prove
+// The clamp makes exact refuse, before it searches, an instance whose
+// search tree has more than 2^16 leaves (for cardinality, k > 16 useful
+// attributes), so a mega instance reaches the approximation tier at once.
+// It is far above what the small scenario classes need to prove
 // optimality, so there the answer is the exact tier's optimum.
 type portfolioSolver struct{}
 
@@ -133,13 +134,14 @@ type portfolioSolver struct{}
 // steps (see portfolioSolver).
 const portfolioProbeNodes = 1 << 16
 
-// portfolioPlan is the portfolio's schedule: the exact tier, whose steps
-// run under the probe budget, then the certified tier.
+// portfolioPlan is the portfolio's schedule: the exact tier (exact under
+// the probe budget, then engine, which has no node budget), then the
+// certified tier.
 var portfolioPlan = []struct {
 	solver string
 	probe  bool
 }{
-	{"bb", true}, {"exact", true}, {"engine", true},
+	{"exact", true}, {"engine", false},
 	{"approx-labelcover", false}, {"approx-setcover", false}, {"lp", false}, {"greedy", false},
 }
 

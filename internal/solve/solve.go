@@ -1,11 +1,11 @@
 // Package solve is the unified solver layer over the Secure-View code
-// paths. The paper's optimization problem is solved in this repo by five
-// historically independent implementations — branch and bound over
-// requirement options (ExactSet) or attributes (ExactCardBB), exhaustive
-// enumeration (ExactCard), the greedy (γ+1)-approximation, the LP
-// roundings of Theorems 5/6, and the pruned subset-search engine of
-// internal/search — each with its own signature and budget convention.
-// This package puts one interface in front of all of them:
+// paths. The paper's optimization problem is solved in this repo by
+// branch and bound over requirement options (ExactSetCtx) or attributes
+// (ExactCardBBCtx), the greedy (γ+1)-approximation, the LP roundings of
+// Theorems 5/6, the pruned subset-search engine of internal/search, and
+// the set-cover and label-cover approximations reached through
+// internal/reductions, each with its own signature. This package puts one
+// interface in front of all of them:
 //
 //   - Solver: Solve(ctx, *secureview.Problem, Options) (Result, error),
 //     with uniform node/time budgets, worker counts and rounding seeds, and
@@ -24,9 +24,9 @@
 //     first under a probe budget, then the certified approximation tier.
 //
 // Cancellation contract: every registered solver observes ctx within one
-// pruning epoch (one search-tree node, candidate mask, or possible-world
-// assignment) and returns ctx.Err() on expiry. Exact solvers additionally
-// return their best incumbent alongside the error, marked Result.Partial.
+// pruning epoch (one search-tree node or candidate mask) and returns
+// ctx.Err() on expiry. The exact solver additionally returns its best
+// incumbent alongside the error, marked Result.Partial.
 package solve
 
 import (
@@ -44,12 +44,16 @@ import (
 type Options struct {
 	// Variant selects the constraint encoding the solver runs against.
 	Variant secureview.Variant
-	// NodeBudget caps search-tree nodes for the budgeted exact solvers
-	// (default 1<<22). Exhaustion returns an error wrapping
-	// secureview.ErrNodeBudget.
+	// NodeBudget caps the leaves of the exact solver's search tree
+	// (default 1<<22): the product of the private modules' option counts
+	// for the set variant, 2^k for the cardinality variant, k the useful
+	// attributes (so the default reaches k ≤ 22). A larger search is
+	// refused before it starts, with an error wrapping
+	// secureview.ErrNodeBudget and no incumbent; a search that starts runs
+	// to the end or to the deadline.
 	NodeBudget int
-	// MaxAttrs caps the useful-attribute count for exact cardinality
-	// enumeration (default 16).
+	// MaxAttrs is ignored: the cardinality variant's reach follows
+	// NodeBudget.
 	MaxAttrs int
 	// Workers is the engine solver's worker-pool size (0 = GOMAXPROCS).
 	Workers int
@@ -68,9 +72,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.NodeBudget == 0 {
 		o.NodeBudget = 1 << 22
-	}
-	if o.MaxAttrs == 0 {
-		o.MaxAttrs = 16
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -99,7 +100,7 @@ type Bound struct {
 
 // Counters reports how a solver spent its budget.
 type Counters struct {
-	// Nodes counts exact-search tree nodes or enumerated candidate masks.
+	// Nodes counts exact-search tree nodes.
 	Nodes int
 	// Checked and Pruned are the engine solver's safety-test/pruning split
 	// (Checked+Pruned = candidates in scope).
@@ -125,7 +126,7 @@ type Result struct {
 	// Optimal is true when the solver proved optimality.
 	Optimal bool
 	// Partial is true when the solution is a best-effort incumbent returned
-	// alongside a budget or deadline error (always feasible when present).
+	// alongside a deadline error (always feasible when present).
 	Partial bool
 	// Bound is the attached certificate.
 	Bound Bound

@@ -25,7 +25,7 @@ func within(a, b float64) bool {
 }
 
 func TestRegistryNamesAndCapabilities(t *testing.T) {
-	want := []string{"approx-labelcover", "approx-setcover", "bb", "engine", "exact", "greedy", "lp", "portfolio"}
+	want := []string{"approx-labelcover", "approx-setcover", "engine", "exact", "greedy", "lp", "portfolio"}
 	if got := solve.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -42,11 +42,13 @@ func TestRegistryNamesAndCapabilities(t *testing.T) {
 		}
 	}
 	p := gen.Problem(gen.ProblemConfig{Modules: 4}, 1)
-	if s, _ := solve.Get("bb"); s.Supports(p, secureview.Set) == nil {
-		t.Error("bb claims to support the set variant")
+	if s, _ := solve.Get("approx-labelcover"); s.Supports(p, secureview.Cardinality) == nil {
+		t.Error("approx-labelcover claims to support the cardinality variant")
 	}
-	if s, _ := solve.Get("bb"); s.Supports(p, secureview.Cardinality) != nil {
-		t.Error("bb rejects a valid cardinality instance")
+	for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
+		if s, _ := solve.Get("exact"); s.Supports(p, v) != nil {
+			t.Errorf("exact rejects a valid %v instance", v)
+		}
 	}
 	// public-mix instances are outside the engine's cost model.
 	for seed := int64(0); seed < 20; seed++ {
@@ -65,8 +67,10 @@ func TestRegistryNamesAndCapabilities(t *testing.T) {
 		}
 		break
 	}
-	if _, err := solve.Solve(context.Background(), "nope", p, solve.Options{}); err == nil {
-		t.Error("unknown solver name did not error")
+	for _, name := range []string{"nope", "bb"} {
+		if _, err := solve.Solve(context.Background(), name, p, solve.Options{}); err == nil {
+			t.Errorf("unknown solver name %q did not error", name)
+		}
 	}
 }
 
@@ -106,19 +110,19 @@ func TestRegistryAgreesWithDirectCalls(t *testing.T) {
 			}
 
 			// Cardinality variant.
-			bbRes, err := solve.Solve(ctx, "bb", p, solve.Options{Variant: secureview.Cardinality})
+			ref, err := secureview.BruteForceCard(p, 22)
 			if err != nil {
-				t.Fatalf("%s: bb: %v", name, err)
+				t.Fatalf("%s: brute-force card: %v", name, err)
 			}
-			exRes, err := solve.Solve(ctx, "exact", p, solve.Options{Variant: secureview.Cardinality, MaxAttrs: 22})
+			exRes, err := solve.Solve(ctx, "exact", p, solve.Options{Variant: secureview.Cardinality})
 			if err != nil {
 				t.Fatalf("%s: exact card: %v", name, err)
 			}
-			if !within(bbRes.Cost, exRes.Cost) {
-				t.Errorf("%s: bb cost %g != exact card cost %g", name, bbRes.Cost, exRes.Cost)
+			if !exRes.Optimal || !within(p.Cost(ref), exRes.Cost) {
+				t.Errorf("%s: exact card cost %g (optimal=%v) != brute-force cost %g", name, exRes.Cost, exRes.Optimal, p.Cost(ref))
 			}
-			if bbRes.Counters.Nodes == 0 || exRes.Counters.Nodes == 0 {
-				t.Errorf("%s: exact counters empty (bb=%d exact=%d)", name, bbRes.Counters.Nodes, exRes.Counters.Nodes)
+			if exRes.Counters.Nodes == 0 {
+				t.Errorf("%s: exact card counters empty", name)
 			}
 
 			// Heuristic certificates: feasible, ordered, and within their
@@ -212,7 +216,7 @@ func TestSolveBatch(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		p := gen.Problem(gen.ProblemConfig{Modules: 5}, seed)
 		problems = append(problems, p)
-		for _, s := range []string{"exact", "bb", "greedy", "lp"} {
+		for _, s := range []string{"exact", "engine", "greedy", "lp"} {
 			jobs = append(jobs, solve.Job{
 				Name:    fmt.Sprintf("seed%d/%s", seed, s),
 				Problem: p,
@@ -233,12 +237,12 @@ func TestSolveBatch(t *testing.T) {
 			t.Fatalf("%s: %v", r.Job.Name, r.Err)
 		}
 	}
-	// exact and bb agree per seed; heuristics are never cheaper.
+	// exact and engine agree per seed; heuristics are never cheaper.
 	for seed := 0; seed < 6; seed++ {
 		base := seed * 4
-		exact, bb := results[base].Result, results[base+1].Result
-		if !within(exact.Cost, bb.Cost) {
-			t.Errorf("seed %d: exact %g != bb %g", seed, exact.Cost, bb.Cost)
+		exact, eng := results[base].Result, results[base+1].Result
+		if !within(exact.Cost, eng.Cost) {
+			t.Errorf("seed %d: exact %g != engine %g", seed, exact.Cost, eng.Cost)
 		}
 		for _, heur := range []solve.Result{results[base+2].Result, results[base+3].Result} {
 			if heur.Cost < exact.Cost-1e-9 {

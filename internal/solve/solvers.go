@@ -11,7 +11,6 @@ import (
 
 func init() {
 	Register(exactSolver{})
-	Register(bbSolver{})
 	Register(engineSolver{})
 	Register(greedySolver{})
 	Register(lpSolver{})
@@ -31,9 +30,9 @@ func finish(name string, p *secureview.Problem, v secureview.Variant,
 	}
 }
 
-// partial wraps a budget/deadline error, attaching the incumbent when it is
-// feasible (the exact solvers' greedy seed always is; a cancelled
-// enumeration may have none).
+// partial wraps a solver error, attaching the incumbent when it is
+// feasible: an exact search cut by its deadline carries its best solution
+// out, while a search refused for its node budget has none.
 func partial(name string, p *secureview.Problem, v secureview.Variant,
 	sol secureview.Solution, c Counters, err error) (Result, error) {
 	res := Result{Solver: name, Variant: v, Counters: c}
@@ -45,10 +44,11 @@ func partial(name string, p *secureview.Problem, v secureview.Variant,
 	return res, err
 }
 
-// exactSolver proves optimality by exhaustive search: per-module option
-// branch and bound over the compiled problem for set constraints (the
-// engine's (cost, lex) optimum, in microseconds on the served instances),
-// useful-attribute subset enumeration for cardinality constraints.
+// exactSolver proves optimality by branch and bound: over per-module
+// option choices of the compiled problem for set constraints (the engine's
+// (cost, lex) optimum, in microseconds on the served instances), over the
+// useful attributes for cardinality constraints. Both refuse a search
+// whose leaf count exceeds Options.NodeBudget before starting it.
 type exactSolver struct{}
 
 func (exactSolver) Name() string { return "exact" }
@@ -63,48 +63,17 @@ func (s exactSolver) Supports(p *secureview.Problem, v secureview.Variant) error
 
 func (exactSolver) Solve(ctx context.Context, p *secureview.Problem, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	var (
-		sol secureview.Solution
-		st  secureview.ExactStats
-		err error
-	)
+	run := secureview.ExactCardBBCtx
 	if opts.Variant == secureview.Set {
-		sol, st, err = secureview.ExactSetValidCtx(ctx, p, opts.NodeBudget)
-	} else {
-		sol, st, err = secureview.ExactCardCtx(ctx, p, opts.MaxAttrs)
+		run = secureview.ExactSetCtx
 	}
+	sol, st, err := run(ctx, p, opts.NodeBudget)
 	c := Counters{Nodes: st.Nodes}
 	if err != nil {
 		return partial("exact", p, opts.Variant, sol, c, err)
 	}
 	return finish("exact", p, opts.Variant, sol, true,
 		Bound{Factor: 1, Theorem: "exhaustive (Theorems 5/6 hardness)"}, c), nil
-}
-
-// bbSolver is the attribute-level branch and bound for the cardinality
-// variant, which scales further than enumeration when optima hide few
-// attributes.
-type bbSolver struct{}
-
-func (bbSolver) Name() string { return "bb" }
-
-func (bbSolver) Capabilities() Capabilities {
-	return Capabilities{Cardinality: true, Exact: true, Certified: true, Factor: "1"}
-}
-
-func (s bbSolver) Supports(p *secureview.Problem, v secureview.Variant) error {
-	return s.Capabilities().check("bb", p, v)
-}
-
-func (bbSolver) Solve(ctx context.Context, p *secureview.Problem, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	sol, st, err := secureview.ExactCardBBCtx(ctx, p, opts.NodeBudget)
-	c := Counters{Nodes: st.Nodes}
-	if err != nil {
-		return partial("bb", p, opts.Variant, sol, c, err)
-	}
-	return finish("bb", p, opts.Variant, sol, true,
-		Bound{Factor: 1, Theorem: "branch and bound (admissible completion bound)"}, c), nil
 }
 
 // engineSolver runs the pruned parallel subset-search engine of
@@ -161,7 +130,7 @@ func (engineSolver) Solve(ctx context.Context, p *secureview.Problem, opts Optio
 			fmt.Errorf("solve: no feasible solution")
 	}
 	return finish("engine", p, opts.Variant, p.Complete(sp.NameSet(res.Hidden)), true,
-		Bound{Factor: 1, Theorem: "exhaustive over useful attributes (Proposition 1 pruning)"}, c), nil
+		Bound{Factor: 1, Theorem: "exhaustive (cost, lex) scan over useful attributes, bounded by cost and index"}, c), nil
 }
 
 // greedySolver is the per-module cheapest-option union.
