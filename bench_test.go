@@ -1,7 +1,7 @@
 package secureview
 
 // Benchmarks regenerating the paper-reproduction experiments (one per
-// table in EXPERIMENTS.md; E1..E15 in quick mode) plus micro-benchmarks of
+// experiment of internal/exp; E1..E15 in quick mode) plus micro-benchmarks of
 // the core operations. Run with:
 //
 //	go test -bench=. -benchmem

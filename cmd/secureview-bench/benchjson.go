@@ -95,21 +95,36 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 		compiled := func(v search.Mask) (bool, error) { return comp.IsSafe(oracle.Mask(v), gamma), nil }
 
 		variants := []struct {
-			name string
-			run  func() (search.Result, error)
-		}{
-			{"naive", func() (search.Result, error) { return sp.NaiveMinCost(interpreted) }},
-			{"engine-interpreted", func() (search.Result, error) { return sp.MinCost(interpreted, search.Options{}) }},
-			{"engine-compiled", func() (search.Result, error) { return sp.MinCost(compiled, search.Options{}) }},
-		}
+			name   string
+			oracle search.Oracle
+		}{{"naive", interpreted}, {"engine-interpreted", interpreted}, {"engine-compiled", compiled}}
 		var reference search.Result
 		for vi, v := range variants {
-			res, best, err := timeBest(reps, v.run)
+			res, best, err := timeBest(reps, func() (search.Result, error) {
+				if vi == 0 {
+					return sp.NaiveMinCost(v.oracle)
+				}
+				return sp.MinCost(v.oracle, search.Options{})
+			})
 			if err != nil {
 				return nil, fmt.Errorf("%s k=%d: %w", v.name, k, err)
 			}
 			if !res.Found {
 				return nil, fmt.Errorf("%s k=%d: no safe subset found", v.name, k)
+			}
+			if vi > 0 {
+				// The timed runs use GOMAXPROCS workers, whose speculative
+				// checks depend on the schedule; the row's counters come from
+				// one single-worker run, which replays.
+				serial, err := sp.MinCost(v.oracle, search.Options{Parallelism: 1})
+				if err != nil {
+					return nil, fmt.Errorf("%s k=%d single-worker: %w", v.name, k, err)
+				}
+				if serial.Hidden != res.Hidden || serial.Cost != res.Cost {
+					return nil, fmt.Errorf("%s k=%d: single-worker optimum (hidden=%b cost=%g) diverges from the timed run's (hidden=%b cost=%g)",
+						v.name, k, serial.Hidden, serial.Cost, res.Hidden, res.Cost)
+				}
+				res.Stats = serial.Stats
 			}
 			switch vi {
 			case 0:

@@ -1,5 +1,5 @@
-// Command secureview-bench runs the reproduction experiments E1–E23 (see
-// DESIGN.md section 4 and EXPERIMENTS.md) and prints their result tables.
+// Command secureview-bench runs the reproduction experiments E1–E23 (the
+// internal/exp registry) and prints their result tables.
 //
 // Usage:
 //

@@ -54,7 +54,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 5*time.Minute, "ceiling on client-requested deadlines")
 		sessionMB    = flag.Int64("session-mb", 256, "Session cache budget in MiB; 0 = unbounded (no eviction — size the heap accordingly)")
-		batchWorkers = flag.Int("batch-workers", 0, "SolveBatch pool size (0 = GOMAXPROCS)")
+		batchWorkers = flag.Int("batch-workers", 0, "jobs one batch runs at once (0 = GOMAXPROCS)")
 		maxBatch     = flag.Int("max-batch", 64, "max jobs per batch request")
 		snapPath     = flag.String("snapshot-path", "", "session snapshot file: restored on boot, rewritten periodically and on shutdown (empty = snapshots off)")
 		snapEvery    = flag.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval (requires -snapshot-path; <=0 disables the ticker)")

@@ -71,10 +71,12 @@
 //	                     p50/p99/max latency, throughput and error/429
 //	                     counts
 //	internal/server      HTTP/JSON front-end over the solve registry:
-//	                     bounded admission (429 on overload), per-request
-//	                     deadlines mapped to solve.Options.Timeout (206
-//	                     partial incumbents on expiry), batch endpoint over
-//	                     SolveBatch, spec- and generated-(class, seed)
+//	                     bounded admission (429 on overload), per-job
+//	                     deadlines covering derivation and solve (206
+//	                     partial incumbents on expiry), a batch endpoint
+//	                     running each job on the single-solve path (one
+//	                     capability check, in solve.Solve), spec- and
+//	                     generated-(class, seed)
 //	                     request forms, byte-capped shared Session, a
 //	                     structure fingerprint on every response (a
 //	                     request's "base" is accepted and ignored);
@@ -121,6 +123,6 @@
 // cmd/secureview-load (drive a mixed workload against a running server),
 // cmd/secureview-mine (mine hard instances into the committed corpus),
 // cmd/secureview-bench (reproduce the experiment tables), cmd/worlds
-// (world counting), and the runnable programs under examples/. See
-// DESIGN.md and EXPERIMENTS.md.
+// (world counting), and the runnable programs under examples/. README.md
+// walks through each layer.
 package secureview

@@ -697,7 +697,7 @@ func runE17(quick bool) []*Table {
 		}
 		t.Add(n, len(sc.Sets), len(sc.Sets), enumMS, bbMS, p.Cost(enum) == p.Cost(bb))
 	}
-	t.Note("both are optimal; BB prunes via per-module completion bounds (DESIGN.md §5)")
+	t.Note("both are optimal; BB prunes via per-module completion bounds")
 	return []*Table{t}
 }
 

@@ -1,9 +1,8 @@
 // Package exp is the experiment harness: it hosts the registry of
 // reproduction experiments E1–E23 (one per paper artifact plus the
-// engineering experiments, see DESIGN.md section 4) and renders their
-// results as aligned text tables. The cmd/secureview-bench binary and the
-// root benchmarks both drive this registry; EXPERIMENTS.md records its
-// output.
+// engineering experiments) and renders their results as aligned text
+// tables. The cmd/secureview-bench binary and the root benchmarks both
+// drive this registry.
 package exp
 
 import (

@@ -54,8 +54,8 @@ type publicMask struct {
 // option naming an attribute outside attrs is dropped: no hidden subset of
 // the universe can satisfy it. A cardinality module listing one universe
 // attribute twice among its inputs (or its outputs) is rejected, because
-// the popcount test counts each attribute once; workflow modules cannot
-// list one twice.
+// the popcount test counts each attribute once; Problem.Validate rejects
+// such a module too.
 //
 // For every mask h over the first 64 attributes of the universe,
 // Feasible(h) equals p.Feasible(Solution{Hidden: names(h), Privatized: ∅}, v).

@@ -3,9 +3,8 @@ package secureview
 import (
 	"context"
 	"math"
+	"math/bits"
 	"sort"
-
-	"secureview/internal/relation"
 )
 
 // ExactCardBB finds an optimal cardinality-variant solution: it validates
@@ -20,7 +19,9 @@ func ExactCardBB(p *Problem, maxNodes int) (Solution, error) {
 
 // ExactCardBBCtx finds an optimal cardinality-variant solution (the
 // problem is NP-hard, Theorem 5) by depth-first branch and bound over the
-// useful attributes, seeded with the Greedy solution. p must pass
+// useful attributes, seeded with the Greedy solution. It searches the
+// problem compiled over those attributes (Problem.Compile), so a module's
+// hidden inputs and outputs are two popcounts. p must pass
 // p.Validate(Cardinality), as the solve registry's capability check
 // ensures; on a problem Validate rejects, the result is unspecified.
 //
@@ -32,7 +33,8 @@ func ExactCardBB(p *Problem, maxNodes int) (Solution, error) {
 // cheapest completion among the unsatisfied modules reaches the
 // incumbent's cost. A module's cheapest completion adds the cheapest open
 // inputs and outputs one of its requirements still lacks; the largest one
-// never overestimates the cost of completing them all.
+// never overestimates the cost of completing them all. A leaf is priced as
+// Problem.Cost prices its solution.
 //
 // The search tree has 2^k leaves, k the useful-attribute count; when that
 // exceeds maxNodes the call returns an error wrapping ErrNodeBudget before
@@ -41,237 +43,182 @@ func ExactCardBB(p *Problem, maxNodes int) (Solution, error) {
 // ctx.Err() with the best incumbent so far, always feasible since the
 // greedy seed is.
 func ExactCardBBCtx(ctx context.Context, p *Problem, maxNodes int) (Solution, ExactStats, error) {
-	useful := relation.NewNameSet(p.UsefulAttributes(Cardinality)...)
+	useful := p.UsefulAttributes(Cardinality)
 	if err := checkLeaves("exact cardinality", math.Ldexp(1, len(useful)), maxNodes); err != nil {
 		return Solution{}, ExactStats{}, err
 	}
-	var privates []ModuleSpec
-	for _, m := range p.Modules {
-		if !m.Public {
-			privates = append(privates, m)
+	c, err := p.Compile(Cardinality, useful)
+	if err != nil {
+		return Solution{}, ExactStats{}, err
+	}
+	s := newCardSearch(ctx, c, p.Costs.Of)
+	// Greedy hides a cheapest requirement of every private module, so on a
+	// valid problem the seed is feasible; it hides useful attributes only.
+	seed := Greedy(p, Cardinality)
+	for i, a := range useful {
+		if seed.Hidden.Has(a) {
+			s.best |= 1 << i
 		}
 	}
-	attrs := useful.Sorted()
-	// Order attributes by how many modules reference them (descending), so
-	// impactful decisions happen early; ties by cost ascending.
-	demand := make(map[string]int)
-	for _, m := range privates {
-		for _, a := range m.Inputs {
-			if useful.Has(a) {
-				demand[a]++
-			}
-		}
-		for _, a := range m.Outputs {
-			if useful.Has(a) {
-				demand[a]++
-			}
-		}
+	s.bestCost = s.price(s.best)
+	s.descend(0, 0)
+	sol := c.solution([]uint64{s.best})
+	stats := ExactStats{Nodes: s.nodes}
+	if s.cancelled {
+		return sol, stats, ctx.Err()
 	}
-	sort.Slice(attrs, func(i, j int) bool {
-		if demand[attrs[i]] != demand[attrs[j]] {
-			return demand[attrs[i]] > demand[attrs[j]]
+	return sol, stats, nil
+}
+
+// cardSearch is the state of one ExactCardBBCtx run. Masks are over the
+// compiled universe: bit i is the i-th useful attribute in name order.
+type cardSearch struct {
+	ctx  context.Context
+	c    *Compiled
+	cost []float64 // per attribute
+	// order lists the attributes in branching order; inByCost and
+	// outByCost list each private module's input and output bits by
+	// ascending cost (stably, so name order breaks ties).
+	order               []int
+	inByCost, outByCost [][]int
+
+	hidden, open uint64 // open: attributes not decided yet
+
+	best      uint64
+	bestCost  float64
+	nodes     int
+	cancelled bool
+}
+
+func newCardSearch(ctx context.Context, c *Compiled, cost func(string) float64) *cardSearch {
+	k := len(c.attrs)
+	s := &cardSearch{ctx: ctx, c: c, cost: make([]float64, k), order: make([]int, k), open: 1<<k - 1}
+	for i, a := range c.attrs {
+		s.cost[i] = cost(a)
+		s.order[i] = i
+	}
+	byCost := func(m uint64) []int {
+		var out []int
+		for ; m != 0; m &= m - 1 {
+			out = append(out, bits.TrailingZeros64(m))
 		}
-		ci, cj := p.Costs.Of(attrs[i]), p.Costs.Of(attrs[j])
-		if ci != cj {
-			return ci < cj
+		sort.SliceStable(out, func(x, y int) bool { return s.cost[out[x]] < s.cost[out[y]] })
+		return out
+	}
+	demand := make([]int, k)
+	for _, m := range c.mods {
+		for _, x := range [2]uint64{m.in, m.out} {
+			for ; x != 0; x &= x - 1 {
+				demand[bits.TrailingZeros64(x)]++
+			}
 		}
-		return attrs[i] < attrs[j]
+		s.inByCost = append(s.inByCost, byCost(m.in))
+		s.outByCost = append(s.outByCost, byCost(m.out))
+	}
+	// Most demanded first, so impactful decisions happen early; ties by
+	// ascending cost, then name.
+	sort.Slice(s.order, func(x, y int) bool {
+		i, j := s.order[x], s.order[y]
+		if demand[i] != demand[j] {
+			return demand[i] > demand[j]
+		}
+		if s.cost[i] != s.cost[j] {
+			return s.cost[i] < s.cost[j]
+		}
+		return i < j
 	})
-
-	// Greedy hides a cheapest requirement of every private module, so on
-	// a valid problem the seed is feasible.
-	best := Greedy(p, Cardinality)
-	bestCost := p.Cost(best)
-
-	// The completion bound runs at every node over every private module, so
-	// it reads each attribute's state (hidden, discarded or still open)
-	// from a slice, not from name sets.
-	bb := newCardBound(p, privates)
-	hidden := make(relation.NameSet)
-	nodes := 0
-	cancelled := false
-
-	// completionBound returns a lower bound on extra attribute cost needed
-	// to satisfy all currently unsatisfied modules, or -1 if some module
-	// can no longer be satisfied.
-	completionBound := func() float64 {
-		bound := 0.0
-		for i := range bb.mods {
-			m := &bb.mods[i]
-			hi, ho := bb.hiddenCounts(m)
-			if m.satisfied(hi, ho) {
-				continue
-			}
-			cheapest := -1.0
-			for _, r := range m.card {
-				c, ok := bb.completionCost(m, r, hi, ho)
-				if !ok {
-					continue
-				}
-				if cheapest < 0 || c < cheapest {
-					cheapest = c
-				}
-			}
-			if cheapest < 0 {
-				return -1
-			}
-			if cheapest > bound {
-				bound = cheapest // max over modules: admissible
-			}
-		}
-		return bound
-	}
-
-	var rec func(i int, attrCost float64)
-	rec = func(i int, attrCost float64) {
-		nodes++
-		if nodes&255 == 0 && ctx.Err() != nil {
-			cancelled = true
-			return
-		}
-		lb := completionBound()
-		if lb < 0 || attrCost+lb >= bestCost {
-			return
-		}
-		if i == len(attrs) {
-			sol := p.Complete(hidden.Clone())
-			if !p.Feasible(sol, Cardinality) {
-				return
-			}
-			if c := p.Cost(sol); c < bestCost {
-				bestCost = c
-				best = sol
-			}
-			return
-		}
-		a := attrs[i]
-		id := bb.id[a]
-		// Branch 1: hide a.
-		hidden.Add(a)
-		bb.state[id] = hiddenAttr
-		rec(i+1, attrCost+p.Costs.Of(a))
-		delete(hidden, a)
-		if cancelled {
-			bb.state[id] = openAttr
-			return
-		}
-		// Branch 2: discard a.
-		bb.state[id] = discardedAttr
-		rec(i+1, attrCost)
-		bb.state[id] = openAttr
-	}
-	rec(0, 0)
-	stats := ExactStats{Nodes: nodes}
-	if cancelled {
-		return best, stats, ctx.Err()
-	}
-	return best, stats, nil
+	return s
 }
 
-// Attribute states during the cardinality branch and bound.
-const (
-	openAttr = iota
-	hiddenAttr
-	discardedAttr
-)
-
-// cardBound is the cardinality branch and bound's view of the private
-// modules for its completion bound: attributes as indexes into state and
-// cost.
-type cardBound struct {
-	id    map[string]int
-	state []uint8
-	cost  []float64
-	mods  []cardModule
+// descend visits the node deciding s.order[i], with attrCost the hiding
+// cost of the attributes hidden so far, summed in branching order.
+func (s *cardSearch) descend(i int, attrCost float64) {
+	s.nodes++
+	if s.nodes&255 == 0 && s.ctx.Err() != nil {
+		s.cancelled = true
+		return
+	}
+	lb := s.bound()
+	if lb < 0 || attrCost+lb >= s.bestCost {
+		return
+	}
+	if i == len(s.order) {
+		// No attribute is open, so the bound admits a leaf only when every
+		// private module is satisfied.
+		if c := s.price(s.hidden); c < s.bestCost {
+			s.best, s.bestCost = s.hidden, c
+		}
+		return
+	}
+	a := s.order[i]
+	bit := uint64(1) << a
+	s.open &^= bit
+	s.hidden |= bit
+	s.descend(i+1, attrCost+s.cost[a])
+	s.hidden &^= bit
+	if !s.cancelled {
+		s.descend(i+1, attrCost)
+	}
+	s.open |= bit
 }
 
-// cardModule is one private module's interface as attribute indexes, in
-// list order (repeats included, as ModuleSpec.Satisfied counts them) and
-// again sorted by cost, and its requirement list.
-type cardModule struct {
-	in, out             []int
-	inByCost, outByCost []int
-	card                []CardReq
-}
-
-func newCardBound(p *Problem, privates []ModuleSpec) *cardBound {
-	b := &cardBound{id: make(map[string]int)}
-	ids := func(names []string) []int {
-		out := make([]int, len(names))
-		for i, a := range names {
-			id, ok := b.id[a]
-			if !ok {
-				id = len(b.cost)
-				b.id[a] = id
-				b.cost = append(b.cost, p.Costs.Of(a))
+// bound returns a lower bound on the hiding cost still needed to satisfy
+// every private module, the largest cheapest completion among the
+// unsatisfied ones, or -1 when one can no longer be satisfied from the open
+// attributes.
+func (s *cardSearch) bound() float64 {
+	bound := 0.0
+	for j := range s.c.mods {
+		m := &s.c.mods[j]
+		if m.satisfied(s.hidden) {
+			continue
+		}
+		hi, ho := bits.OnesCount64(s.hidden&m.in), bits.OnesCount64(s.hidden&m.out)
+		cheapest := -1.0
+		for _, r := range m.card {
+			c, ok := s.complete(0, s.inByCost[j], r.Alpha-hi)
+			if ok {
+				c, ok = s.complete(c, s.outByCost[j], r.Beta-ho)
 			}
-			out[i] = id
-		}
-		return out
-	}
-	byCost := func(ids []int) []int {
-		out := append([]int(nil), ids...)
-		sort.SliceStable(out, func(x, y int) bool { return b.cost[out[x]] < b.cost[out[y]] })
-		return out
-	}
-	for _, m := range privates {
-		cm := cardModule{in: ids(m.Inputs), out: ids(m.Outputs), card: m.CardList}
-		cm.inByCost, cm.outByCost = byCost(cm.in), byCost(cm.out)
-		b.mods = append(b.mods, cm)
-	}
-	b.state = make([]uint8, len(b.cost))
-	return b
-}
-
-// hiddenCounts returns how many of the module's input and output entries
-// are hidden.
-func (b *cardBound) hiddenCounts(m *cardModule) (hi, ho int) {
-	for _, a := range m.in {
-		if b.state[a] == hiddenAttr {
-			hi++
-		}
-	}
-	for _, a := range m.out {
-		if b.state[a] == hiddenAttr {
-			ho++
-		}
-	}
-	return hi, ho
-}
-
-// satisfied reports whether hi hidden inputs and ho hidden outputs meet
-// one of the module's requirements.
-func (m *cardModule) satisfied(hi, ho int) bool {
-	for _, r := range m.card {
-		if hi >= r.Alpha && ho >= r.Beta {
-			return true
-		}
-	}
-	return false
-}
-
-// completionCost returns the cheapest extra cost to satisfy requirement r
-// of module m, which has hi inputs and ho outputs hidden, from its open
-// attributes, or false if too few remain open. It adds the cheapest open
-// inputs and then the cheapest open outputs in ascending cost order.
-func (b *cardBound) completionCost(m *cardModule, r CardReq, hi, ho int) (float64, bool) {
-	cost := 0.0
-	for _, side := range [2]struct {
-		need   int
-		byCost []int
-	}{{r.Alpha - hi, m.inByCost}, {r.Beta - ho, m.outByCost}} {
-		for _, a := range side.byCost {
-			if side.need <= 0 {
-				break
-			}
-			if b.state[a] == openAttr {
-				cost += b.cost[a]
-				side.need--
+			if ok && (cheapest < 0 || c < cheapest) {
+				cheapest = c
 			}
 		}
-		if side.need > 0 {
-			return 0, false
+		if cheapest < 0 {
+			return -1
+		}
+		bound = max(bound, cheapest) // max over modules: admissible
+	}
+	return bound
+}
+
+// complete adds to cost the costs of the need cheapest open attributes of
+// byCost, and reports false when fewer than need are open.
+func (s *cardSearch) complete(cost float64, byCost []int, need int) (float64, bool) {
+	for _, a := range byCost {
+		if need <= 0 {
+			break
+		}
+		if s.open&(1<<a) != 0 {
+			cost += s.cost[a]
+			need--
 		}
 	}
-	return cost, true
+	return cost, need <= 0
+}
+
+// price prices hidden mask h as Problem.Cost prices its solution: hiding
+// costs in name order, then the privatization costs of the public modules
+// h touches, in problem order.
+func (s *cardSearch) price(h uint64) float64 {
+	total := 0.0
+	for x := h; x != 0; x &= x - 1 {
+		total += s.cost[bits.TrailingZeros64(x)]
+	}
+	for _, pm := range s.c.pubs {
+		if pm.mask[0]&h != 0 {
+			total += pm.cost
+		}
+	}
+	return total
 }

@@ -22,7 +22,8 @@
 // feasibility test a subset search asks per candidate costs a few word
 // operations per option; ExactSetCtx, the set-variant exact solver, is a
 // branch and bound over the compiled options that returns the engine
-// solver's (cost, lex) optimum.
+// solver's (cost, lex) optimum, and ExactCardBBCtx, the cardinality one,
+// branches on the compiled attributes.
 package secureview
 
 import (
@@ -76,10 +77,10 @@ type Problem struct {
 	Costs privacy.Costs
 }
 
-// Validate checks structural sanity: finite non-negative costs,
-// requirement bounds within module arity, set requirements referencing the
-// module's own attributes, and private modules having at least one option
-// in the relevant list.
+// Validate checks structural sanity: finite non-negative costs, modules
+// naming each input and each output once, requirement bounds within module
+// arity, set requirements referencing the module's own attributes, and
+// private modules having at least one option in the relevant list.
 func (p *Problem) Validate(variant Variant) error {
 	// Report the name-smallest bad cost, so the error does not depend on
 	// map order.
@@ -104,6 +105,11 @@ func (p *Problem) Validate(variant Variant) error {
 		if !validCost(m.PrivatizeCost) {
 			return fmt.Errorf("secureview: module %q has privatization cost %g; costs must be finite and non-negative", m.Name, m.PrivatizeCost)
 		}
+		// A repeat would count twice toward a cardinality requirement.
+		in, out := relation.NewNameSet(m.Inputs...), relation.NewNameSet(m.Outputs...)
+		if len(in) < len(m.Inputs) || len(out) < len(m.Outputs) {
+			return fmt.Errorf("secureview: module %q lists an input or an output twice", m.Name)
+		}
 		if m.Public {
 			continue
 		}
@@ -121,8 +127,6 @@ func (p *Problem) Validate(variant Variant) error {
 			if len(m.SetList) == 0 {
 				return fmt.Errorf("secureview: private module %q has empty set list", m.Name)
 			}
-			in := relation.NewNameSet(m.Inputs...)
-			out := relation.NewNameSet(m.Outputs...)
 			for _, r := range m.SetList {
 				for _, a := range r.In {
 					if !in.Has(a) {

@@ -64,6 +64,25 @@ func TestValidate(t *testing.T) {
 	if err := dup.Validate(Set); err == nil {
 		t.Error("duplicate module accepted")
 	}
+	// m(a, a, b → c) lists input a twice: hiding a alone used to count as
+	// two hidden inputs toward (2, 0), so most solvers returned hidden {a}.
+	repeats := func(in, out []string) *Problem {
+		return &Problem{Modules: []ModuleSpec{{Name: "m", Inputs: in, Outputs: out,
+			CardList: []CardReq{{Alpha: 2}, {Beta: 1}},
+			SetList:  []SetReq{{In: []string{"a", "b"}}, {Out: []string{"c"}}}}},
+			Costs: privacy.Costs{"a": 1, "b": 1, "c": 5}}
+	}
+	for _, v := range []Variant{Set, Cardinality} {
+		if err := repeats([]string{"a", "a", "b"}, []string{"c"}).Validate(v); err == nil {
+			t.Errorf("%v: input listed twice accepted", v)
+		}
+		if err := repeats([]string{"a", "b"}, []string{"c", "c"}).Validate(v); err == nil {
+			t.Errorf("%v: output listed twice accepted", v)
+		}
+		if err := repeats([]string{"a", "b"}, []string{"c"}).Validate(v); err != nil {
+			t.Errorf("%v: distinct interface rejected: %v", v, err)
+		}
+	}
 
 	// m(a, b → c) with options {a} and {b, c}: a negative cost on b made
 	// the engine return [a b] at cost −4 as "optimal" while the other

@@ -39,9 +39,9 @@ type SolveRequest struct {
 	// Gamma overrides the document's or class's privacy requirement (0 =
 	// keep the instance's own Γ, or 2 when neither specifies one).
 	Gamma uint64 `json:"gamma,omitempty"`
-	// TimeoutMs bounds this request (0 = the server's default deadline;
-	// values above the server's maximum are clamped). The deadline maps to
-	// solve.Options.Timeout and propagates through the solver cancellation
+	// TimeoutMs bounds this job, derivation and solve together (0 = the
+	// server's default deadline; values above the server's maximum are
+	// clamped). The deadline propagates through the solver cancellation
 	// contract, so expiry surfaces within one pruning epoch.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Base is accepted and ignored (see the package comment).
@@ -110,14 +110,16 @@ type CountersSpec struct {
 	MemoHits int `json:"memoHits,omitempty"`
 }
 
-// BatchRequest runs up to the server's job cap through solve.SolveBatch.
+// BatchRequest runs up to the server's job cap, each job on the path of a
+// single /v1/solve request under its own deadline, up to the server's
+// BatchWorkers at once.
 type BatchRequest struct {
 	Jobs []SolveRequest `json:"jobs"`
 }
 
 // BatchResult is one job's outcome: Response on success or partial,
-// Error otherwise. Code carries the HTTP status the job would have
-// received as a single request.
+// Error otherwise. Code, Error and Response (its ElapsedMs included) are
+// what the job gets as a single request.
 type BatchResult struct {
 	Code     int            `json:"code"`
 	Response *SolveResponse `json:"response,omitempty"`

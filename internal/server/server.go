@@ -1,6 +1,6 @@
 // Package server is the HTTP/JSON front-end over the internal/solve
-// registry: it turns the library's Session caching, SolveBatch sharding and
-// end-to-end cancellation contract into a long-running network service.
+// registry: it turns the library's Session caching, solve.Solve front door
+// and end-to-end cancellation contract into a long-running network service.
 //
 // Endpoints:
 //
@@ -8,19 +8,24 @@
 //	GET  /v1/solvers  registered solvers with declared capabilities
 //	GET  /v1/stats    shared-Session cache stats and the admission gauge
 //	POST /v1/solve    one SolveRequest -> SolveResponse
-//	POST /v1/batch    BatchRequest -> BatchResponse via solve.SolveBatch
+//	POST /v1/batch    BatchRequest -> BatchResponse, each job run as a /v1/solve
+//
+// Every job, alone or in a batch, takes one path: resolve the instance
+// (through the shared Session for workflows), then solve.Solve, whose
+// capability check is the only one; a refusal is a 400. A batch job's
+// result therefore carries the status, error text and response the same
+// request gets alone, its own elapsedMs included.
 //
 // Admission: at most Config.MaxInFlight solver jobs run at once — a solve
 // weighs one slot, a batch weighs min(jobs, BatchWorkers), its true
 // concurrency; excess requests are rejected immediately with 429 and a
 // Retry-After hint instead of queueing, so load sheds at the edge and
-// in-flight work keeps its latency. Every admitted request gets a deadline (the client's
+// in-flight work keeps its latency. Every job gets a deadline (the client's
 // timeoutMs clamped to Config.MaxTimeout, or Config.DefaultTimeout) that
-// maps to solve.Options.Timeout and gates the Session derivation, so a
-// request expires within one pruning epoch wherever it is. A deadline
-// expiry with a feasible incumbent returns 206 with status "partial" — the
-// HTTP analog of cmd/secureview's exit code 3 — and one without returns
-// 504.
+// covers its Session derivation and its solve together, so a job expires
+// within one pruning epoch wherever it is. A deadline expiry with a
+// feasible incumbent returns 206 with status "partial" — the HTTP analog
+// of cmd/secureview's exit code 3 — and one without returns 504.
 //
 // Edit chains: every solve response carries the problem's structure
 // fingerprint (costs excluded). Every solve runs cold; what makes a
@@ -72,7 +77,8 @@ type Config struct {
 	// SessionBytes is the shared Session's LRU byte budget
 	// (default 256 MiB; <0 = unbounded).
 	SessionBytes int64
-	// BatchWorkers is the SolveBatch pool size (default GOMAXPROCS).
+	// BatchWorkers bounds the jobs one batch runs at once (default
+	// GOMAXPROCS).
 	BatchWorkers int
 	// MaxBatchJobs bounds jobs per batch request (default 64).
 	MaxBatchJobs int
@@ -334,10 +340,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	d := s.timeout(req.TimeoutMs)
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	code, resp, errMsg := s.runJob(ctx, &req, d)
+	code, resp, errMsg := s.runJob(r.Context(), &req)
 	if errMsg != "" {
 		writeError(w, code, errMsg)
 		return
@@ -375,32 +378,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// The batch as a whole runs under the server's ceiling; each job
-	// carries its own clamped deadline through solve.Options.Timeout, and
-	// each job's Session derivation is gated by that same deadline, so a
-	// job naming a heavy workflow expires to its own 504 instead of
-	// stalling the batch. Resolution fans out over the same worker count
-	// as the solve pool — derivation dominates end-to-end latency, and the
-	// shared Session singleflights duplicate fingerprints across workers.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
-	defer cancel()
-
-	type resolvedJob struct {
-		v      secureview.Variant
-		p      *secureview.Problem
-		code   int
-		errMsg string
-		// done carries a proxied job's finished result: in shard mode each
-		// job routes independently (one batch can span every owner), so
-		// non-owned jobs are forwarded as single solves from the resolution
-		// worker and skip the local pipeline entirely.
-		done *BatchResult
-	}
-	resolved := make([]resolvedJob, len(req.Jobs))
-	workers := weight
+	// Each of the batch's weight workers takes the next job and proxies it
+	// to its ring owner or runs it through runJob, the /v1/solve path, under
+	// the job's own clamped deadline: a job's Code is the status it would
+	// get alone, and a job naming a heavy workflow expires to its own 504
+	// instead of stalling the batch. The shared Session singleflights
+	// duplicate fingerprints across workers.
+	out := BatchResponse{Results: make([]BatchResult, len(req.Jobs))}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range weight {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -411,71 +398,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}
 				jr := &req.Jobs[i]
 				if owner, remote := s.routeRemote(r, jr); remote {
+					// In shard mode each job routes independently, so one
+					// batch can span every owner.
 					if br, ok := s.proxyBatchJob(owner, jr); ok {
-						resolved[i] = resolvedJob{done: br}
+						out.Results[i] = *br
 						continue
 					}
-					// Owner unreachable: resolve and solve locally below.
+					// Owner unreachable: run the job locally.
 				}
-				jctx, jcancel := context.WithTimeout(ctx, s.timeout(jr.TimeoutMs))
-				v, p, code, errMsg := s.resolve(jctx, jr)
-				jcancel()
-				resolved[i] = resolvedJob{v: v, p: p, code: code, errMsg: errMsg}
+				code, resp, errMsg := s.runJob(r.Context(), jr)
+				out.Results[i] = BatchResult{Code: code, Response: resp, Error: errMsg}
 			}
 		}()
 	}
 	wg.Wait()
-
-	out := BatchResponse{Results: make([]BatchResult, len(req.Jobs))}
-	jobs := make([]solve.Job, 0, len(req.Jobs))
-	jobIdx := make([]int, 0, len(req.Jobs))
-	jobFps := make([]string, 0, len(req.Jobs))
-	for i, rj := range resolved {
-		if rj.done != nil {
-			out.Results[i] = *rj.done
-			continue
-		}
-		if rj.errMsg != "" {
-			out.Results[i] = BatchResult{Code: rj.code, Error: rj.errMsg}
-			continue
-		}
-		jr := &req.Jobs[i]
-		opts := jr.solveOptions(rj.v)
-		opts.Timeout = s.timeout(jr.TimeoutMs)
-		jobs = append(jobs, solve.Job{
-			Name:    fmt.Sprintf("job%d", i),
-			Problem: rj.p,
-			Solver:  jr.Solver,
-			Options: opts,
-		})
-		jobIdx = append(jobIdx, i)
-		jobFps = append(jobFps, solve.ProblemFingerprint(rj.p, rj.v))
-	}
-	for j, res := range solve.SolveBatch(ctx, jobs, workers) {
-		i := jobIdx[j]
-		elapsed := int64(0) // per-job wall clock is folded into the batch
-		code, resp, errMsg := mapOutcome(res.Result, res.Err, elapsed)
-		if resp != nil {
-			resp.Fingerprint = jobFps[j]
-		}
-		out.Results[i] = BatchResult{Code: code, Response: resp, Error: errMsg}
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// runJob resolves and solves one request, returning the HTTP status, the
+// runJob resolves and solves one request under its deadline (the client's
+// timeoutMs clamped to MaxTimeout, or DefaultTimeout), which covers the
+// derivation and the solve together. It returns the HTTP status, the
 // response on success/partial, or an error message. The request's problem
 // fingerprint is computed from the resolved instance, never trusted from
 // the client.
-func (s *Server) runJob(ctx context.Context, req *SolveRequest, d time.Duration) (int, *SolveResponse, string) {
+func (s *Server) runJob(parent context.Context, req *SolveRequest) (int, *SolveResponse, string) {
+	ctx, cancel := context.WithTimeout(parent, s.timeout(req.TimeoutMs))
+	defer cancel()
 	v, p, code, errMsg := s.resolve(ctx, req)
 	if errMsg != "" {
 		return code, nil, errMsg
 	}
-	opts := req.solveOptions(v)
-	opts.Timeout = d
 	start := time.Now()
-	res, err := solve.Solve(ctx, req.Solver, p, opts)
+	res, err := solve.Solve(ctx, req.Solver, p, req.solveOptions(v))
 	code, resp, errMsg := mapOutcome(res, err, time.Since(start).Milliseconds())
 	if resp != nil {
 		resp.Fingerprint = solve.ProblemFingerprint(p, v)
@@ -494,8 +448,7 @@ func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Var
 	if err != nil {
 		return 0, nil, http.StatusBadRequest, err.Error()
 	}
-	sv, ok := solve.Get(req.Solver)
-	if !ok {
+	if _, ok := solve.Get(req.Solver); !ok {
 		return 0, nil, http.StatusBadRequest,
 			fmt.Sprintf("unknown solver %q (have %v)", req.Solver, solve.Names())
 	}
@@ -527,14 +480,13 @@ func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Var
 	default:
 		return 0, nil, http.StatusBadRequest, err.Error()
 	}
-	if err := sv.Supports(p, v); err != nil {
-		return 0, nil, http.StatusBadRequest, err.Error()
-	}
 	return v, p, http.StatusOK, ""
 }
 
 // mapOutcome turns a solve result into (HTTP status, response, error):
-// 200 for a completed solve; 206 + status "partial" whenever the solver
+// 200 for a completed solve; 400 for a problem the solver's capability
+// check refused (ahead of the budget case, since a solver's universe limit
+// wraps ErrNodeBudget too); 206 + status "partial" whenever the solver
 // carried a feasible incumbent out of a deadline (the exit-code-3
 // analog); 504 for an empty-handed deadline; 422 for a search the exact
 // solver refused up front because its leaves exceed the client-requested
@@ -543,6 +495,8 @@ func mapOutcome(res solve.Result, err error, elapsedMs int64) (int, *SolveRespon
 	switch {
 	case err == nil:
 		return http.StatusOK, toResponse(res, elapsedMs), ""
+	case errors.Is(err, solve.ErrUnsupported):
+		return http.StatusBadRequest, nil, err.Error()
 	case res.Partial:
 		return http.StatusPartialContent, toResponse(res, elapsedMs), ""
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):

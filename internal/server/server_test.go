@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,6 +200,8 @@ func TestBatch(t *testing.T) {
 		{Generated: &server.GeneratedRef{Class: "sparse", Seed: 1}, Solver: "engine", Variant: "cardinality"},
 		{Generated: &server.GeneratedRef{Class: "nope", Seed: 1}, Solver: "exact"},
 		{Spec: parseDoc(t), Solver: "greedy", Variant: "set"},
+		// solve.Solve's capability check refuses it: a 400 for this job only.
+		{Generated: &server.GeneratedRef{Class: "sparse", Seed: 1}, Solver: "approx-labelcover", Variant: "cardinality"},
 	}}
 	resp, raw := post(t, ts, "/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
@@ -208,7 +211,7 @@ func TestBatch(t *testing.T) {
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != 4 {
+	if len(out.Results) != 5 {
 		t.Fatalf("got %d results", len(out.Results))
 	}
 	if out.Results[0].Code != http.StatusOK || out.Results[1].Code != http.StatusOK {
@@ -224,6 +227,9 @@ func TestBatch(t *testing.T) {
 	if out.Results[3].Code != http.StatusOK || out.Results[3].Response.Status != "feasible" {
 		t.Fatalf("greedy job: %+v", out.Results[3])
 	}
+	if r := out.Results[4]; r.Code != http.StatusBadRequest || !strings.Contains(r.Error, "cardinality variant") {
+		t.Fatalf("wrong-variant job not rejected per-job: %+v", r)
+	}
 
 	// Batch caps.
 	resp, _ = post(t, ts, "/v1/batch", server.BatchRequest{})
@@ -234,6 +240,74 @@ func TestBatch(t *testing.T) {
 	resp, _ = post(t, ts, "/v1/batch", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: status %d", resp.StatusCode)
+	}
+}
+
+// TestBatchJobEqualsSingle sends one table of requests both as single
+// /v1/solve calls and as one /v1/batch: every job's code, error text and
+// response (elapsedMs aside) must equal the single call's.
+func TestBatchJobEqualsSingle(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	gen := func(class, solver, variant string) server.SolveRequest {
+		return server.SolveRequest{Generated: &server.GeneratedRef{Class: class, Seed: 1}, Solver: solver, Variant: variant}
+	}
+	engine := gen("sparse", "engine", "cardinality")
+	engine.Options = &server.OptionsSpec{Workers: 1} // counters independent of the schedule
+	budget := gen("wide", "exact", "set")
+	budget.Options = &server.OptionsSpec{NodeBudget: 1}
+	jobs := []server.SolveRequest{
+		gen("chain", "exact", "set"),
+		gen("sparse", "exact", "cardinality"),
+		engine,
+		{Spec: parseDoc(t), Solver: "greedy", Variant: "set"},
+		gen("mystery", "exact", "set"),
+		gen("sparse", "approx-labelcover", "cardinality"),
+		{Spec: negativeCostDoc(t), Solver: "exact"},
+		budget,
+	}
+	wantCodes := []int{200, 200, 200, 200, 400, 400, 400, 422}
+
+	single := make([]server.BatchResult, len(jobs))
+	for i, job := range jobs {
+		resp, raw := post(t, ts, "/v1/solve", job)
+		single[i].Code = resp.StatusCode
+		if resp.StatusCode == http.StatusOK {
+			out := decodeSolve(t, raw)
+			single[i].Response = &out
+		} else {
+			var e server.ErrorResponse
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("job %d: %s", i, raw)
+			}
+			single[i].Error = e.Error
+		}
+		if single[i].Code != wantCodes[i] {
+			t.Fatalf("job %d alone: status %d (want %d): %s", i, single[i].Code, wantCodes[i], raw)
+		}
+	}
+
+	resp, raw := post(t, ts, "/v1/batch", server.BatchRequest{Jobs: jobs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+	}
+	var out server.BatchResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(jobs) {
+		t.Fatalf("got %d results for %d jobs", len(out.Results), len(jobs))
+	}
+	for i, got := range out.Results {
+		want := single[i]
+		for _, r := range []*server.SolveResponse{got.Response, want.Response} {
+			if r != nil {
+				r.ElapsedMs = 0
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d: batch %+v (response %+v), alone %+v (response %+v)",
+				i, got, got.Response, want, want.Response)
+		}
 	}
 }
 
@@ -469,6 +543,11 @@ func TestBadRequests(t *testing.T) {
 		}, http.StatusBadRequest},
 		{"wrong-variant solver", server.SolveRequest{
 			Generated: &server.GeneratedRef{Class: "sparse"}, Solver: "approx-labelcover", Variant: "cardinality",
+		}, http.StatusBadRequest},
+		// The engine's universe limit wraps ErrNodeBudget, but it is a
+		// capability refusal: 400, not the exact solver's budget 422.
+		{"universe above the engine's limit", server.SolveRequest{
+			Generated: &server.GeneratedRef{Class: "mega-sparse"}, Solver: "engine",
 		}, http.StatusBadRequest},
 		// An instance carries one Γ: a per-module requirement would be
 		// silently weakened to the document's Γ, so it is refused.

@@ -31,6 +31,7 @@ package solve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -292,15 +293,29 @@ func For(p *secureview.Problem, v secureview.Variant) []Solver {
 	return out
 }
 
-// Solve is the front door: it resolves the named solver, checks capability,
-// applies Options.Timeout as a context deadline, and runs it.
+// ErrUnsupported is matched (errors.Is) by Solve's error when the solver's
+// capability check refused the problem: a wrong variant, an invalid
+// problem, a public module or a universe the solver does not take.
+var ErrUnsupported = errors.New("solve: problem not supported by the solver")
+
+// unsupported wraps a Supports refusal: its text is the refusal's own, and
+// errors.Is matches ErrUnsupported as well as whatever the refusal wraps
+// (ErrNodeBudget for a universe limit).
+type unsupported struct{ err error }
+
+func (u unsupported) Error() string   { return u.err.Error() }
+func (u unsupported) Unwrap() []error { return []error{ErrUnsupported, u.err} }
+
+// Solve is the front door: it resolves the named solver, checks capability
+// (a refusal matches ErrUnsupported), applies Options.Timeout as a context
+// deadline, and runs it.
 func Solve(ctx context.Context, solver string, p *secureview.Problem, opts Options) (Result, error) {
 	s, ok := Get(solver)
 	if !ok {
 		return Result{}, fmt.Errorf("solve: unknown solver %q (have %v)", solver, Names())
 	}
 	if err := s.Supports(p, opts.Variant); err != nil {
-		return Result{}, err
+		return Result{}, unsupported{err}
 	}
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
