@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"secureview/internal/gen"
@@ -228,6 +229,30 @@ func (r *SolveRequest) instanceRef() gen.InstanceRef {
 		ref.Class, ref.Seed = r.Generated.Class, r.Generated.Seed
 	}
 	return ref
+}
+
+// aliasKey is the Session alias of a workflow class+seed or corpus
+// reference: the reference as sent, length-prefixed, then the Γ override
+// and the parsed variant. It is "" for spec documents and CSV refs, and for
+// a request naming no source or several, which gen.Resolve rejects. An
+// abstract class's key is never bound, since its problem bypasses the
+// Session.
+func (r *SolveRequest) aliasKey(v secureview.Variant) string {
+	ref := r.instanceRef()
+	if ref.Spec != nil || ref.CSV != nil || (ref.Class == "") == (ref.Corpus == "") {
+		return ""
+	}
+	kind, name, seed := byte('c'), ref.Corpus, int64(0)
+	if ref.Class != "" {
+		kind, name, seed = 'g', ref.Class, ref.Seed
+	}
+	b := make([]byte, 0, 26+len(name))
+	b = append(b, kind)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(seed))
+	b = binary.LittleEndian.AppendUint64(b, ref.Gamma)
+	return string(append(b, byte(v)))
 }
 
 // solveOptions lowers the wire options onto solve.Options.

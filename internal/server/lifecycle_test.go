@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -60,6 +61,10 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	genFirst := decodeSolve(t, raw)
+	// A workflow class ref binds a reference alias, which snapshots do not
+	// carry.
+	classReq := marshal(t, classRef("chain", 1, "exact", "set", 0))
+	_, classFirst := serve(t, a.Handler(), context.Background(), classReq)
 
 	resp, raw = post(t, tsA, "/v1/snapshot", struct{}{})
 	if resp.StatusCode != http.StatusOK {
@@ -121,6 +126,14 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	}
 	if st := b.Session().Stats(); st.Misses != 0 {
 		t.Fatalf("restored server re-derived: %+v", st)
+	}
+	// The first class ref request after the restore hits by content and
+	// binds its alias again; the second is an alias hit.
+	for hits := 2; hits <= 3; hits++ {
+		if code, out := serve(t, b.Handler(), context.Background(), classReq); code != http.StatusOK || out != classFirst {
+			t.Fatalf("restored class ref: %d %s, want %s", code, out, classFirst)
+		}
+		wantStats(t, b, "restored class ref", hits, 0, 0)
 	}
 
 	// Corrupt the file: the next boot must come up empty but working.

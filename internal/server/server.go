@@ -40,6 +40,16 @@
 // least-recently-used beyond Config.SessionBytes, so serving an unbounded
 // stream of distinct workflows holds steady-state memory (watch /v1/stats
 // to size the budget).
+//
+// Reference aliases: a workflow class+seed or corpus ID request binds its
+// reference as sent (with its Γ override and variant) to the Session entry
+// it resolved to, so a repeat of that reference is one Session lookup,
+// counted as a hit, with no regeneration and no workflow hashing. An alias
+// is dropped when its entry is evicted and is not snapshotted; after a
+// restore the first request through a reference hits by content and binds
+// it again. Spec documents, CSV refs and abstract problem classes take the
+// full path every time. Each entry also keeps its response fingerprint
+// once the first response has computed it.
 package server
 
 import (
@@ -424,63 +434,70 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runJob(parent context.Context, req *SolveRequest) (int, *SolveResponse, string) {
 	ctx, cancel := context.WithTimeout(parent, s.timeout(req.TimeoutMs))
 	defer cancel()
-	v, p, code, errMsg := s.resolve(ctx, req)
+	v, x, code, errMsg := s.resolve(ctx, req)
 	if errMsg != "" {
 		return code, nil, errMsg
 	}
 	start := time.Now()
-	res, err := solve.Solve(ctx, req.Solver, p, req.solveOptions(v))
+	res, err := solve.Solve(ctx, req.Solver, x.P, req.solveOptions(v))
 	code, resp, errMsg := mapOutcome(res, err, time.Since(start).Milliseconds())
 	if resp != nil {
-		resp.Fingerprint = solve.ProblemFingerprint(p, v)
+		resp.Fingerprint = x.Fingerprint(v)
 	}
 	return code, resp, errMsg
 }
 
 // resolve materializes the request's problem through the canonical
 // gen.InstanceRef pipeline (spec document, generated class, provenance
-// CSV, corpus ID). Workflow-backed instances derive through the shared
-// Session — except CSV-backed ones, whose requirement lists depend on the
+// CSV, corpus ID). A class+seed or corpus reference the Session has an
+// alias for is served from it directly. Otherwise workflow-backed
+// instances derive through the shared Session, which binds the reference's
+// alias — except CSV-backed ones, whose requirement lists depend on the
 // recorded log that Session cache keys do not capture, so they derive
 // directly (set variant only; DeriveCardProblem has no partial-log form).
-func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Variant, *secureview.Problem, int, string) {
+func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Variant, solve.Entry, int, string) {
+	var none solve.Entry
 	v, err := parseVariant(req.Variant)
 	if err != nil {
-		return 0, nil, http.StatusBadRequest, err.Error()
+		return 0, none, http.StatusBadRequest, err.Error()
 	}
 	if _, ok := solve.Get(req.Solver); !ok {
-		return 0, nil, http.StatusBadRequest,
+		return 0, none, http.StatusBadRequest,
 			fmt.Sprintf("unknown solver %q (have %v)", req.Solver, solve.Names())
 	}
 
-	var p *secureview.Problem
-	rv, err := gen.Resolve(req.instanceRef())
-	switch {
-	case err != nil:
-	case rv.Problem != nil:
-		// Abstract instances carry their requirement lists directly; Γ and
-		// the Session do not apply.
-		p = rv.Problem
-	case rv.Instance.Recorded != nil:
-		if v == secureview.Cardinality {
-			return 0, nil, http.StatusBadRequest,
-				"csv instances derive from the recorded log (partial-log semantics); only the set variant is servable"
+	alias := req.aliasKey(v)
+	x, hit := s.sess.Alias(ctx, alias)
+	if !hit {
+		rv, err := gen.Resolve(req.instanceRef())
+		switch {
+		case err != nil:
+			x.Err = err
+		case rv.Problem != nil:
+			// Abstract instances carry their requirement lists directly; Γ
+			// and the Session do not apply.
+			x.P = rv.Problem
+		case rv.Instance.Recorded != nil:
+			if v == secureview.Cardinality {
+				return 0, none, http.StatusBadRequest,
+					"csv instances derive from the recorded log (partial-log semantics); only the set variant is servable"
+			}
+			x.P, x.Err = rv.Instance.Derive()
+		default:
+			it := rv.Instance
+			x = s.sess.Entry(ctx, alias, it.W, v, it.Gamma, it.Costs, it.PrivatizeCosts)
 		}
-		p, err = rv.Instance.Derive()
-	default:
-		it := rv.Instance
-		p, err = s.sess.Problem(ctx, it.W, v, it.Gamma, it.Costs, it.PrivatizeCosts)
 	}
-	switch {
+	switch err := x.Err; {
 	case err == nil:
 	case errors.Is(err, secureview.ErrInfeasible):
-		return 0, nil, http.StatusUnprocessableEntity, err.Error()
+		return 0, none, http.StatusUnprocessableEntity, err.Error()
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		return 0, nil, http.StatusGatewayTimeout, "deadline expired while deriving the instance"
+		return 0, none, http.StatusGatewayTimeout, "deadline expired while deriving the instance"
 	default:
-		return 0, nil, http.StatusBadRequest, err.Error()
+		return 0, none, http.StatusBadRequest, err.Error()
 	}
-	return v, p, http.StatusOK, ""
+	return v, x, http.StatusOK, ""
 }
 
 // mapOutcome turns a solve result into (HTTP status, response, error):

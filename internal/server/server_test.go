@@ -664,7 +664,9 @@ func TestStatsAndSolvers(t *testing.T) {
 
 // TestServerSessionEviction: a tightly capped server Session serves 100+
 // distinct generated workflows while staying under its byte budget — the
-// long-running-service memory contract.
+// long-running-service memory contract — and no reference alias outlives
+// its entry: every reference sent again, whether its entry survived or
+// was evicted, answers as a fresh server does.
 func TestServerSessionEviction(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{SessionBytes: 32 << 10})
 	for seed := int64(0); seed < 110; seed++ {
@@ -682,6 +684,17 @@ func TestServerSessionEviction(t *testing.T) {
 	st := s.Session().Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions across 110 workflows: %+v", st)
+	}
+	ctx := context.Background()
+	for seed := int64(0); seed < 110; seed += 5 {
+		body := marshal(t, classRef("chain", seed, "greedy", "set", 0))
+		_, want := serve(t, server.MustNew(server.Config{}).Handler(), ctx, body)
+		if code, got := serve(t, s.Handler(), ctx, body); code != http.StatusOK || got != want {
+			t.Fatalf("seed %d again: %d %s, want %s", seed, code, got, want)
+		}
+		if st := s.Session().Stats(); st.Bytes > st.MaxBytes {
+			t.Fatalf("seed %d again: session %d bytes over the %d budget", seed, st.Bytes, st.MaxBytes)
+		}
 	}
 }
 

@@ -35,6 +35,17 @@ import (
 //
 // One Session fronting a batch of jobs derives each distinct workflow once
 // per variant, however many (instance, solver) pairs the batch fans out.
+//
+// Beside its content keys a Session holds aliases: keys a caller builds
+// from a reference that names one workflow deterministically (the server
+// binds a class+seed or corpus ID as sent, with its Γ override and
+// variant). Entry binds an alias once its entry has committed, and Alias
+// then serves that entry with one locked map read, counted as a hit, so a
+// repeat reference skips regenerating and re-hashing its workflow. An
+// alias's bytes count in its entry's size, it is dropped when the entry is
+// evicted, and snapshots do not carry it: after a restore, the first
+// request through a reference hits by content and binds it again. Entries
+// stay content-keyed; there is still one cache.
 type Session struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -47,6 +58,9 @@ type Session struct {
 	// the per-module analyses. Maintained under mu; entries are removed when
 	// the backing problem entry is evicted.
 	structIdx map[string]*sessionEntry
+	// aliases maps a caller-built reference key to the committed entry it
+	// resolved to (see Alias). Maintained under mu.
+	aliases map[string]*sessionEntry
 	// LRU list; front = most recently used.
 	front, back  *sessionEntry
 	hits         int
@@ -57,8 +71,10 @@ type Session struct {
 
 // sessionEntry is one cached derivation. done/size/p/err
 // are guarded by mu (the singleflight lock: the first caller derives while
-// later arrivals block); the list links and the accounted/evicted flags are
-// guarded by the Session mutex. accounted marks that size has been added to
+// later arrivals block) until the entry commits; after that p and err are
+// immutable and size, which then grows only by bound aliases, is guarded by
+// the Session mutex, like the list links, the alias list and the
+// accounted/evicted flags. accounted marks that size has been added to
 // the session byte total (i.e. the derivation committed), which is what the
 // eviction walk keys on — entries still deriving carry no accounted bytes.
 type sessionEntry struct {
@@ -76,6 +92,36 @@ type sessionEntry struct {
 	// structKey links a completed entry to its structIdx slot so eviction
 	// can drop the index entry. Guarded by the Session mutex.
 	structKey string
+	// aliases lists the alias keys bound to this entry, so eviction can
+	// drop them. Guarded by the Session mutex.
+	aliases []string
+
+	// fp keeps the entry's ProblemFingerprint once the first response has
+	// computed it (Entry.Fingerprint).
+	fpOnce sync.Once
+	fp     string
+}
+
+// Entry is one request's handle on a Session entry: the derived problem,
+// or the error the request got (a cached derivation error, or its own
+// context error), plus the response fingerprint the entry keeps. An Entry
+// built from a problem the Session does not hold computes its fingerprint
+// on every call.
+type Entry struct {
+	P   *secureview.Problem
+	Err error
+	e   *sessionEntry
+}
+
+// Fingerprint returns ProblemFingerprint(x.P, v). A Session entry computes
+// it on the first call and keeps it; every request reaching one entry names
+// the same variant, which is part of the entry's key.
+func (x Entry) Fingerprint(v secureview.Variant) string {
+	if x.e == nil {
+		return ProblemFingerprint(x.P, v)
+	}
+	x.e.fpOnce.Do(func() { x.e.fp = ProblemFingerprint(x.P, v) })
+	return x.e.fp
 }
 
 // NewSession returns an empty session with no size bound.
@@ -91,14 +137,15 @@ func NewSessionBytes(maxBytes int64) *Session {
 		maxBytes:  maxBytes,
 		problems:  make(map[string]*sessionEntry),
 		structIdx: make(map[string]*sessionEntry),
+		aliases:   make(map[string]*sessionEntry),
 	}
 }
 
 // SessionStats is a snapshot of cache effectiveness and occupancy. The
 // JSON tags are the wire shape internal/server exposes at /v1/stats.
 type SessionStats struct {
-	// Hits counts requests served from a completed cache entry; Misses
-	// counts derivations actually performed.
+	// Hits counts requests served from a completed cache entry, by content
+	// key or by alias; Misses counts derivations actually performed.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// Evictions counts entries removed under memory pressure.
@@ -185,8 +232,8 @@ func (s *Session) unlinkLocked(e *sessionEntry) {
 // accounted total never exceeds the budget. A successful derivation is also
 // published in the structure index (enabling later DeltaDerives), and the
 // counters record whether this derivation itself was served by delta
-// re-costing.
-func (s *Session) commit(e *sessionEntry, structKey string, delta bool) {
+// re-costing. A non-empty alias is bound to the committed entry.
+func (s *Session) commit(e *sessionEntry, structKey, alias string, delta bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.misses++
@@ -202,7 +249,46 @@ func (s *Session) commit(e *sessionEntry, structKey string, delta bool) {
 		e.structKey = structKey
 		s.structIdx[structKey] = e
 	}
+	s.bindLocked(alias, e)
 	s.evictOverLocked()
+}
+
+// aliasSize is the fixed accounting overhead of one bound alias (map slot,
+// string headers, alias-list slot), beside the key's own bytes.
+const aliasSize int64 = 64
+
+// bindLocked binds alias to e once e has committed, counting the alias's
+// bytes in e's size. Caller holds s.mu and runs the eviction walk after.
+func (s *Session) bindLocked(alias string, e *sessionEntry) {
+	if alias == "" || !e.accounted || s.aliases[alias] == e {
+		return
+	}
+	s.aliases[alias] = e
+	e.aliases = append(e.aliases, alias)
+	n := aliasSize + int64(len(alias))
+	e.size += n
+	s.bytes += n
+}
+
+// Alias returns the entry an earlier Entry call bound to key, counted as a
+// hit and marked most recently used. It reports false when key is empty or
+// unbound, or when ctx is already done: the caller then takes its full
+// path, which reports the context error as Problem does.
+func (s *Session) Alias(ctx context.Context, key string) (Entry, bool) {
+	if key == "" || ctx.Err() != nil {
+		return Entry{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.aliases[key]
+	if e == nil {
+		return Entry{}, false
+	}
+	s.touchLocked(e)
+	s.hits++
+	// Bound entries have committed, and their payload was written before
+	// that commit took s.mu, so reading it under s.mu is ordered.
+	return Entry{P: e.p, Err: e.err, e: e}, true
 }
 
 // evictOverLocked evicts LRU accounted entries until the budget holds.
@@ -257,6 +343,12 @@ func (s *Session) evictLocked(e *sessionEntry) {
 	if e.structKey != "" && s.structIdx[e.structKey] == e {
 		delete(s.structIdx, e.structKey)
 	}
+	for _, a := range e.aliases {
+		if s.aliases[a] == e {
+			delete(s.aliases, a)
+		}
+	}
+	e.aliases = nil
 	s.unlinkLocked(e)
 	s.evictions++
 }
@@ -405,8 +497,18 @@ func deltaClone(src *secureview.Problem, costs privacy.Costs,
 // and without poisoning the entry, so the next caller performs the work.
 func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v secureview.Variant,
 	gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*secureview.Problem, error) {
+	x := s.Entry(ctx, "", w, v, gamma, costs, privatizeCosts)
+	return x.P, x.Err
+}
+
+// Entry is Problem returning the request's handle on the entry, and binding
+// alias, when non-empty, to the entry once it has committed: whether this
+// call derived it or hit it by content. A call that returns its context
+// error binds nothing.
+func (s *Session) Entry(ctx context.Context, alias string, w *workflow.Workflow, v secureview.Variant,
+	gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) Entry {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Entry{Err: err}
 	}
 	full, structKey := workflowKeys(w, v, gamma, costs, privatizeCosts)
 	// Resolve a potential delta source before taking the entry lock — no
@@ -419,12 +521,14 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 		// Copy under e.mu, count the hit after releasing it: no path may
 		// block on s.mu while holding an entry lock, or commit's eviction
 		// walk would mistake a done entry for one still deriving.
-		p, err := e.p, e.err
+		x := Entry{P: e.p, Err: e.err, e: e}
 		e.mu.Unlock()
 		s.mu.Lock()
 		s.hits++
+		s.bindLocked(alias, e)
+		s.evictOverLocked()
 		s.mu.Unlock()
-		return p, err
+		return x
 	}
 	// Re-check before committing to the derivation: the wait for the entry
 	// lock may have outlived the caller's deadline, and a cancelled caller
@@ -434,7 +538,7 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 	if err := ctx.Err(); err != nil {
 		e.mu.Unlock()
 		s.discard(e)
-		return nil, err
+		return Entry{Err: err}
 	}
 	delta := false
 	if src != nil {
@@ -449,15 +553,16 @@ func (s *Session) Problem(ctx context.Context, w *workflow.Workflow, v securevie
 	}
 	e.done = true
 	e.size = problemSize(e.p)
-	p, err := e.p, e.err
+	x := Entry{P: e.p, Err: e.err, e: e}
 	e.mu.Unlock()
-	s.commit(e, structKey, delta)
-	return p, err
+	s.commit(e, structKey, alias, delta)
+	return x
 }
 
 // entrySize is the fixed accounting overhead per cache entry (SHA-256 key,
-// entry struct, map slot, list links).
-const entrySize int64 = 160
+// entry struct, map slot, list links, and the 64-byte hex fingerprint the
+// entry keeps once a response has computed it).
+const entrySize int64 = 240
 
 // problemSize estimates the resident bytes of a derived problem: module
 // specs (names, attribute name slices, requirement lists) plus the cost

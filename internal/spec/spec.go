@@ -140,6 +140,7 @@ func buildModule(ms Module) (*module.Module, error) {
 	if len(ms.Outputs) == 0 {
 		return nil, fmt.Errorf("spec: module %s has no outputs", ms.Name)
 	}
+	seen := make(map[string]bool, len(ms.Inputs)+len(ms.Outputs))
 	for _, a := range append(append([]Attr{}, ms.Inputs...), ms.Outputs...) {
 		if a.Name == "" {
 			return nil, fmt.Errorf("spec: module %s has an unnamed attribute", ms.Name)
@@ -147,6 +148,10 @@ func buildModule(ms Module) (*module.Module, error) {
 		if a.Domain < 1 {
 			return nil, fmt.Errorf("spec: module %s attribute %q has domain %d", ms.Name, a.Name, a.Domain)
 		}
+		if seen[a.Name] {
+			return nil, fmt.Errorf("spec: module %s lists attribute %q twice", ms.Name, a.Name)
+		}
+		seen[a.Name] = true
 	}
 	in := attrs(ms.Inputs)
 	out := attrs(ms.Outputs)

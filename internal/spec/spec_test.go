@@ -88,6 +88,12 @@ func TestParseErrors(t *testing.T) {
 			"inputs":[{"name":"a","domain":3}],"outputs":[{"name":"b","domain":2}]}]}`},
 		{"identity arity", `{"name":"x","modules":[{"name":"m","kind":"identity",
 			"inputs":[{"name":"a","domain":2}],"outputs":[{"name":"b","domain":2},{"name":"c","domain":2}]}]}`},
+		// The library constructors panic on a repeated name, so Build must
+		// refuse it first.
+		{"input is output", `{"name":"x","modules":[{"name":"m","kind":"identity",
+			"inputs":[{"name":"a","domain":2}],"outputs":[{"name":"a","domain":2}]}]}`},
+		{"repeated input", `{"name":"x","modules":[{"name":"m","kind":"and",
+			"inputs":[{"name":"a","domain":2},{"name":"a","domain":2}],"outputs":[{"name":"b","domain":2}]}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
