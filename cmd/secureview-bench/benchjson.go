@@ -64,8 +64,9 @@ func timeBest(reps int, fn func() (search.Result, error)) (search.Result, time.D
 	return res, best, nil
 }
 
-// collectBenchResults runs the full measurement sweep — standalone search
-// rows, scenario rows, mega rows — and returns them in deterministic order.
+// collectBenchResults runs the full measurement sweep — standalone search,
+// snapshot, served, scenario, corpus and mega rows — and returns them in
+// deterministic order.
 // The gate mode (-benchgate) reuses exactly this collection so the numbers
 // it compares are the numbers the baseline writer would commit; it passes a
 // repsOverride > 0 so even quick sweeps take a best-of-several, since a
@@ -162,11 +163,11 @@ func collectBenchResults(quick bool, repsOverride int) ([]benchResult, error) {
 		return nil, err
 	}
 	results = append(results, snaps...)
-	lg, err := loadgenResults(quick)
+	served, err := servedResults(quick, repsOverride)
 	if err != nil {
 		return nil, err
 	}
-	results = append(results, lg...)
+	results = append(results, served...)
 	scen, err := scenarioResults(quick, repsOverride)
 	if err != nil {
 		return nil, err

@@ -9,23 +9,15 @@ package main
 // return the same optimum; in full mode the restored first solve must beat
 // cold by at least minRestoredSpeedup, so a committed baseline can never
 // claim a restore that does not pay.
-//
-// The loadgen row commits the mixed-workload p50 against an in-process
-// server (see internal/load), so serving-path regressions — admission,
-// routing, cache locking — gate alongside the solver hot paths.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"time"
 
 	"secureview/internal/exp"
-	"secureview/internal/load"
 	"secureview/internal/secureview"
-	"secureview/internal/server"
 	"secureview/internal/solve"
 )
 
@@ -168,47 +160,4 @@ func snapshotResults(quick bool, repsOverride int) ([]benchResult, error) {
 		)
 	}
 	return results, nil
-}
-
-// loadgenResults boots an in-process server on a loopback listener, drives
-// the mixed workload for a fixed window, and commits the p50 as a row. Any
-// request error fails the run — a committed baseline must come from a
-// clean window.
-func loadgenResults(quick bool) ([]benchResult, error) {
-	srv := server.MustNew(server.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	dur := 2 * time.Second
-	if quick {
-		dur = time.Second
-	}
-	rep, err := load.Run(load.Config{
-		BaseURL:  "http://" + ln.Addr().String(),
-		Duration: dur,
-		Workers:  4,
-		Seed:     1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
-	if rep.Errors > 0 {
-		return nil, fmt.Errorf("loadgen: %d request errors in the measurement window", rep.Errors)
-	}
-	if rep.Requests == 0 || rep.P50Ms <= 0 {
-		return nil, fmt.Errorf("loadgen: empty measurement window: %+v", rep)
-	}
-	return []benchResult{{
-		// K records the worker count; Checked the completed requests;
-		// Cost the p99 in ms alongside the gated p50 in NsPerOp.
-		Name: "loadgen/mixed", K: rep.Workers,
-		NsPerOp: int64(rep.P50Ms * 1e6),
-		Checked: int(rep.Requests),
-		Cost:    rep.P99Ms,
-	}}, nil
 }

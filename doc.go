@@ -63,13 +63,8 @@
 //	                     Open rejects corrupt, truncated or version-bumped
 //	                     payloads so restore degrades instead of misreading
 //	internal/ring        consistent-hash ring (static membership, virtual
-//	                     nodes) assigning request fingerprints to replicas
+//	                     nodes) assigning request route keys to replicas
 //	                     in shard mode
-//	internal/load        mixed-workload generator for the serving path:
-//	                     solves, batches and cost-only edit chains with
-//	                     deterministic per-worker streams, reporting
-//	                     p50/p99/max latency, throughput and error/429
-//	                     counts
 //	internal/server      HTTP/JSON front-end over the solve registry:
 //	                     bounded admission (429 on overload), per-job
 //	                     deadlines covering derivation and solve (206
@@ -83,7 +78,9 @@
 //	                     session snapshot/restore (periodic + on-SIGTERM,
 //	                     restore-on-boot gated by /readyz) and a sharded
 //	                     serving mode proxying each solve to the replica
-//	                     owning its structural fingerprint on the ring
+//	                     owning its route key on the ring (a class+seed or
+//	                     corpus reference, or a spec document's structural
+//	                     fingerprint)
 //	internal/lp          two-phase simplex (substrate)
 //	internal/sat         CNF + DPLL (substrate for Theorem 2)
 //	internal/combopt     set/vertex/label cover: weighted instances,
@@ -120,7 +117,6 @@
 //
 // Entry points: cmd/secureview (solve instances), cmd/secureview-serve
 // (serve the solver layer over HTTP, optionally snapshotted and sharded),
-// cmd/secureview-load (drive a mixed workload against a running server),
 // cmd/secureview-mine (mine hard instances into the committed corpus),
 // cmd/secureview-bench (reproduce the experiment tables), cmd/worlds
 // (world counting), and the runnable programs under examples/. README.md

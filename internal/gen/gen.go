@@ -17,8 +17,8 @@
 // Beyond (Config, seed) generation, InstanceRef names an instance from ANY
 // source — generated class+seed, spec document, provenance CSV, or corpus
 // ID — and Resolve turns any of them into a solvable instance. The server,
-// the load generator, the bench sweeps and cmd/secureview all resolve
-// through it, so every layer accepts every instance source uniformly.
+// the bench sweeps and cmd/secureview all resolve through it, so every
+// layer accepts every instance source uniformly.
 package gen
 
 import (

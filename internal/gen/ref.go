@@ -3,9 +3,9 @@ package gen
 // InstanceRef is the canonical instance pipeline: one reference type naming
 // a Secure-View instance from ANY source, resolved by one function
 // (Resolve) that every consumer — the differential harness, the server
-// request forms, the load generator, the bench sweeps, cmd/secureview —
-// shares. Sources: generated class+seed, inline spec document, provenance
-// CSV import, and committed corpus ID.
+// request forms, the bench sweeps, cmd/secureview — shares. Sources:
+// generated class+seed, inline spec document, provenance CSV import, and
+// committed corpus ID.
 
 import (
 	"fmt"

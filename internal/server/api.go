@@ -102,7 +102,10 @@ type BoundSpec struct {
 	Theorem string  `json:"theorem,omitempty"`
 }
 
-// CountersSpec reports search effort.
+// CountersSpec reports search effort. An engine solve with more than one
+// worker reports checked and pruned counts that depend on the schedule;
+// its answer does not. Send "workers":1 in the options for counters that
+// replay from one request to the next.
 type CountersSpec struct {
 	Nodes   int `json:"nodes,omitempty"`
 	Checked int `json:"checked,omitempty"`

@@ -42,6 +42,19 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"spec":` + demoDoc + `,"solver":"lp","variant":"set"}`))
 	f.Add([]byte(`{"generated":{"class":"sparse","seed":1},"solver":"approx-setcover"}`))
 	f.Add([]byte(`{"generated":{"class":"chain","seed":1},"solver":`))
+	// CSV refs from the demo document's exported log: a set solve, a
+	// cardinality request (a 400) and a row the workflow cannot produce.
+	for _, req := range []server.SolveRequest{
+		{CSV: &gen.CSVRef{Spec: parseDoc(f), Data: demoCSV(f)}, Solver: "exact"},
+		{CSV: &gen.CSVRef{Spec: parseDoc(f), Data: demoCSV(f)}, Solver: "greedy", Variant: "cardinality"},
+		{CSV: &gen.CSVRef{Spec: parseDoc(f), Data: "a1,a2,a3\n0,0,0\n"}, Solver: "exact"},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h := server.MustNew(server.Config{SessionBytes: 64 << 10, MaxTimeout: 300 * time.Millisecond}).Handler()
 		first, firstBody := fuzzPost(t, h, body)

@@ -13,7 +13,7 @@ import (
 
 // demoCSV exports the demo workflow's full provenance log through the
 // provenance store — the same CSV shape the import path validates.
-func demoCSV(t *testing.T) string {
+func demoCSV(t testing.TB) string {
 	t.Helper()
 	doc := parseDoc(t)
 	w, err := doc.Build()

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"secureview/internal/gen/corpus"
 	"secureview/internal/ring"
 	"secureview/internal/server"
 )
@@ -233,8 +234,9 @@ func TestShardRingServing(t *testing.T) {
 		handlers[i] = s.Handler()
 	}
 
-	// A mixed key population: several generated classes and seeds plus a
-	// spec document, enough keys that every replica owns some.
+	// A mixed key population: several generated classes and seeds, a spec
+	// document and a corpus entry by full ID, enough keys that every
+	// replica owns some.
 	var reqs []server.SolveRequest
 	for _, class := range []string{"chain", "chain-injective", "tree", "layered"} {
 		for seed := int64(0); seed < 3; seed++ {
@@ -245,6 +247,8 @@ func TestShardRingServing(t *testing.T) {
 	}
 	reqs = append(reqs, server.SolveRequest{
 		Spec: allPrivateDoc(t, `{"a1": 2, "a2": 1, "b1": 1, "b2": 4}`), Solver: "engine",
+	}, server.SolveRequest{
+		Corpus: corpus.Entries()[len(corpus.Entries())-1].ID, Solver: "greedy",
 	})
 
 	for ri, req := range reqs {

@@ -44,7 +44,7 @@ const demoDoc = `{
   ]
 }`
 
-func parseDoc(t *testing.T) *spec.Document {
+func parseDoc(t testing.TB) *spec.Document {
 	t.Helper()
 	doc, err := spec.Parse([]byte(demoDoc))
 	if err != nil {

@@ -34,44 +34,43 @@ const forwardedHeader = "X-Secureview-Forwarded"
 // routeKey derives the ring key for a request, cheap enough to compute
 // before any cache work:
 //
+//   - class+seed and corpus references route on their reference key
+//     (SolveRequest.aliasKey), the alias the owner's Session binds to the
+//     entry — no need to build the instance just to route it. The key is
+//     the reference as sent, so a corpus ID prefix and the full ID are two
+//     references and may have two owners;
 //   - spec documents route on the cost-EXCLUDED structural fingerprint of
 //     the derivation, so an edit chain (same workflow, tweaked costs) pins
 //     to one owner, whose Session re-costs its cached problem instead of
-//     each replica deriving it again;
-//   - generated references route on the literal (class, seed, variant, Γ)
-//     tuple — no need to build the instance just to route it.
+//     each replica deriving it again.
 //
-// Unroutable requests (malformed documents, unknown variants) return
-// ok=false and are served locally, where the normal resolve path produces
-// the client-facing error.
+// Unroutable requests (CSV refs, malformed documents, unknown variants)
+// return ok=false and are served locally, where the normal resolve path
+// produces the client-facing error.
 func routeKey(req *SolveRequest) (string, bool) {
 	v, err := parseVariant(req.Variant)
 	if err != nil {
 		return "", false
 	}
-	switch {
-	case req.Spec != nil && req.Generated == nil:
-		doc := req.Spec
-		if len(doc.GammaPerModule) > 0 {
-			return "", false
-		}
-		w, err := doc.Build()
-		if err != nil {
-			return "", false
-		}
-		gamma := req.Gamma
-		if gamma == 0 {
-			gamma = doc.Gamma
-		}
-		if gamma == 0 {
-			gamma = 2
-		}
-		return solve.StructuralFingerprint(w, v, gamma), true
-	case req.Generated != nil && req.Spec == nil:
-		return fmt.Sprintf("gen/%s/%d/%s/%d",
-			req.Generated.Class, req.Generated.Seed, variantName(v), req.Gamma), true
+	if key := req.aliasKey(v); key != "" {
+		return key, true
 	}
-	return "", false
+	doc := req.Spec
+	if doc == nil || req.Generated != nil || len(doc.GammaPerModule) > 0 {
+		return "", false
+	}
+	w, err := doc.Build()
+	if err != nil {
+		return "", false
+	}
+	gamma := req.Gamma
+	if gamma == 0 {
+		gamma = doc.Gamma
+	}
+	if gamma == 0 {
+		gamma = 2
+	}
+	return solve.StructuralFingerprint(w, v, gamma), true
 }
 
 // routeRemote decides whether req must be served by another replica,

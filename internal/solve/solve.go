@@ -99,7 +99,11 @@ type Bound struct {
 	Theorem string
 }
 
-// Counters reports how a solver spent its budget.
+// Counters reports how a solver spent its budget. An engine solve with
+// more than one worker (Options.Workers 0 means GOMAXPROCS) reports
+// Checked, Pruned and OraclePasses that depend on the schedule, since its
+// workers test candidates speculatively; its answer does not. A
+// single-worker engine solve replays its counters exactly.
 type Counters struct {
 	// Nodes counts exact-search tree nodes.
 	Nodes int
