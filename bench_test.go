@@ -172,7 +172,7 @@ func BenchmarkDeriveFig1(b *testing.B) {
 	costs := privacy.Uniform(w.Schema().Names()...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sv.Derive(w, sv.DeriveOptions{Gamma: 2, Costs: costs}); err != nil {
+		if _, err := sv.Derive(w, sv.Set, sv.DeriveOptions{Gamma: 2, Costs: costs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func BenchmarkGeneratedScenario(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p, err := it.Derive()
+				p, err := it.Derive(sv.Set)
 				if err != nil {
 					continue // class infeasible at Γ for this seed
 				}

@@ -214,7 +214,7 @@ func corpusResults(quick bool, repsOverride int) ([]benchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", e.ID, err)
 		}
-		p, err := it.Derive()
+		p, err := it.Derive(secureview.Set)
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", e.ID, err)
 		}
@@ -311,7 +311,7 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", cl.Name, err)
 			}
-			if derived, err := cand.Derive(); err == nil {
+			if derived, err := cand.Derive(secureview.Set); err == nil {
 				it, p = cand, derived
 				break
 			}
@@ -324,7 +324,7 @@ func scenarioResults(quick bool, repsOverride int) ([]benchResult, error) {
 		deriveBest := time.Duration(1 << 62)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			if _, err := it.Derive(); err != nil {
+			if _, err := it.Derive(secureview.Set); err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", cl.Name, err)
 			}
 			if d := time.Since(start); d < deriveBest {

@@ -334,10 +334,7 @@ func generatedProblem(name string, seed int64, v secureview.Variant) (*securevie
 	if rv.Problem != nil {
 		return rv.Problem, nil
 	}
-	if v == secureview.Cardinality {
-		return rv.Instance.DeriveCard()
-	}
-	return rv.Instance.Derive()
+	return rv.Instance.Derive(v)
 }
 
 func fatal(err error) {

@@ -24,10 +24,15 @@
 //	                     list up to 22 attributes and a cost-bounded scan
 //	                     above, both testing each surviving candidate with
 //	                     one oracle call; Proposition 1 pruning in the
-//	                     level sweeps; worker pool; no warm-start state
+//	                     level sweep behind set derivation; worker pool;
+//	                     no warm-start state
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets
-//	internal/secureview  the Secure-View optimization (sections 4–5);
+//	internal/secureview  the Secure-View optimization (sections 4–5):
+//	                     Derive assembles a workflow's instance in either
+//	                     variant through one module loop, each list
+//	                     computed on masks through the module view's one
+//	                     safety oracle (privacy.ModuleView.Oracle);
 //	                     context-cancellable branch-and-bound (one per
 //	                     variant), greedy and LP solvers with the typed
 //	                     ErrNodeBudget up-front budget refusal, and the

@@ -83,7 +83,7 @@ func TestEndToEndRandomWorkflows(t *testing.T) {
 				t.Fatal(err)
 			}
 			w, costs := it.W, it.Costs
-			p, err := sv.Derive(w, sv.DeriveOptions{Gamma: 2, Costs: costs})
+			p, err := sv.Derive(w, sv.Set, sv.DeriveOptions{Gamma: 2, Costs: costs})
 			if err != nil {
 				t.Skipf("no safe subsets at Γ=2: %v", err)
 			}

@@ -1,7 +1,7 @@
 package secureview
 
 // FuzzDeriveGenerated fuzzes the full spec → workflow → Secure-View
-// derivation → solver pipeline. Run actively with:
+// derivation (both variants) → solver pipeline. Run actively with:
 //
 //	go test -fuzz=FuzzDeriveGenerated -fuzztime=30s .
 //
@@ -9,9 +9,10 @@ package secureview
 // topology class (internal/gen) serialized through the spec interchange
 // format, so the fuzzer starts from realistic workflows — truth tables,
 // public modules, non-boolean domains — and mutates from there. The
-// invariants: nothing in the pipeline may panic on any input, a derived
-// instance must validate, and Greedy on a derived instance is feasible by
-// construction (every private module gets at least one option).
+// invariants, in each variant: nothing in the pipeline may panic on any
+// input, a derived instance must validate, and Greedy on a derived instance
+// is feasible by construction (every private module gets at least one
+// option).
 
 import (
 	"testing"
@@ -73,24 +74,26 @@ func FuzzDeriveGenerated(f *testing.F) {
 				costs[a] = c
 			}
 		}
-		p, err := sv.Derive(w, sv.DeriveOptions{
-			Gamma:          gamma,
-			Costs:          costs,
-			PrivatizeCosts: doc.PrivatizeCosts,
-		})
-		if err != nil {
-			return // infeasible at Γ: legitimate outcome
-		}
-		if err := p.Validate(sv.Set); err != nil {
-			t.Fatalf("derived instance invalid: %v", err)
-		}
-		sol := sv.Greedy(p, sv.Set)
-		if !p.Feasible(sol, sv.Set) {
-			t.Fatalf("greedy solution infeasible on derived instance (hidden=%v privatized=%v)",
-				sol.Hidden.Sorted(), sol.Privatized.Sorted())
-		}
-		if c := p.Cost(sol); c < 0 || c != c {
-			t.Fatalf("greedy cost %v out of range", c)
+		for _, v := range []sv.Variant{sv.Set, sv.Cardinality} {
+			p, err := sv.Derive(w, v, sv.DeriveOptions{
+				Gamma:          gamma,
+				Costs:          costs,
+				PrivatizeCosts: doc.PrivatizeCosts,
+			})
+			if err != nil {
+				continue // infeasible at Γ: legitimate outcome
+			}
+			if err := p.Validate(v); err != nil {
+				t.Fatalf("derived %v instance invalid: %v", v, err)
+			}
+			sol := sv.Greedy(p, v)
+			if !p.Feasible(sol, v) {
+				t.Fatalf("greedy solution infeasible on derived %v instance (hidden=%v privatized=%v)",
+					v, sol.Hidden.Sorted(), sol.Privatized.Sorted())
+			}
+			if c := p.Cost(sol); c < 0 || c != c {
+				t.Fatalf("greedy cost %v out of range", c)
+			}
 		}
 	})
 }

@@ -544,7 +544,7 @@ func runE14(quick bool) []*Table {
 	}
 	w := workflow.Fig1()
 	costs := privacy.Uniform(w.Schema().Names()...)
-	p, err := secureview.Derive(w, secureview.DeriveOptions{Gamma: 2, Costs: costs})
+	p, err := secureview.Derive(w, secureview.Set, secureview.DeriveOptions{Gamma: 2, Costs: costs})
 	if err != nil {
 		t.Note("derive: %v", err)
 		return []*Table{t}
@@ -628,7 +628,7 @@ func runE16(quick bool) []*Table {
 		Title:  "E16: secure-view cost when deriving from partial execution logs (Fig. 1, Γ=2)",
 		Header: []string{"log fraction", "executions", "optimal cost", "vs full-domain"},
 	}
-	fullProb, err := secureview.Derive(w, secureview.DeriveOptions{Gamma: 2, Costs: costs})
+	fullProb, err := secureview.Derive(w, secureview.Set, secureview.DeriveOptions{Gamma: 2, Costs: costs})
 	if err != nil {
 		t.Note("full derive: %v", err)
 		return []*Table{t}
@@ -654,7 +654,7 @@ func runE16(quick bool) []*Table {
 			t.Note("f=%v: %v", f, err)
 			continue
 		}
-		p, err := secureview.Derive(w, secureview.DeriveOptions{Gamma: 2, Costs: costs, Recorded: rec})
+		p, err := secureview.Derive(w, secureview.Set, secureview.DeriveOptions{Gamma: 2, Costs: costs, Recorded: rec})
 		if err != nil {
 			t.Add(fmt.Sprintf("%.2f", f), n, "infeasible", "-")
 			continue

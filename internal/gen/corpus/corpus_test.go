@@ -135,7 +135,7 @@ type baselineRun struct {
 // is infeasible or outside the engine envelope.
 func engineRun(t *testing.T, it *gen.Instance) (int, int, time.Duration, bool) {
 	t.Helper()
-	p, err := it.Derive()
+	p, err := it.Derive(secureview.Set)
 	if err != nil {
 		return 0, 0, 0, false
 	}

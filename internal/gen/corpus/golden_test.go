@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"reflect"
 	"sort"
 	"testing"
 
+	"secureview/internal/exp"
 	"secureview/internal/gen"
 	"secureview/internal/privacy"
 	"secureview/internal/secureview"
@@ -62,11 +64,7 @@ func hashEngineSolves(t *testing.T, h hash.Hash, name string, it *gen.Instance) 
 	eng, _ := solve.Get("engine")
 	solves := 0
 	for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
-		derive := it.Derive
-		if v == secureview.Cardinality {
-			derive = it.DeriveCard
-		}
-		p, err := derive()
+		p, err := it.Derive(v)
 		if err != nil || eng.Supports(p, v) != nil {
 			continue
 		}
@@ -102,4 +100,65 @@ func hashEngineResult(h hash.Hash, name string, v secureview.Variant, res solve.
 	c := res.Counters
 	fmt.Fprintf(h, "%s/%v checked=%d pruned=%d passes=%d hidden=%v\n",
 		name, v, c.Checked, c.Pruned, c.OraclePasses, res.Solution.Hidden.Sorted())
+}
+
+// deriveGolden is the digest TestDeriveGolden records. It was computed by
+// the same test body against the derivation that still built the two
+// variants in two workflow loops and the set options through name sets.
+const deriveGolden = "ab4152a40e43087ca09f70a22c9f85b345ecbc6ec36d6c10b00dac2656b5ad08"
+
+// TestDeriveGolden hashes the problem fingerprint, or the error text, of
+// both variants' derivations of every corpus entry, every gen class at
+// seeds 0–59 and the SearchBench workflows at k=10, 12 and 14. The
+// fingerprint sorts each option's attributes; the test also derives every
+// instance twice and requires identical module specs, option attribute
+// order included.
+func TestDeriveGolden(t *testing.T) {
+	type named struct {
+		name string
+		it   *gen.Instance
+	}
+	var all []named
+	for _, e := range Entries() {
+		it, err := e.Instance()
+		if err != nil {
+			t.Fatalf("corpus %s: %v", e.ID, err)
+		}
+		all = append(all, named{"corpus:" + e.ID, it})
+	}
+	for _, cl := range gen.Classes() {
+		for seed := int64(0); seed < 60; seed++ {
+			it, err := gen.New(cl.Cfg, seed)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", cl.Name, seed, err)
+			}
+			all = append(all, named{fmt.Sprintf("%s/%d", cl.Name, seed), it})
+		}
+	}
+	for _, k := range []int{10, 12, 14} {
+		w, costs, gamma := exp.SearchBenchWorkflow(k)
+		all = append(all, named{fmt.Sprintf("searchbench/%d", k), &gen.Instance{W: w, Costs: costs, Gamma: gamma}})
+	}
+	h := sha256.New()
+	n := 0
+	for _, d := range all {
+		for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
+			p, err := d.it.Derive(v)
+			n++
+			if err != nil {
+				fmt.Fprintf(h, "%s/%v: %v\n", d.name, v, err)
+				continue
+			}
+			fmt.Fprintf(h, "%s/%v: %s\n", d.name, v, solve.ProblemFingerprint(p, v))
+			again, err := d.it.Derive(v)
+			if err != nil || !reflect.DeepEqual(again.Modules, p.Modules) {
+				t.Errorf("%s/%v: a second derivation differs (err %v)", d.name, v, err)
+			}
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d derivations, digest %s", n, got)
+	if got != deriveGolden {
+		t.Fatalf("derivation digest %s, want %s: a derived requirement list changed", got, deriveGolden)
+	}
 }

@@ -73,7 +73,7 @@ func Evaluate(ctx context.Context, cfg gen.Config, seed int64, maxK int, timeout
 	if err != nil {
 		return Entry{}, err
 	}
-	p, err := it.Derive()
+	p, err := it.Derive(secureview.Set)
 	if err != nil {
 		return Entry{}, err
 	}

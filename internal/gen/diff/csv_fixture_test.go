@@ -33,7 +33,8 @@ func loadFixture(t *testing.T, name string) *gen.CSVRef {
 
 // TestCSVFixtures drives the provenance-CSV importer path end to end on
 // the committed real-shaped workflow fixtures: CSV -> InstanceRef ->
-// partial-log derivation -> differential-harness invariants.
+// partial-log derivation in both variants -> differential-harness
+// invariants.
 func TestCSVFixtures(t *testing.T) {
 	for _, name := range []string{"genomics", "etl"} {
 		t.Run(name, func(t *testing.T) {
@@ -52,15 +53,17 @@ func TestCSVFixtures(t *testing.T) {
 			if uint64(rv.Instance.Recorded.Len()) >= full {
 				t.Fatalf("fixture log is not partial: %d rows over %d executions", rv.Instance.Recorded.Len(), full)
 			}
-			p, err := rv.Derive()
-			if err != nil {
-				t.Fatalf("derive: %v", err)
-			}
-			if err := p.Validate(secureview.Set); err != nil {
-				t.Fatalf("derived problem invalid: %v", err)
-			}
-			if len(p.UsefulAttributes(secureview.Set)) == 0 {
-				t.Fatal("derived problem has no useful attributes")
+			for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
+				p, err := rv.Instance.Derive(v)
+				if err != nil {
+					t.Fatalf("%v derive: %v", v, err)
+				}
+				if err := p.Validate(v); err != nil {
+					t.Fatalf("derived %v problem invalid: %v", v, err)
+				}
+				if len(p.UsefulAttributes(v)) == 0 {
+					t.Fatalf("derived %v problem has no useful attributes", v)
+				}
 			}
 
 			r := diff.CheckRef(ref, diff.Options{})

@@ -531,12 +531,13 @@ func CheckRef(ref gen.InstanceRef, opts Options) Result {
 
 // CheckRefCtx dispatches a resolved reference to the matching harness
 // entry point: abstract problem classes run the problem-level matrix;
-// recorded-log (CSV) instances derive under partial-log semantics and run
-// the problem-level matrix on the derived problem (session derivations do
-// not capture the recorded log, so the instance path would verify the
-// wrong requirements); every other workflow-backed source runs the full
-// instance harness. An unresolvable reference is a violation, not an
-// error — a corpus or fixture that no longer resolves must fail the run.
+// recorded-log (CSV) instances derive both variants under partial-log
+// semantics and run the problem-level matrix on each derived problem
+// (session derivations do not capture the recorded log, so the instance
+// path would verify the wrong requirements); every other workflow-backed
+// source runs the full instance harness. An unresolvable reference is a
+// violation, not an error — a corpus or fixture that no longer resolves
+// must fail the run.
 func CheckRefCtx(ctx context.Context, ref gen.InstanceRef, opts Options) Result {
 	var r Result
 	rv, err := gen.Resolve(ref)
@@ -549,17 +550,21 @@ func CheckRefCtx(ctx context.Context, ref gen.InstanceRef, opts Options) Result 
 		return CheckProblemCtx(ctx, rv.Name, rv.Problem, opts)
 	}
 	if rv.Instance.Recorded != nil {
-		p, derr := rv.Derive()
-		if derr != nil {
-			r.Instances = 1
-			if errors.Is(derr, secureview.ErrInfeasible) || cancelled(derr) {
-				r.Skips++
-				return r
+		for _, v := range []secureview.Variant{secureview.Set, secureview.Cardinality} {
+			p, err := rv.Instance.Derive(v)
+			if err != nil {
+				if errors.Is(err, secureview.ErrInfeasible) || cancelled(err) {
+					r.Skips++
+				} else {
+					r.violatef("%s: %v derivation failed with a non-infeasibility error: %v", rv.Name, v, err)
+				}
+				continue
 			}
-			r.violatef("%s: derivation failed with a non-infeasibility error: %v", rv.Name, derr)
-			return r
+			r = Merge(r, CheckProblemCtx(ctx, rv.Name, p, opts))
 		}
-		return CheckProblemCtx(ctx, rv.Name, p, opts)
+		// One instance, anchored when either variant was.
+		r.Instances, r.Exact = 1, min(r.Exact, 1)
+		return r
 	}
 	return CheckInstanceCtx(ctx, rv.Instance, opts)
 }

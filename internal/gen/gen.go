@@ -502,20 +502,16 @@ func (b *builder) assignCosts(w *workflow.Workflow) (privacy.Costs, map[string]f
 // priv2costs exists to keep the return type explicit.
 func priv2costs(c privacy.Costs) privacy.Costs { return c }
 
-// Derive assembles the set-constraint Secure-View instance of the workflow
-// (Theorems 4/8) under the instance's costs and Γ.
-func (it *Instance) Derive() (*secureview.Problem, error) {
-	return secureview.Derive(it.W, secureview.DeriveOptions{
+// Derive assembles the Secure-View instance of the workflow in variant v
+// (Theorems 4/8) under the instance's costs and Γ, from its recorded log
+// when it has one.
+func (it *Instance) Derive(v secureview.Variant) (*secureview.Problem, error) {
+	return secureview.Derive(it.W, v, secureview.DeriveOptions{
 		Gamma:          it.Gamma,
 		Costs:          it.Costs,
 		PrivatizeCosts: it.PrivatizeCosts,
 		Recorded:       it.Recorded,
 	})
-}
-
-// DeriveCard assembles the cardinality-constraint instance.
-func (it *Instance) DeriveCard() (*secureview.Problem, error) {
-	return secureview.DeriveCardProblem(it.W, it.Gamma, it.Costs, it.PrivatizeCosts)
 }
 
 // HidingProblem grounds the instance in possible-world semantics: the

@@ -180,7 +180,7 @@ func TestDeriveFromGenerated(t *testing.T) {
 			derived := 0
 			for seed := int64(0); seed < 6; seed++ {
 				it := MustNew(cl.Cfg, seed)
-				p, err := it.Derive()
+				p, err := it.Derive(secureview.Set)
 				if err != nil {
 					continue
 				}

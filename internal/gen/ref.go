@@ -69,7 +69,7 @@ func (r *Resolved) Derive() (*secureview.Problem, error) {
 	if r.Problem != nil {
 		return r.Problem, nil
 	}
-	return r.Instance.Derive()
+	return r.Instance.Derive(secureview.Set)
 }
 
 // corpusResolver is the hook internal/gen/corpus registers at init. It

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"secureview/internal/relation"
@@ -56,15 +57,19 @@ func TestMinCostTieBreakLexSmallest(t *testing.T) {
 		}
 	}
 
+	sp, err := search.NewSpace(attrs, costs.Of)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, par := range []int{1, 4} {
-		res, err := mv.MinCostSafeSubsetOpts(costs, gamma, search.Options{Parallelism: par})
+		res, err := sp.MinCost(mv.Oracle(sp, gamma), search.Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Found || res.Cost != bestCost {
 			t.Fatalf("par %d: cost %v, want %v", par, res.Cost, bestCost)
 		}
-		got := res.Hidden.Sorted()
+		got := sp.NameSet(res.Hidden).Sorted()
 		if !equalNames(got, want) {
 			t.Errorf("par %d: hidden %v, want lex-smallest optimum %v (all optima: %v)",
 				par, got, want, optima)
@@ -114,16 +119,24 @@ func TestSearchResultCounters(t *testing.T) {
 
 	// Checked must equal actual oracle invocations: route the same search
 	// through a counted oracle.
-	counting := &CountingOracle{Inner: OracleFor(mv, 4)}
-	res2, err := EngineMinCostWithOracle(mv.Attrs(), costs, counting, search.Options{Parallelism: 2})
+	sp, err := search.NewSpace(mv.Attrs(), costs.Of)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Checked != counting.Calls() {
-		t.Errorf("Checked = %d, oracle calls = %d", res2.Checked, counting.Calls())
+	inner := mv.Oracle(sp, 4)
+	var calls atomic.Int64
+	res2, err := sp.MinCost(func(visible search.Mask) (bool, error) {
+		calls.Add(1)
+		return inner(visible)
+	}, search.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Stats.Checked != int(calls.Load()) {
+		t.Errorf("Checked = %d, oracle calls = %d", res2.Stats.Checked, calls.Load())
 	}
 	if res2.Cost != res.Cost || res2.Found != res.Found {
-		t.Errorf("oracle-backed engine disagrees: %+v vs %+v", res2, res)
+		t.Errorf("counted engine disagrees: %+v vs %+v", res2, res)
 	}
 }
 
@@ -148,13 +161,12 @@ func TestUnsatisfiableCounters(t *testing.T) {
 func TestEngineAgreesWithOracleScan(t *testing.T) {
 	mv := fig1View()
 	costs := Uniform(mv.Attrs()...)
-	engineRes, err := EngineMinCostWithOracle(mv.Attrs(), costs,
-		&CountingOracle{Inner: OracleFor(mv, 4)}, search.Options{})
+	engineRes, err := mv.MinCostSafeSubset(costs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hidden, cost, _, err := MinCostSafeSubsetWithOracle(mv.Attrs(), costs,
-		&CountingOracle{Inner: OracleFor(mv, 4)}, 1e9)
+		&CountingOracle{Inner: lemma4Oracle(mv, 4)}, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,43 +175,5 @@ func TestEngineAgreesWithOracleScan(t *testing.T) {
 	}
 	if engineRes.Found && cost != engineRes.Cost {
 		t.Errorf("cost mismatch: scan %v, engine %v", cost, engineRes.Cost)
-	}
-}
-
-// AllSafeVisibleSubsets and MinimalSafeHiddenSets keep their documented
-// deterministic order under parallel execution.
-func TestEnumerationDeterministicOrder(t *testing.T) {
-	mv := fig1View()
-	seq, err := mv.AllSafeVisibleSubsetsOpts(4, search.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := mv.AllSafeVisibleSubsetsOpts(4, search.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("safe-set counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if !seq[i].Equal(par[i]) {
-			t.Errorf("safe set %d differs: %v vs %v", i, seq[i], par[i])
-		}
-	}
-	mseq, err := mv.MinimalSafeHiddenSetsOpts(4, search.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpar, err := mv.MinimalSafeHiddenSetsOpts(4, search.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mseq) != len(mpar) {
-		t.Fatalf("minimal-set counts differ: %d vs %d", len(mseq), len(mpar))
-	}
-	for i := range mseq {
-		if !mseq[i].Equal(mpar[i]) {
-			t.Errorf("minimal set %d differs: %v vs %v", i, mseq[i], mpar[i])
-		}
 	}
 }

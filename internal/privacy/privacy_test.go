@@ -11,6 +11,13 @@ import (
 
 func fig1View() ModuleView { return NewModuleView(module.Fig1M1()) }
 
+// lemma4Oracle is the Safe-View oracle of the interpreted Lemma 4 test.
+func lemma4Oracle(mv ModuleView, gamma uint64) SafeViewOracle {
+	return OracleFunc(func(visible relation.NameSet) (bool, error) {
+		return mv.IsSafe(visible, gamma)
+	})
+}
+
 // Example 3 of the paper, first claim: V = {a1,a3,a5} is safe for m1 and
 // Γ = 4, and for x = (0,0) the OUT set is exactly
 // {(0,0,1),(0,1,1),(1,0,0),(1,1,0)}.
@@ -227,43 +234,6 @@ func TestMinCostUnsatisfiableGamma(t *testing.T) {
 	}
 }
 
-func TestMinimalSafeHiddenSets(t *testing.T) {
-	mv := fig1View()
-	minimal, err := mv.MinimalSafeHiddenSets(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(minimal) == 0 {
-		t.Fatal("no minimal safe hidden sets")
-	}
-	all := relation.NewNameSet(mv.Attrs()...)
-	for _, h := range minimal {
-		safe, _ := mv.IsSafe(all.Minus(h), 4)
-		if !safe {
-			t.Errorf("minimal set %v not safe", h)
-		}
-		// Removing any single element must break safety.
-		for a := range h {
-			sub := h.Clone()
-			delete(sub, a)
-			safe, _ := mv.IsSafe(all.Minus(sub), 4)
-			if safe {
-				t.Errorf("set %v not minimal: %v also safe", h, sub)
-			}
-		}
-	}
-	// {a4,a5} must be among them (Example 3).
-	found := false
-	for _, h := range minimal {
-		if h.Equal(relation.NewNameSet("a4", "a5")) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("{a4,a5} missing from minimal sets: %v", minimal)
-	}
-}
-
 // Proposition 1 (monotonicity): if a hidden set is safe, every superset is.
 func TestQuickMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
@@ -345,36 +315,10 @@ func TestQuickMinOutSizeIsMin(t *testing.T) {
 	}
 }
 
-func TestAllSafeVisibleSubsets(t *testing.T) {
-	mv := fig1View()
-	subsets, err := mv.AllSafeVisibleSubsets(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every enumerated subset is safe and every safe subset is enumerated.
-	count := 0
-	attrs := mv.Attrs()
-	for mask := 0; mask < 1<<len(attrs); mask++ {
-		visible := make(relation.NameSet)
-		for i, a := range attrs {
-			if mask&(1<<i) != 0 {
-				visible.Add(a)
-			}
-		}
-		safe, _ := mv.IsSafe(visible, 4)
-		if safe {
-			count++
-		}
-	}
-	if len(subsets) != count {
-		t.Fatalf("enumerated %d safe subsets, exhaustive check says %d", len(subsets), count)
-	}
-}
-
 func TestOracleSearchMatchesBruteForce(t *testing.T) {
 	mv := fig1View()
 	costs := Uniform(mv.Attrs()...)
-	oracle := &CountingOracle{Inner: OracleFor(mv, 4)}
+	oracle := &CountingOracle{Inner: lemma4Oracle(mv, 4)}
 	hidden, cost, calls, err := MinCostSafeSubsetWithOracle(mv.Attrs(), costs, oracle, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +334,7 @@ func TestOracleSearchMatchesBruteForce(t *testing.T) {
 	}
 	// Budget below the optimum: nothing found, and the search exhausts the
 	// candidate space within budget.
-	oracle2 := &CountingOracle{Inner: OracleFor(mv, 4)}
+	oracle2 := &CountingOracle{Inner: lemma4Oracle(mv, 4)}
 	h2, _, _, err := MinCostSafeSubsetWithOracle(mv.Attrs(), costs, oracle2, 1)
 	if err != nil || h2 != nil {
 		t.Errorf("budget-1 search returned %v err=%v, want nil", h2, err)

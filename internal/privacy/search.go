@@ -70,20 +70,16 @@ type SearchResult struct {
 	OraclePasses int
 }
 
-// searchSpace builds the mask universe for the module view's attributes.
-func (mv ModuleView) searchSpace(costs Costs) (*search.Space, error) {
-	return search.NewSpace(mv.Attrs(), costs.Of)
-}
-
-// maskOracle adapts the Lemma 4 safety test to the engine. The compiled
-// integer-coded oracle is preferred: it is built once per search, shared
-// read-only across the engine's worker pool, and answers each mask with a
-// stamped counting pass over packed row codes — no name sets, no relation
-// scans, no per-call allocation. The search space is built over mv.Attrs()
-// (inputs then outputs), the exact bit order the compiled oracle uses, so
-// engine masks pass through by integer conversion. Modules whose domain
-// products overflow uint64 fall back to the interpreted Lemma 4 test.
-func (mv ModuleView) maskOracle(sp *search.Space, gamma uint64) search.Oracle {
+// Oracle adapts the Lemma 4 safety test to the search engine over sp, which
+// must be built over mv.Attrs() (inputs then outputs): the exact bit order
+// the compiled oracle uses, so engine masks pass through by integer
+// conversion. It is the one place a module-level search chooses its test.
+// The compiled integer-coded oracle is preferred: it is built once per
+// call, shared read-only across the engine's worker pool, and answers each
+// mask with a stamped counting pass over packed row codes — no name sets,
+// no relation scans, no per-call allocation. Modules whose domain products
+// overflow uint64 fall back to the interpreted Lemma 4 test.
+func (mv ModuleView) Oracle(sp *search.Space, gamma uint64) search.Oracle {
 	if c, err := mv.Compile(); err == nil {
 		return func(visible search.Mask) (bool, error) {
 			return c.IsSafe(oracle.Mask(visible), gamma), nil
@@ -101,29 +97,18 @@ func (mv ModuleView) maskOracle(sp *search.Space, gamma uint64) search.Oracle {
 // the hidden set that is lexicographically smallest as a sorted name
 // sequence, so the result is deterministic.
 func (mv ModuleView) MinCostSafeSubset(costs Costs, gamma uint64) (SearchResult, error) {
-	return mv.MinCostSafeSubsetOpts(costs, gamma, search.Options{})
-}
-
-// MinCostSafeSubsetOpts is MinCostSafeSubset with engine options (worker
-// parallelism).
-func (mv ModuleView) MinCostSafeSubsetOpts(costs Costs, gamma uint64, opts search.Options) (SearchResult, error) {
 	attrs := mv.Attrs()
 	if len(attrs) > search.MaxAttrs {
 		return SearchResult{}, fmt.Errorf("privacy: %d attributes too many for brute force", len(attrs))
 	}
-	sp, err := mv.searchSpace(costs)
+	sp, err := search.NewSpace(attrs, costs.Of)
 	if err != nil {
 		return SearchResult{}, fmt.Errorf("privacy: %w", err)
 	}
-	res, err := sp.MinCost(mv.maskOracle(sp, gamma), opts)
+	res, err := sp.MinCost(mv.Oracle(sp, gamma), search.Options{})
 	if err != nil {
 		return SearchResult{}, err
 	}
-	return searchResult(sp, res), nil
-}
-
-// searchResult materializes an engine result over sp as name sets.
-func searchResult(sp *search.Space, res search.Result) SearchResult {
 	out := SearchResult{
 		Found:        res.Found,
 		Checked:      res.Stats.Checked,
@@ -135,65 +120,6 @@ func searchResult(sp *search.Space, res search.Result) SearchResult {
 		out.Visible = sp.NameSet(sp.All() &^ res.Hidden)
 		out.Cost = res.Cost
 	}
-	return out
-}
-
-// AllSafeVisibleSubsets enumerates every visible subset V ⊆ I∪O that is
-// safe for Γ, in the engine's deterministic order. Exponential output;
-// intended for constraint-list derivation and tests.
-func (mv ModuleView) AllSafeVisibleSubsets(gamma uint64) ([]relation.NameSet, error) {
-	return mv.AllSafeVisibleSubsetsOpts(gamma, search.Options{})
-}
-
-// AllSafeVisibleSubsetsOpts is AllSafeVisibleSubsets with engine options.
-func (mv ModuleView) AllSafeVisibleSubsetsOpts(gamma uint64, opts search.Options) ([]relation.NameSet, error) {
-	attrs := mv.Attrs()
-	if len(attrs) > search.LevelMax {
-		return nil, fmt.Errorf("privacy: %d attributes too many to enumerate", len(attrs))
-	}
-	sp, err := mv.searchSpace(nil)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	masks, _, err := sp.AllSafeVisible(mv.maskOracle(sp, gamma), opts)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	out := make([]relation.NameSet, len(masks))
-	for i, m := range masks {
-		out[i] = sp.NameSet(m)
-	}
-	return out, nil
-}
-
-// MinimalSafeHiddenSets enumerates the inclusion-minimal hidden sets V̄ such
-// that V = (I∪O)\V̄ is safe for Γ. By Proposition 1 safety is monotone in
-// the hidden set, so these minimal sets generate all safe solutions and
-// serve as the per-module requirement lists Li of the workflow Secure-View
-// problem with set constraints (section 4.2). The engine exploits the same
-// monotonicity to skip every dominated subset without a safety test.
-func (mv ModuleView) MinimalSafeHiddenSets(gamma uint64) ([]relation.NameSet, error) {
-	return mv.MinimalSafeHiddenSetsOpts(gamma, search.Options{})
-}
-
-// MinimalSafeHiddenSetsOpts is MinimalSafeHiddenSets with engine options.
-func (mv ModuleView) MinimalSafeHiddenSetsOpts(gamma uint64, opts search.Options) ([]relation.NameSet, error) {
-	attrs := mv.Attrs()
-	if len(attrs) > search.LevelMax {
-		return nil, fmt.Errorf("privacy: %d attributes too many to enumerate", len(attrs))
-	}
-	sp, err := mv.searchSpace(nil)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	masks, _, err := sp.MinimalSafeHidden(mv.maskOracle(sp, gamma), opts)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	out := make([]relation.NameSet, len(masks))
-	for i, m := range masks {
-		out[i] = sp.NameSet(m)
-	}
 	return out, nil
 }
 
@@ -202,62 +128,6 @@ func (mv ModuleView) MinimalSafeHiddenSetsOpts(gamma uint64, opts search.Options
 type SafeViewOracle interface {
 	// IsSafe reports whether the visible set is safe.
 	IsSafe(visible relation.NameSet) (bool, error)
-}
-
-// relationOracle implements SafeViewOracle on a concrete module view.
-type relationOracle struct {
-	mv    ModuleView
-	gamma uint64
-}
-
-// OracleFor returns a Safe-View oracle backed by the module view. The view
-// is compiled to the integer-coded oracle when possible (one compilation,
-// answering every later query with integer lookups); views whose domain
-// products overflow uint64 get the interpreted oracle instead. Both are safe
-// for concurrent use under the parallel engine.
-func OracleFor(mv ModuleView, gamma uint64) SafeViewOracle {
-	if c, err := mv.Compile(); err == nil {
-		return compiledOracle{c: c, gamma: gamma}
-	}
-	return relationOracle{mv: mv, gamma: gamma}
-}
-
-func (o relationOracle) IsSafe(visible relation.NameSet) (bool, error) {
-	return o.mv.IsSafe(visible, o.gamma)
-}
-
-// compiledOracle answers Safe-View queries from a compiled module view.
-type compiledOracle struct {
-	c     *oracle.Compiled
-	gamma uint64
-}
-
-func (o compiledOracle) IsSafe(visible relation.NameSet) (bool, error) {
-	return o.c.IsSafe(o.c.MaskOf(visible), o.gamma), nil
-}
-
-// EngineMinCostWithOracle runs the pruned parallel engine against an
-// arbitrary Safe-View oracle. The oracle MUST be monotone (Proposition 1)
-// and safe for concurrent use — CountingOracle adds its own bookkeeping
-// safely but still delegates concurrently, so it does NOT make a
-// non-thread-safe inner oracle safe. For adversarial, non-monotone oracles
-// use MinCostSafeSubsetWithOracle, which assumes nothing. The engine asks
-// about each visible set at most once per call.
-func EngineMinCostWithOracle(attrs []string, costs Costs, oracle SafeViewOracle, opts search.Options) (SearchResult, error) {
-	if len(attrs) > search.MaxAttrs {
-		return SearchResult{}, fmt.Errorf("privacy: %d attributes too many", len(attrs))
-	}
-	sp, err := search.NewSpace(attrs, costs.Of)
-	if err != nil {
-		return SearchResult{}, fmt.Errorf("privacy: %w", err)
-	}
-	res, err := sp.MinCost(func(visible search.Mask) (bool, error) {
-		return oracle.IsSafe(sp.NameSet(visible))
-	}, opts)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	return searchResult(sp, res), nil
 }
 
 // CountingOracle wraps a SafeViewOracle and counts calls. It is safe for

@@ -96,7 +96,7 @@ type View struct {
 // incumbent together with the error, as solve.Result.Partial does;
 // otherwise a non-nil error comes with a nil view.
 func (s *Store) SecureView(ctx context.Context, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64, solver string) (*View, error) {
-	prob, err := secureview.Derive(s.w, secureview.DeriveOptions{
+	prob, err := secureview.Derive(s.w, secureview.Set, secureview.DeriveOptions{
 		Gamma:          gamma,
 		Costs:          costs,
 		PrivatizeCosts: privatizeCosts,

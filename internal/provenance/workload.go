@@ -78,7 +78,7 @@ func AuditRecorded(s *Store, v *View) error {
 // are only guaranteed for the current log; re-audit with AuditRecorded
 // after recording more executions.
 func (s *Store) SecureViewRecorded(ctx context.Context, gamma uint64, costs privacy.Costs, privatizeCosts map[string]float64) (*View, error) {
-	prob, err := secureview.Derive(s.w, secureview.DeriveOptions{
+	prob, err := secureview.Derive(s.w, secureview.Set, secureview.DeriveOptions{
 		Gamma:          gamma,
 		Costs:          costs,
 		PrivatizeCosts: privatizeCosts,

@@ -7,49 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// LevelMax caps the full-lattice enumerations (AllSafeVisible,
-// MinimalSafeHidden), which keep a bit per mask (128 KiB at k=20) and whose
-// outputs are exponential anyway.
+// LevelMax caps the full-lattice sweep (MinimalSafeHidden), which keeps two
+// bits per mask (256 KiB at k=20) and whose output is exponential anyway.
 const LevelMax = 20
-
-// AllSafeVisible enumerates every visible mask the oracle accepts, in
-// ascending numeric mask order. It sweeps the subset lattice level by level
-// (by popcount): a mask with a known-unsafe subset is unsafe by monotonicity
-// and is decided without a test, so the oracle runs only for safe masks and
-// for the minimal unsafe frontier. Levels are sharded over the worker pool.
-func (s *Space) AllSafeVisible(oracle Oracle, opts Options) ([]Mask, Stats, error) {
-	k := s.K()
-	if k > LevelMax {
-		return nil, Stats{}, fmt.Errorf("search: %d attributes too many to enumerate", k)
-	}
-	unsafeBits := newBitmap(1 << k)
-	stats, err := sweepLevels(s.buildLevels(), opts, func(m Mask) (bool, error) {
-		for x := m; x != 0; x &= x - 1 {
-			if unsafeBits.get(m &^ (x & -x)) {
-				unsafeBits.set(m)
-				return false, nil // decided by monotonicity
-			}
-		}
-		safe, err := oracle(m)
-		if err != nil {
-			return false, err
-		}
-		if !safe {
-			unsafeBits.set(m)
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	var out []Mask
-	for m := 0; m < 1<<k; m++ {
-		if !unsafeBits.get(Mask(m)) {
-			out = append(out, Mask(m))
-		}
-	}
-	return out, stats, nil
-}
 
 // MinimalSafeHidden enumerates the inclusion-minimal hidden masks whose
 // complementary visible set the oracle accepts, ordered by popcount then

@@ -3,6 +3,7 @@ package search_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"secureview/internal/module"
@@ -59,8 +60,9 @@ func TestEngineMatchesNaiveOnRandomModules(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		oracle := mv.Oracle(sp, gamma)
 		for _, par := range []int{1, 4} {
-			res, err := mv.MinCostSafeSubsetOpts(costs, gamma, search.Options{Parallelism: par})
+			res, err := sp.MinCost(oracle, search.Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,39 +72,33 @@ func TestEngineMatchesNaiveOnRandomModules(t *testing.T) {
 			}
 			if res.Found && res.Cost != naive.Cost {
 				t.Fatalf("trial %d par %d (k=%d Γ=%d): cost %v, naive %v (hidden %v)",
-					trial, par, k, gamma, res.Cost, naive.Cost, res.Hidden)
+					trial, par, k, gamma, res.Cost, naive.Cost, sp.NameSet(res.Hidden))
 			}
 			if res.Found {
-				safe, err := mv.IsSafe(res.Visible, gamma)
+				safe, err := mv.IsSafe(sp.NameSet(sp.All()&^res.Hidden), gamma)
 				if err != nil || !safe {
-					t.Fatalf("trial %d: returned subset unsafe: %v err=%v", trial, res.Hidden, err)
+					t.Fatalf("trial %d: returned subset unsafe: %v err=%v", trial, sp.NameSet(res.Hidden), err)
 				}
 			}
-			if res.Checked+res.Pruned != 1<<len(attrs) {
+			if res.Stats.Checked+res.Stats.Pruned != 1<<len(attrs) {
 				t.Fatalf("trial %d: counters %d+%d don't cover 2^%d",
-					trial, res.Checked, res.Pruned, len(attrs))
+					trial, res.Stats.Checked, res.Stats.Pruned, len(attrs))
 			}
 		}
 
-		// The enumeration APIs must agree with each other across
-		// parallelism too; spot-check via minimal hidden sets feeding the
-		// derive layer.
+		// The minimal-hidden-set sweep behind set derivation must agree
+		// with itself across parallelism too.
 		if k <= 6 {
-			m1, err := mv.MinimalSafeHiddenSetsOpts(gamma, search.Options{Parallelism: 1})
+			m1, _, err := sp.MinimalSafeHidden(oracle, search.Options{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m4, err := mv.MinimalSafeHiddenSetsOpts(gamma, search.Options{Parallelism: 4})
+			m4, _, err := sp.MinimalSafeHidden(oracle, search.Options{Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(m1) != len(m4) {
-				t.Fatalf("trial %d: minimal set counts differ: %d vs %d", trial, len(m1), len(m4))
-			}
-			for i := range m1 {
-				if !m1[i].Equal(m4[i]) {
-					t.Fatalf("trial %d: minimal set %d differs: %v vs %v", trial, i, m1[i], m4[i])
-				}
+			if !slices.Equal(m1, m4) {
+				t.Fatalf("trial %d: minimal sets differ: %v vs %v", trial, m1, m4)
 			}
 		}
 	}

@@ -10,10 +10,11 @@
 // candidate — subsets are machine words until a solution is materialized,
 // (b) explore candidates in ascending (cost, lex) order, so the first safe
 // candidate is the optimum and bounds everything after it, (c) exploit that
-// safety is monotone in the hidden set in the level sweeps (AllSafeVisible,
-// MinimalSafeHidden) — a mask with a decided subset is decided without a
-// test — and (d) shard the mask space over workers with a shared best-index
-// or best-cost bound, so multi-core hardware is actually used.
+// safety is monotone in the hidden set in the level sweep behind set
+// derivation (MinimalSafeHidden) — a hidden mask with a safe subset is
+// decided without a test — and (d) shard the mask space over workers with a
+// shared best-index or best-cost bound, so multi-core hardware is actually
+// used.
 //
 // MinCost keeps no domination state. Up to sortedMax attributes it is a
 // pure (cost, lex) scan: per candidate one index-bound check and one oracle

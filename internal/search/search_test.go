@@ -301,51 +301,9 @@ func TestMinCostError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
-	_, _, err = s.AllSafeVisible(func(Mask) (bool, error) { return false, boom }, Options{Parallelism: 2})
-	if !errors.Is(err, boom) {
-		t.Errorf("AllSafeVisible error not propagated: %v", err)
-	}
 	_, _, err = s.MinimalSafeHidden(func(Mask) (bool, error) { return false, boom }, Options{Parallelism: 2})
 	if !errors.Is(err, boom) {
 		t.Errorf("MinimalSafeHidden error not propagated: %v", err)
-	}
-}
-
-// TestAllSafeVisibleMatchesBrute compares the level sweep against the plain
-// 2^k loop on random monotone oracles.
-func TestAllSafeVisibleMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		k := rng.Intn(9)
-		attrs := make([]string, k)
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("a%d", i)
-		}
-		s := testSpace(t, attrs, nil)
-		oracle := monotoneOracle(s, rng)
-		var want []Mask
-		for m := 0; m < 1<<k; m++ {
-			if safe, _ := oracle(Mask(m)); safe {
-				want = append(want, Mask(m))
-			}
-		}
-		var calls atomic.Int64
-		counted := func(v Mask) (bool, error) { calls.Add(1); return oracle(v) }
-		got, stats, err := s.AllSafeVisible(counted, Options{Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d safe sets, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: got[%d]=%b want %b", trial, i, got[i], want[i])
-			}
-		}
-		if int64(stats.Checked) != calls.Load() || stats.Checked+stats.Pruned != 1<<k {
-			t.Fatalf("trial %d: stats %+v, calls %d", trial, stats, calls.Load())
-		}
 	}
 }
 
@@ -388,7 +346,9 @@ func TestMinimalSafeHiddenMatchesBrute(t *testing.T) {
 		s := testSpace(t, attrs, nil)
 		oracle := monotoneOracle(s, rng)
 		want := bruteMinimalSafeHidden(s, oracle)
-		got, stats, err := s.MinimalSafeHidden(oracle, Options{Parallelism: 4})
+		var calls atomic.Int64
+		counted := func(v Mask) (bool, error) { calls.Add(1); return oracle(v) }
+		got, stats, err := s.MinimalSafeHidden(counted, Options{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,8 +360,8 @@ func TestMinimalSafeHiddenMatchesBrute(t *testing.T) {
 				t.Fatalf("trial %d: got[%d]=%b want %b", trial, i, got[i], want[i])
 			}
 		}
-		if stats.Checked+stats.Pruned != 1<<k {
-			t.Fatalf("trial %d: stats %+v don't cover the lattice", trial, stats)
+		if int64(stats.Checked) != calls.Load() || stats.Checked+stats.Pruned != 1<<k {
+			t.Fatalf("trial %d: stats %+v, calls %d", trial, stats, calls.Load())
 		}
 	}
 }

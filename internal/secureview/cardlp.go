@@ -180,17 +180,18 @@ type RoundingOptions struct {
 // apply the privatization closure. It returns the solution and the LP
 // optimum (a lower bound on OPT, so cost/lpValue bounds the true ratio).
 func CardinalityLPRound(p *Problem, opts RoundingOptions) (Solution, float64, error) {
+	if err := p.Validate(Cardinality); err != nil {
+		return Solution{}, 0, err
+	}
 	return CardinalityLPRoundCtx(context.Background(), p, opts)
 }
 
 // CardinalityLPRoundCtx is CardinalityLPRound with cancellation inside the
 // simplex (polled every few dozen pivots) and between rounding trials. On
 // expiry it returns ctx.Err() and, when at least one trial finished, the
-// cheapest feasible rounding so far.
+// cheapest feasible rounding so far. p must pass p.Validate(Cardinality),
+// as the solve registry's capability check guarantees.
 func CardinalityLPRoundCtx(ctx context.Context, p *Problem, opts RoundingOptions) (Solution, float64, error) {
-	if err := p.Validate(Cardinality); err != nil {
-		return Solution{}, 0, err
-	}
 	if err := ctx.Err(); err != nil {
 		return Solution{}, 0, err
 	}

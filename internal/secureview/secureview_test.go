@@ -360,7 +360,7 @@ func TestIntegralityGapAblation(t *testing.T) {
 func TestDeriveFig1(t *testing.T) {
 	w := workflow.Fig1()
 	costs := privacy.Uniform(w.Schema().Names()...)
-	p, err := Derive(w, DeriveOptions{Gamma: 2, Costs: costs})
+	p, err := Derive(w, Set, DeriveOptions{Gamma: 2, Costs: costs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDeriveFig1(t *testing.T) {
 		t.Fatal("derived-instance optimum infeasible")
 	}
 	// Γ = 4 is impossible for m2/m3 (single boolean output).
-	if _, err := Derive(w, DeriveOptions{Gamma: 4, Costs: costs}); err == nil {
+	if _, err := Derive(w, Set, DeriveOptions{Gamma: 4, Costs: costs}); err == nil {
 		t.Error("Γ=4 accepted despite 1-bit-output modules")
 	}
 }

@@ -23,17 +23,18 @@ import (
 // reach the threshold. The cost is at most ℓmax times the LP optimum, which
 // lower-bounds OPT. Returns the solution and the LP optimum.
 func SetLPRound(p *Problem) (Solution, float64, error) {
+	if err := p.Validate(Set); err != nil {
+		return Solution{}, 0, err
+	}
 	return SetLPRoundCtx(context.Background(), p)
 }
 
 // SetLPRoundCtx is SetLPRound with cancellation inside the simplex (polled
 // every few dozen pivots). On expiry it returns ctx.Err() and no solution —
 // the rounding is a single deterministic threshold pass, so there is no
-// meaningful partial result.
+// meaningful partial result. p must pass p.Validate(Set), as the solve
+// registry's capability check guarantees.
 func SetLPRoundCtx(ctx context.Context, p *Problem) (Solution, float64, error) {
-	if err := p.Validate(Set); err != nil {
-		return Solution{}, 0, err
-	}
 	if err := ctx.Err(); err != nil {
 		return Solution{}, 0, err
 	}
@@ -84,8 +85,9 @@ func SetLPRoundCtx(ctx context.Context, p *Problem) (Solution, float64, error) {
 			rv := rIdx[[2]int{mi, j}]
 			sum[rv] = 1
 			prob.MustAddConstraint(map[int]float64{rv: 1}, lp.LE, 1)
-			for a := range req.Attrs() {
-				// (20): x_b - r_ij >= 0.
+			// (20): x_b - r_ij >= 0, added in the option's own order so
+			// every solve of one instance sums its rows alike.
+			for _, a := range append(append([]string{}, req.In...), req.Out...) {
 				prob.MustAddConstraint(map[int]float64{attrIdx[a]: 1, rv: -1}, lp.GE, 0)
 			}
 		}

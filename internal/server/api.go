@@ -23,9 +23,9 @@ import (
 //     abstract instance classes (gen.ProblemClasses and the mega-scale
 //     gen.MegaProblemClasses) are generated directly.
 //   - CSV pairs a spec document with a recorded provenance log; the
-//     requirement lists derive from the recorded projection (partial-log
-//     semantics), so only the set variant is servable and the derivation
-//     bypasses the shared Session (its cache keys ignore recorded logs).
+//     requirement lists of either variant derive from the recorded
+//     projection (partial-log semantics), bypassing the shared Session
+//     (its cache keys ignore recorded logs).
 //   - Corpus names a committed hard-instance corpus entry by ID or
 //     unambiguous ID prefix (internal/gen/corpus).
 type SolveRequest struct {

@@ -43,7 +43,7 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"generated":{"class":"sparse","seed":1},"solver":"approx-setcover"}`))
 	f.Add([]byte(`{"generated":{"class":"chain","seed":1},"solver":`))
 	// CSV refs from the demo document's exported log: a set solve, a
-	// cardinality request (a 400) and a row the workflow cannot produce.
+	// cardinality solve and a row the workflow cannot produce.
 	for _, req := range []server.SolveRequest{
 		{CSV: &gen.CSVRef{Spec: parseDoc(f), Data: demoCSV(f)}, Solver: "exact"},
 		{CSV: &gen.CSVRef{Spec: parseDoc(f), Data: demoCSV(f)}, Solver: "greedy", Variant: "cardinality"},
@@ -55,6 +55,9 @@ func FuzzSolveRequest(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	// An lp solve whose bound's last bit depends on the order of its LP
+	// rows.
+	f.Add([]byte(`{"generated":{"class":"shared","seed":1},"solver":"lp"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h := server.MustNew(server.Config{SessionBytes: 64 << 10, MaxTimeout: 300 * time.Millisecond}).Handler()
 		first, firstBody := fuzzPost(t, h, body)

@@ -1,14 +1,22 @@
 package server_test
 
 import (
+	"context"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"secureview/internal/gen"
 	"secureview/internal/gen/corpus"
 	"secureview/internal/provenance"
+	"secureview/internal/secureview"
 	"secureview/internal/server"
+	"secureview/internal/solve"
+	"secureview/internal/spec"
 )
 
 // demoCSV exports the demo workflow's full provenance log through the
@@ -75,9 +83,29 @@ func TestSolveCorpus(t *testing.T) {
 	}
 }
 
-// TestSolveCSV round-trips a recorded provenance log: the set variant
-// derives under partial-log semantics, the cardinality variant is
-// rejected, and an inconsistent log is rejected at import.
+// genomicsCSV reads internal/gen's committed genomics fixture: a workflow
+// document and a partial log of its executions.
+func genomicsCSV(t *testing.T) *gen.CSVRef {
+	t.Helper()
+	dir := filepath.Join("..", "gen", "testdata")
+	raw, err := os.ReadFile(filepath.Join(dir, "genomics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := spec.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "genomics.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &gen.CSVRef{Spec: doc, Data: string(data)}
+}
+
+// TestSolveCSV round-trips a recorded provenance log: both variants derive
+// under partial-log semantics, and an inconsistent log is rejected at
+// import.
 func TestSolveCSV(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	csv := demoCSV(t)
@@ -92,11 +120,51 @@ func TestSolveCSV(t *testing.T) {
 		t.Fatalf("csv solve: %+v", out)
 	}
 
-	resp, raw = post(t, ts, "/v1/solve", server.SolveRequest{
-		CSV: &gen.CSVRef{Spec: parseDoc(t), Data: csv}, Solver: "exact", Variant: "cardinality",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("csv cardinality not rejected: status %d: %s", resp.StatusCode, raw)
+	// A cardinality request is served from the log: on the genomics
+	// fixture, align's list is {(0,1), (2,0)} over the log and
+	// {(0,1), (1,0)} over its full functionality, and the response is the
+	// exact optimum of the log's derivation.
+	ref := genomicsCSV(t)
+	rv, err := gen.Resolve(gen.InstanceRef{CSV: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := rv.Instance.Derive(secureview.Cardinality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlogged := *rv.Instance
+	unlogged.Recorded = nil
+	pFull, err := unlogged.Derive(secureview.Cardinality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p    *secureview.Problem
+		want []secureview.CardReq
+	}{
+		{p, []secureview.CardReq{{Alpha: 0, Beta: 1}, {Alpha: 2, Beta: 0}}},
+		{pFull, []secureview.CardReq{{Alpha: 0, Beta: 1}, {Alpha: 1, Beta: 0}}},
+	} {
+		if got := moduleSpec(t, c.p, "align").CardList; !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("align's cardinality list %v, want %v", got, c.want)
+		}
+	}
+	want, err := solve.Solve(context.Background(), "exact", p, solve.Options{Variant: secureview.Cardinality})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw = post(t, ts, "/v1/solve", server.SolveRequest{CSV: ref, Solver: "exact", Variant: "cardinality"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("csv cardinality: status %d: %s", resp.StatusCode, raw)
+	}
+	out := decodeSolve(t, raw)
+	if out.Status != "optimal" || out.Variant != "cardinality" || out.Cost != want.Cost ||
+		!slices.Equal(out.Hidden, want.Solution.Hidden.Sorted()) ||
+		!slices.Equal(out.Privatized, want.Solution.Privatized.Sorted()) ||
+		out.Fingerprint != solve.ProblemFingerprint(p, secureview.Cardinality) {
+		t.Fatalf("csv cardinality: %+v, want the exact optimum %v (cost %v) of the log's derivation",
+			out, want.Solution.Hidden.Sorted(), want.Cost)
 	}
 
 	// A log row inconsistent with the workflow functionality (flip maps
@@ -124,4 +192,16 @@ func TestSolveSourceValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("two-source request: status %d: %s", resp.StatusCode, raw)
 	}
+}
+
+// moduleSpec returns the named module of p.
+func moduleSpec(t *testing.T, p *secureview.Problem, name string) secureview.ModuleSpec {
+	t.Helper()
+	for _, m := range p.Modules {
+		if m.Name == name {
+			return m
+		}
+	}
+	t.Fatalf("no module %q", name)
+	return secureview.ModuleSpec{}
 }

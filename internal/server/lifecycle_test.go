@@ -13,9 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"secureview/internal/gen"
 	"secureview/internal/gen/corpus"
 	"secureview/internal/ring"
+	"secureview/internal/secureview"
 	"secureview/internal/server"
+	"secureview/internal/solve"
+	"secureview/internal/spec"
 )
 
 func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) *http.Response {
@@ -343,6 +347,44 @@ func TestShardRingServing(t *testing.T) {
 	}
 	if misses != len(reqs) {
 		t.Fatalf("fleet derived %d problems for %d distinct keys (cache not sharded)", misses, len(reqs))
+	}
+}
+
+// TestRouteKeySpec: a spec document routes on the structural fingerprint
+// of the instance gen.Resolve builds from it, whichever source gives its
+// Γ, and a gammaPerModule document, which gen.Resolve refuses, stays
+// unroutable.
+func TestRouteKeySpec(t *testing.T) {
+	withGamma := func(g uint64) *spec.Document {
+		doc := parseDoc(t)
+		doc.Gamma = g
+		return doc
+	}
+	for _, c := range []struct {
+		req   server.SolveRequest
+		v     secureview.Variant
+		gamma uint64
+	}{
+		{server.SolveRequest{Spec: withGamma(0), Solver: "greedy"}, secureview.Set, 2},
+		{server.SolveRequest{Spec: withGamma(3), Solver: "greedy"}, secureview.Set, 3},
+		{server.SolveRequest{Spec: withGamma(3), Gamma: 4, Solver: "greedy", Variant: "cardinality"}, secureview.Cardinality, 4},
+	} {
+		rv, err := gen.Resolve(gen.InstanceRef{Spec: c.req.Spec, Gamma: c.req.Gamma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rv.Instance.Gamma != c.gamma {
+			t.Fatalf("resolved Γ %d, want %d", rv.Instance.Gamma, c.gamma)
+		}
+		want := solve.StructuralFingerprint(rv.Instance.W, c.v, c.gamma)
+		if key, ok := server.RouteKey(&c.req); !ok || key != want {
+			t.Fatalf("Γ=%d: route key %q (ok %v), want %q", c.gamma, key, ok, want)
+		}
+	}
+	perModule := parseDoc(t)
+	perModule.GammaPerModule = map[string]uint64{"flip": 2}
+	if key, ok := server.RouteKey(&server.SolveRequest{Spec: perModule, Solver: "greedy"}); ok {
+		t.Fatalf("gammaPerModule spec routed on %q", key)
 	}
 }
 

@@ -454,7 +454,7 @@ func (s *Server) runJob(parent context.Context, req *SolveRequest) (int, *SolveR
 // instances derive through the shared Session, which binds the reference's
 // alias — except CSV-backed ones, whose requirement lists depend on the
 // recorded log that Session cache keys do not capture, so they derive
-// directly (set variant only; DeriveCardProblem has no partial-log form).
+// directly from the log in the requested variant.
 func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Variant, solve.Entry, int, string) {
 	var none solve.Entry
 	v, err := parseVariant(req.Variant)
@@ -478,11 +478,7 @@ func (s *Server) resolve(ctx context.Context, req *SolveRequest) (secureview.Var
 			// and the Session do not apply.
 			x.P = rv.Problem
 		case rv.Instance.Recorded != nil:
-			if v == secureview.Cardinality {
-				return 0, none, http.StatusBadRequest,
-					"csv instances derive from the recorded log (partial-log semantics); only the set variant is servable"
-			}
-			x.P, x.Err = rv.Instance.Derive()
+			x.P, x.Err = rv.Instance.Derive(v)
 		default:
 			it := rv.Instance
 			x = s.sess.Entry(ctx, alias, it.W, v, it.Gamma, it.Costs, it.PrivatizeCosts)

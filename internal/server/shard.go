@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"secureview/internal/gen"
 	"secureview/internal/solve"
 )
 
@@ -40,13 +41,14 @@ const forwardedHeader = "X-Secureview-Forwarded"
 //     the reference as sent, so a corpus ID prefix and the full ID are two
 //     references and may have two owners;
 //   - spec documents route on the cost-EXCLUDED structural fingerprint of
-//     the derivation, so an edit chain (same workflow, tweaked costs) pins
-//     to one owner, whose Session re-costs its cached problem instead of
-//     each replica deriving it again.
+//     the derivation of the instance gen.Resolve builds, so an edit chain
+//     (same workflow, tweaked costs) pins to one owner, whose Session
+//     re-costs its cached problem instead of each replica deriving it
+//     again.
 //
-// Unroutable requests (CSV refs, malformed documents, unknown variants)
-// return ok=false and are served locally, where the normal resolve path
-// produces the client-facing error.
+// Unroutable requests (CSV refs, documents gen.Resolve refuses, unknown
+// variants) return ok=false and are served locally, where the normal
+// resolve path produces the client-facing error.
 func routeKey(req *SolveRequest) (string, bool) {
 	v, err := parseVariant(req.Variant)
 	if err != nil {
@@ -55,22 +57,14 @@ func routeKey(req *SolveRequest) (string, bool) {
 	if key := req.aliasKey(v); key != "" {
 		return key, true
 	}
-	doc := req.Spec
-	if doc == nil || req.Generated != nil || len(doc.GammaPerModule) > 0 {
+	if req.Spec == nil {
 		return "", false
 	}
-	w, err := doc.Build()
+	rv, err := gen.Resolve(req.instanceRef())
 	if err != nil {
 		return "", false
 	}
-	gamma := req.Gamma
-	if gamma == 0 {
-		gamma = doc.Gamma
-	}
-	if gamma == 0 {
-		gamma = 2
-	}
-	return solve.StructuralFingerprint(w, v, gamma), true
+	return solve.StructuralFingerprint(rv.Instance.W, v, rv.Instance.Gamma), true
 }
 
 // routeRemote decides whether req must be served by another replica,

@@ -195,7 +195,7 @@ func TestSessionAliasEviction(t *testing.T) {
 		t.Fatal("an alias outlived its evicted entry")
 	}
 	it := tinyInstance(t, 0)
-	direct, err := it.Derive()
+	direct, err := it.Derive(secureview.Set)
 	if err != nil {
 		t.Fatal(err)
 	}

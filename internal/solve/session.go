@@ -544,12 +544,10 @@ func (s *Session) Entry(ctx context.Context, alias string, w *workflow.Workflow,
 	if src != nil {
 		e.p, e.err = deltaClone(src, costs, privatizeCosts), nil
 		delta = true
-	} else if v == secureview.Set {
-		e.p, e.err = secureview.Derive(w, secureview.DeriveOptions{
+	} else {
+		e.p, e.err = secureview.Derive(w, v, secureview.DeriveOptions{
 			Gamma: gamma, Costs: costs, PrivatizeCosts: privatizeCosts,
 		})
-	} else {
-		e.p, e.err = secureview.DeriveCardProblem(w, gamma, costs, privatizeCosts)
 	}
 	e.done = true
 	e.size = problemSize(e.p)

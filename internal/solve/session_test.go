@@ -65,7 +65,7 @@ func TestSessionEvictionStaysUnderBudget(t *testing.T) {
 	// Seed 0 was evicted long ago: re-requesting it re-derives (a miss,
 	// not a hit) and reproduces the same problem content.
 	it := tinyInstance(t, 0)
-	direct, err := it.Derive()
+	direct, err := it.Derive(secureview.Set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,9 @@ func TestSessionDeltaDerive(t *testing.T) {
 		t.Fatalf("deltaDerives=%d misses=%d, want 1/2 (cost-only edit must re-cost, and still count as a miss)",
 			st.DeltaDerives, st.Misses)
 	}
-	fresh, err := secureview.DeriveCardProblem(it.W, it.Gamma, edited, it.PrivatizeCosts)
+	fresh, err := secureview.Derive(it.W, secureview.Cardinality, secureview.DeriveOptions{
+		Gamma: it.Gamma, Costs: edited, PrivatizeCosts: it.PrivatizeCosts,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +290,11 @@ func TestSessionDeltaDerive(t *testing.T) {
 	// delta hit would instead have silently returned the cached Γ problem.
 	if _, err := sess.Problem(ctx, it.W, secureview.Cardinality,
 		it.Gamma+1, edited, it.PrivatizeCosts); err == nil {
-		dp, err := secureview.DeriveCardProblem(it.W, it.Gamma+1, edited, it.PrivatizeCosts)
-		if err != nil {
+		if _, err := secureview.Derive(it.W, secureview.Cardinality, secureview.DeriveOptions{
+			Gamma: it.Gamma + 1, Costs: edited, PrivatizeCosts: it.PrivatizeCosts,
+		}); err != nil {
 			t.Fatalf("session derived at Γ+1 where direct derivation fails: %v", err)
 		}
-		_ = dp
 	}
 	if st := sess.Stats(); st.DeltaDerives != 1 {
 		t.Fatalf("gamma change was delta-derived (deltaDerives=%d)", st.DeltaDerives)

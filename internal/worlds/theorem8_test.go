@@ -27,7 +27,7 @@ func TestTheorem8GeneralAssembly(t *testing.T) {
 	costs := privacy.Costs{"i0": 10, "u1": 1, "u2": 1, "v1": 1, "v2": 1, "w1": 10, "w2": 10}
 	privatize := map[string]float64{"src": 2, "post": 2}
 
-	p, err := secureview.Derive(w, secureview.DeriveOptions{
+	p, err := secureview.Derive(w, secureview.Set, secureview.DeriveOptions{
 		Gamma: 2, Costs: costs, PrivatizeCosts: privatize,
 	})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestTheorem8PrivatizationTradeoffs(t *testing.T) {
 	w := workflow.MustNew("trade", mPub, mPriv)
 	costs := privacy.Costs{"a": 5, "b": 1, "c": 5}
 
-	cheap, err := secureview.Derive(w, secureview.DeriveOptions{
+	cheap, err := secureview.Derive(w, secureview.Set, secureview.DeriveOptions{
 		Gamma: 2, Costs: costs, PrivatizeCosts: map[string]float64{"fmt": 0.5},
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestTheorem8PrivatizationTradeoffs(t *testing.T) {
 		t.Errorf("cost = %v, want 1.5", got)
 	}
 
-	dear, err := secureview.Derive(w, secureview.DeriveOptions{
+	dear, err := secureview.Derive(w, secureview.Set, secureview.DeriveOptions{
 		Gamma: 2, Costs: costs, PrivatizeCosts: map[string]float64{"fmt": 100},
 	})
 	if err != nil {
