@@ -52,22 +52,27 @@ const gateReps = 3
 // restart does not pay the cold derivation again), and the served rows
 // (servedbench.go), which time what a /v1/solve caller experiences.
 //
-// The restored first solve is gated as a SAME-RUN ratio against its cold
-// sibling: the median cold/restored ratio of paired runs (see
-// minRestoredSpeedup and speedupPairs), rather than against the calibrated
+// The restored first solve is gated against its cold sibling in the SAME
+// run (restoredFloor over paired runs), rather than against the calibrated
 // baseline: the calibration factor comes from small-k rows whose full-mode
 // baseline measurements carry the heap state of the heavy k=18 sweeps in
-// the same process, a bias the ~10ms restored row does not share, so an
-// absolute comparison flags calibration skew instead of regressions. The
-// ratio is the invariant the row exists to pin — a restart must not pay
-// the cold derivation again — and is immune to machine speed by
-// construction. It still appears here so calibration excludes it and a
-// rename cannot silently drop it from the gate.
+// the same process, a bias the restored row does not share, so an absolute
+// comparison flags calibration skew instead of regressions. The floor pins
+// the invariant the row exists for — a restart must not pay the cold
+// derivation again — and is immune to machine speed by construction. The
+// row still appears here so calibration excludes it and a rename cannot
+// silently drop it from the gate.
 func gatedRow(name string) bool {
 	return name == "standalone-search/engine-compiled" ||
 		name == "snapshot/first-solve/restored" ||
 		strings.HasPrefix(name, "served/") ||
 		(strings.HasPrefix(name, "scenario/") && strings.HasSuffix(name, "/engine"))
+}
+
+// allowedNs is the most a gated row may take against a reference of refNs
+// on the same machine: the relative tolerance plus the capped grace.
+func allowedNs(refNs float64) float64 {
+	return refNs*(1+gateTolerance) + min(gateGraceNs, refNs)
 }
 
 // median returns the median of xs, which it sorts.
@@ -127,11 +132,6 @@ func runBenchGate(baselinePath string, quick bool) error {
 	fmt.Printf("benchgate: calibrated over %d shared rows under 1 ms, machine factor %.3f, and %d of 1 ms or more, factor %.3f\n",
 		len(ratios[false]), factors[false], len(ratios[true]), factors[true])
 
-	curByKey := make(map[string]benchResult, len(current))
-	for _, c := range current {
-		curByKey[rowKey(c)] = c
-	}
-
 	compared := 0
 	var failures []string
 	for _, cur := range current {
@@ -143,24 +143,24 @@ func runBenchGate(baselinePath string, quick bool) error {
 			continue
 		}
 		if cur.Name == "snapshot/first-solve/restored" {
-			cold, ok := curByKey[fmt.Sprintf("snapshot/first-solve/cold/k=%d", cur.K)]
-			if !ok || cur.Speedup <= 0 {
+			if cur.MedianNs <= 0 || cur.ColdSolveNs <= 0 {
 				continue
 			}
 			compared++
+			allowed, ok := restoredFloor(cur.MedianNs, cur.ColdSolveNs)
 			status := "ok"
-			if cur.Speedup < minRestoredSpeedup {
+			if !ok {
 				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: restored first solves are a median %.1fx faster than cold over paired runs (floor %gx)",
-					rowKey(cur), cur.Speedup, minRestoredSpeedup))
+				failures = append(failures, fmt.Sprintf("%s: restored first solves take a median %d ns over paired runs, above the %.0f ns their cold solves' median %d ns allows",
+					rowKey(cur), cur.MedianNs, allowed, cur.ColdSolveNs))
 			}
-			fmt.Printf("benchgate: %-50s %12d ns  cold %12d ns (median paired %.1fx, floor %gx)  [%s]\n",
-				rowKey(cur), cur.NsPerOp, cold.NsPerOp, cur.Speedup, minRestoredSpeedup, status)
+			fmt.Printf("benchgate: %-50s %12d ns  cold solve %12d ns (medians, allowed %.0f)  [%s]\n",
+				rowKey(cur), cur.MedianNs, cur.ColdSolveNs, allowed, status)
 			continue
 		}
 		compared++
 		calibrated := float64(b.NsPerOp) * factors[b.NsPerOp >= calibSplitNs]
-		allowed := calibrated*(1+gateTolerance) + min(gateGraceNs, calibrated)
+		allowed := allowedNs(calibrated)
 		status := "ok"
 		if float64(cur.NsPerOp) > allowed {
 			status = "FAIL"

@@ -40,9 +40,11 @@ type benchResult struct {
 	// per safety test, so it equals Checked).
 	OraclePasses int `json:"oracle_passes,omitempty"`
 
-	// Speedup is, on restored first-solve rows, the median cold/restored
-	// latency ratio over paired runs: the number the -benchgate floor reads.
-	Speedup float64 `json:"speedup,omitempty"`
+	// MedianNs and ColdSolveNs are, on restored first-solve rows, the
+	// medians over paired runs of the restored first solve and of the cold
+	// side's solve without its derivation: the numbers restoredFloor reads.
+	MedianNs    int64 `json:"median_ns,omitempty"`
+	ColdSolveNs int64 `json:"cold_solve_ns,omitempty"`
 }
 
 // timeBest runs fn reps times and returns the fastest wall-clock run.

@@ -20,12 +20,12 @@
 //	                     a few array/bitset ops — compile once per search,
 //	                     share the read-only result across the worker pool
 //	internal/search      bitset subset-search engine: MinCost is a pure
-//	                     (cost, lex) scan over a radix-sorted candidate
-//	                     list up to 22 attributes and a cost-bounded scan
-//	                     above, both testing each surviving candidate with
-//	                     one oracle call; Proposition 1 pruning in the
-//	                     level sweep behind set derivation; worker pool;
-//	                     no warm-start state
+//	                     (cost, lex) scan over cost buckets it finishes
+//	                     only as far as it reads, up to 22 attributes,
+//	                     and a cost-bounded scan above, both testing each
+//	                     surviving candidate with one oracle call;
+//	                     Proposition 1 pruning in the level sweep behind
+//	                     set derivation; worker pool; no warm-start state
 //	internal/worlds      possible-world semantics, FLIP, sharded parallel
 //	                     enumeration with bitset OUT sets
 //	internal/secureview  the Secure-View optimization (sections 4–5):

@@ -1,9 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -21,10 +23,10 @@ type Result struct {
 	Stats Stats
 }
 
-// sortedMax is the largest universe for which MinCost materializes the full
-// candidate list in (cost, lex) order (~32 bytes per mask across the lex
-// scatter, cost table, radix buffers and sorted list; ~130 MiB at k=22).
-// Above it the streaming scan is used.
+// sortedMax is the largest universe for which MinCost scans candidates in
+// (cost, lex) order (~14 bytes per mask: the subset-sum cost table, the
+// candidate list and its bucket bounds; ~56 MiB at k=22). Above it the
+// streaming scan is used.
 const sortedMax = 22
 
 // MinCost finds the minimum-cost hidden mask whose complementary visible set
@@ -76,177 +78,208 @@ func (s *Space) MinCostCtx(ctx context.Context, oracle Oracle, opts Options) (Re
 	return res, err
 }
 
-// orderedCostBits maps a float64 to a uint64 whose unsigned order matches
-// the float order (the standard sign-flip transform), so costs radix-sort.
-func orderedCostBits(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b&(1<<63) != 0 {
-		return ^b
-	}
-	return b | 1<<63
+// smallBucket is the largest cost bucket the order sorts by insertion; a
+// larger one whose costs do not already ascend is split (order.settle).
+const smallBucket = 16
+
+// stretch is how far per worker the scan finishes the order ahead.
+const stretch = 64
+
+// order is one search's candidates in ascending (cost, lexLess) order,
+// finished only as far as the scan reads it. masks[:done] is in final
+// order. The rest is a run of cost buckets in which every cost is below
+// every cost of the next bucket, and each bucket lists its masks in lex
+// order. ends is a stack of the pending buckets' end positions, the next
+// bucket's on top, so the next bucket is masks[done:ends[len(ends)-1]].
+type order struct {
+	sums  []float64 // sums[m] is mask m's cost (costSums)
+	masks []Mask
+	ends  []int32
+	spare []Mask // the bucket being split
+	done  int
 }
 
-// lexMasks returns every mask of the universe in ascending lexLess order.
-// The order is the preorder walk of the subset tree over name ranks, in
-// which a node's children extend it by one rank above its maximum; the walk
-// runs in rank space and maps each node back to universe bits through three
-// byte tables. It is computed on the first search over the Space and
-// cached.
-func (s *Space) lexMasks() []Mask {
-	s.lexOnce.Do(func() {
-		k := s.K()
-		var rankBit [MaxAttrs]Mask // universe bit of each name rank
-		for i, p := range s.permBit {
-			rankBit[bits.TrailingZeros32(uint32(p))] = 1 << i
+// orderPool keeps one order's buffers per universe size across searches.
+var orderPool [sortedMax + 1]sync.Pool
+
+// newOrder fills the cost table and scatters every mask into one of
+// B = 2^k/2 buckets by ⌊cost·B/cost(all)⌋, clamped. Multiplying by a
+// positive constant and truncating both preserve ≤, so equal costs share a
+// bucket and a lower bucket holds only lower costs. No mask costs more than
+// the full one (costSums adds each mask's costs in the full mask's order,
+// and dropping a non-negative term never raises a rounded sum), so the
+// clamp only catches rounding. A total of 0, or one too small or large to
+// scale, makes one bucket.
+//
+// The scatter walks the masks in lexLess order, so each bucket starts out
+// lex-ordered: the preorder of the subset tree over name ranks, in which a
+// node's children extend it by one rank above its maximum, run in rank
+// space and mapped back to universe bits through three byte tables.
+func (s *Space) newOrder() *order {
+	k := s.K()
+	n := 1 << k
+	o, _ := orderPool[k].Get().(*order)
+	if o == nil {
+		o = &order{sums: make([]float64, n), masks: make([]Mask, n)}
+	}
+	o.done, o.ends = 0, o.ends[:0]
+	s.costSums(o.sums)
+	nb := max(n/2, 1)
+	scale := float64(nb) / o.sums[n-1]
+	if !(scale > 0 && scale <= math.MaxFloat64) {
+		nb, scale = 1, 0
+	}
+	top := nb - 1
+	ends := o.push(nb)
+	for _, c := range o.sums {
+		ends[top-bucket(c, 0, scale, top)]++
+	}
+	starts(ends, 0)
+
+	var rankBit [MaxAttrs]Mask // universe bit of each name rank
+	for i, p := range s.permBit {
+		rankBit[bits.TrailingZeros32(uint32(p))] = 1 << i
+	}
+	var tab [MaxAttrs / 8][256]Mask
+	for c := range tab {
+		for b := 1; b < 256; b++ {
+			tab[c][b] = tab[c][b&(b-1)] | rankBit[8*c+bits.TrailingZeros8(uint8(b))]
 		}
-		var tab [MaxAttrs / 8][256]Mask
-		for c := range tab {
-			for b := 1; b < 256; b++ {
-				tab[c][b] = tab[c][b&(b-1)] | rankBit[8*c+bits.TrailingZeros8(uint8(b))]
+	}
+	last := uint32(1) << k >> 1 // the largest rank's bit (0 when k = 0)
+	var p uint32                // the current node, in rank space
+	for range n {
+		m := tab[0][p&0xff] | tab[1][p>>8&0xff] | tab[2][p>>16]
+		r := top - bucket(o.sums[m], 0, scale, top)
+		o.masks[ends[r]] = m
+		ends[r]++
+		switch {
+		case p == 0:
+			p = 1 // the root's first child: the smallest rank
+		case p&last == 0:
+			p |= 1 << bits.Len32(p) // descend: add the next rank
+		default:
+			// A leaf: drop the largest rank, then move the new maximum
+			// one rank up (the parent's next sibling).
+			if p &^= last; p != 0 {
+				h := uint32(1) << (bits.Len32(p) - 1)
+				p = p&^h | h<<1
 			}
 		}
-		out := make([]Mask, 1<<k)
-		top := uint32(1) << k >> 1 // the largest rank's bit (0 when k = 0)
-		var p uint32               // the current node, in rank space
-		for i := range out {
-			out[i] = tab[0][p&0xff] | tab[1][p>>8&0xff] | tab[2][p>>16]
-			switch {
-			case p == 0:
-				p = 1 // the root's first child: the smallest rank
-			case p&top == 0:
-				p |= 1 << bits.Len32(p) // descend: add the next rank
-			default:
-				// A leaf: drop the largest rank, then move the new maximum
-				// one rank up (the parent's next sibling).
-				if p &^= top; p != 0 {
-					h := uint32(1) << (bits.Len32(p) - 1)
-					p = p&^h | h<<1
-				}
+	}
+	return o
+}
+
+// bucket returns ⌊(c−lo)·scale⌋ clamped to [0, top].
+func bucket(c, lo, scale float64, top int) int {
+	q := (c - lo) * scale
+	if q >= float64(top) {
+		return top
+	}
+	if q > 0 {
+		return int(q)
+	}
+	return 0
+}
+
+// push adds nb zeroed bucket counters to the stack, bucket j at index
+// nb−1−j, so that after starts and a scatter the first bucket's end is on top.
+func (o *order) push(nb int) []int32 {
+	base := len(o.ends)
+	o.ends = append(o.ends, make([]int32, nb)...)
+	return o.ends[base:]
+}
+
+// starts turns pushed counts into start positions from base; a scatter
+// that advances each bucket's counter leaves its end.
+func starts(ends []int32, base int) {
+	pos := int32(base)
+	for r := len(ends) - 1; r >= 0; r-- {
+		c := ends[r]
+		ends[r] = pos
+		pos += c
+	}
+}
+
+// finish settles buckets until at least target masks, or all, are final.
+func (o *order) finish(target int) {
+	for o.done < target && len(o.ends) > 0 {
+		end := int(o.ends[len(o.ends)-1])
+		o.ends = o.ends[:len(o.ends)-1]
+		o.settle(o.masks[o.done:end])
+	}
+}
+
+// settle finishes the next bucket, b: it insertion-sorts a small one, keeps
+// a larger one whose costs already ascend, and otherwise splits it into
+// len(b)/2 buckets by ⌊(cost−lo)·B/(hi−lo)⌋ over its own cost range. That
+// index is monotone like newOrder's and puts lo and hi apart, so every
+// split makes progress however skewed the costs.
+func (o *order) settle(b []Mask) {
+	sums := o.sums
+	if len(b) <= smallBucket {
+		var cs [smallBucket]float64 // b's costs, read from the table once
+		for i, m := range b {
+			cs[i] = sums[m]
+		}
+		for i := 1; i < len(b); i++ {
+			m, c := b[i], cs[i]
+			j := i
+			for ; j > 0 && cs[j-1] > c; j-- {
+				b[j], cs[j] = b[j-1], cs[j-1]
 			}
+			b[j], cs[j] = m, c
 		}
-		s.lex = out
-	})
-	return s.lex
+		o.done += len(b)
+		return
+	}
+	lo, hi, ascending := sums[b[0]], sums[b[0]], true
+	for i, m := range b[1:] {
+		c := sums[m]
+		ascending = ascending && c >= sums[b[i]]
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if ascending {
+		o.done += len(b)
+		return
+	}
+	nb := len(b) / 2
+	scale := float64(nb) / (hi - lo)
+	if !(scale > 0 && scale <= math.MaxFloat64) {
+		// A cost range too narrow (subnormal) or wide (infinite) to scale.
+		slices.SortStableFunc(b, func(x, y Mask) int { return cmp.Compare(sums[x], sums[y]) })
+		o.done += len(b)
+		return
+	}
+	top := nb - 1
+	ends := o.push(nb)
+	for _, m := range b {
+		ends[top-bucket(sums[m], lo, scale, top)]++
+	}
+	starts(ends, o.done)
+	o.spare = append(o.spare[:0], b...)
+	for _, m := range o.spare {
+		r := top - bucket(sums[m], lo, scale, top)
+		o.masks[ends[r]] = m
+		ends[r]++
+	}
 }
 
-// sortCandidates returns every hidden mask in ascending (cost, lexLess)
-// order, plus the subset-sum cost table, without a comparison sort. The
-// lex-order scatter (see lexMasks) realizes the lex order, and a
-// stable LSD radix sort on the order-preserving cost bits lifts it to the
-// full order. Only the span of key bits that differ between candidates is
-// sorted, and each candidate travels as one word: up to keyBits of its key
-// above the mask. A wider span is sorted by its top keyBits alone, which
-// orders real-valued costs exactly unless two different costs agree on all
-// of those bits; only then are the low bits sorted too, low bits first.
-func (s *Space) sortCandidates() (masks []Mask, sums []float64) {
-	n := 1 << s.K()
-	sums = s.costSums()
-	orAll, andAll := uint64(0), ^uint64(0)
-	for _, c := range sums {
-		k := orderedCostBits(c)
-		orAll |= k
-		andAll &= k
-	}
-	varying := orAll ^ andAll
-	words, spare := make([]uint64, n), make([]uint64, n)
-	for i, m := range s.lexMasks() {
-		words[i] = uint64(m)
-	}
-	// round sorts the words stably by cost-key bits [lo, hi).
-	round := func(lo, hi int) {
-		for i, w := range words {
-			key := orderedCostBits(sums[w&maskBits]) >> lo & (1<<(hi-lo) - 1)
-			words[i] = key<<MaxAttrs | w&maskBits
-		}
-		words, spare = radixSort(words, spare, hi-lo, s.K())
-	}
-	lo, hi := bits.TrailingZeros64(varying), bits.Len64(varying)
-	top := max(lo, hi-keyBits)
-	if lo < hi {
-		round(top, hi)
-	}
-	if top > lo && truncatedTies(words, sums) {
-		round(lo, top)
-		round(top, hi)
-	}
-	masks = make([]Mask, n)
-	for i, w := range words {
-		masks[i] = Mask(w & maskBits)
-	}
-	return masks, sums
-}
-
-// A candidate word carries its mask in the low MaxAttrs bits (maskBits) and
-// up to keyBits of its cost key above them.
-const (
-	maskBits = 1<<MaxAttrs - 1
-	keyBits  = 64 - MaxAttrs
-)
-
-// truncatedTies reports whether two neighbouring words carry the same key
-// but different costs.
-func truncatedTies(words []uint64, sums []float64) bool {
-	for i := 1; i < len(words); i++ {
-		if words[i]>>MaxAttrs == words[i-1]>>MaxAttrs && sums[words[i]&maskBits] != sums[words[i-1]&maskBits] {
-			return true
-		}
-	}
-	return false
-}
-
-// radixSort stably sorts words by their span-bit key above the mask bits,
-// using spare as the second buffer, and returns the sorted slice and the
-// other buffer. Digits are at most ~k-3 bits (8 to 16) wide and split
-// evenly, so a pass never clears many more counters than it moves words;
-// every digit histogram comes from one read of the keys, and a digit all
-// words share is skipped.
-func radixSort(words, spare []uint64, span, k int) (sorted, other []uint64) {
-	maxWidth := min(max(k-3, 8), 16)
-	passes := (span + maxWidth - 1) / maxWidth
-	width := (span + passes - 1) / passes
-	digit := uint64(1)<<width - 1
-	cnt := make([]int32, passes<<width)
-	for _, w := range words {
-		key := w >> MaxAttrs
-		for p := 0; p < passes; p++ {
-			cnt[p<<width+int(key>>(p*width)&digit)]++
-		}
-	}
-	for p := 0; p < passes; p++ {
-		shift := MaxAttrs + p*width
-		c := cnt[p<<width : (p+1)<<width]
-		if int(c[words[0]>>shift&digit]) == len(words) {
-			continue
-		}
-		sum := int32(0)
-		for d, v := range c {
-			c[d] = sum
-			sum += v
-		}
-		for _, w := range words {
-			d := w >> shift & digit
-			spare[c[d]] = w
-			c[d]++
-		}
-		words, spare = spare, words
-	}
-	return words, spare
-}
-
-// minCostSorted materializes all candidates in (cost, lex) order and
-// strides workers over the sorted list. The answer is the lowest-index safe
-// candidate; workers past the current best index stop wholesale. Per
-// candidate it does one index-bound check and one oracle call.
+// minCostSorted strides workers over the candidates in (cost, lex) order,
+// finishing the order a stretch ahead of the scan. The answer is the
+// lowest-index safe candidate; workers past the current best index stop
+// wholesale. Per candidate it does one index-bound check and one oracle
+// call.
 func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Bool) (Result, error) {
-	masks, sums := s.sortCandidates()
-	n := len(masks)
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
+	o := s.newOrder()
+	defer orderPool[s.K()].Put(o)
+	n := len(o.masks)
+	workers := min(opts.workers(), n)
 	all := s.All()
 	var bestIdx atomic.Int64
 	bestIdx.Store(int64(n)) // sentinel: nothing found
+	var ready atomic.Int64  // o.masks[:ready] is final; a worker reaching it finishes more under mu
+	var mu sync.Mutex
 	var checked, pruned atomic.Int64
 	var firstErr atomic.Value
 	var failed atomic.Bool
@@ -271,7 +304,13 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 					nPruned += int64((n - idx + workers - 1) / workers)
 					return
 				}
-				safe, err := oracle(all &^ masks[idx])
+				if int64(idx) >= ready.Load() {
+					mu.Lock()
+					o.finish(idx + stretch*workers)
+					ready.Store(int64(o.done))
+					mu.Unlock()
+				}
+				safe, err := oracle(all &^ o.masks[idx])
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					failed.Store(true)
@@ -291,24 +330,22 @@ func (s *Space) minCostSorted(oracle Oracle, opts Options, cancelled *atomic.Boo
 	c := int(checked.Load())
 	res := Result{Stats: Stats{Checked: c, Pruned: int(pruned.Load()), OraclePasses: c}}
 	if idx := bestIdx.Load(); idx < int64(n) {
-		res.Hidden = masks[idx]
-		res.Cost = sums[masks[idx]]
+		res.Hidden = o.masks[idx]
+		res.Cost = o.sums[res.Hidden]
 		res.Found = true
 	}
 	return res, nil
 }
 
-// costSums builds the subset-sum table sums[m] = total cost of mask m by
+// costSums fills the subset-sum table sums[m] = total cost of mask m by
 // one-add-per-mask dynamic programming — much cheaper than a per-mask bit
 // loop, at the price of 8 bytes per mask (only viable at k ≤ sortedMax).
-func (s *Space) costSums() []float64 {
-	n := 1 << s.K()
-	sums := make([]float64, n)
-	for m := 1; m < n; m++ {
+// Each mask's costs are added from its highest attribute down.
+func (s *Space) costSums(sums []float64) {
+	for m := 1; m < len(sums); m++ {
 		low := m & (m - 1)
 		sums[m] = sums[low] + s.costs[bits.TrailingZeros32(uint32(m))]
 	}
-	return sums
 }
 
 // minCostStreaming scans the mask space in numeric order without the sorted

@@ -18,9 +18,13 @@
 //
 // MinCost keeps no domination state. Up to sortedMax attributes it is a
 // pure (cost, lex) scan: per candidate one index-bound check and one oracle
-// call. Costs are non-negative, so in that order a decided unsafe view
-// dominates a later candidate only at equal cost, and a decided safe view
-// only candidates the index bound already stops. Above sortedMax a
+// call. The order is finished only as far as the scan reads it: one
+// counting pass puts every mask in a cost bucket, in lex order, and the
+// scan sorts each bucket when it reaches it, so the time to the optimum
+// does not pay for ordering the candidates after it. Costs are
+// non-negative, so in that order a decided unsafe view dominates a later
+// candidate only at equal cost, and a decided safe view only candidates
+// the index bound already stops. Above sortedMax a
 // cost-bound scan walks masks in ascending numeric order. There a hidden
 // subset of a tested-unsafe set is visited before that set, and a hidden
 // superset of a tested-safe set costs at least the bound that set
@@ -41,7 +45,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"secureview/internal/relation"
@@ -59,12 +62,9 @@ type Space struct {
 	attrs []string
 	costs []float64
 	// permBit[i] is the bit attribute i occupies after sorting attributes by
-	// name; permuted masks make the lexicographic tie-break O(1).
+	// name; permuted masks make the lexicographic tie-break O(1), and
+	// MinCost's lex-order walk runs over them.
 	permBit []Mask
-	// lex lazily holds every mask in ascending lexLess order (see
-	// lexMasks), so repeated searches over one Space build it once.
-	lexOnce sync.Once
-	lex     []Mask
 }
 
 // NewSpace builds a Space over the attributes with costs from cost (nil means

@@ -2,6 +2,7 @@ package search
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testSpace(t *testing.T, attrs []string, costs map[string]float64) *Space {
@@ -179,9 +181,10 @@ func TestMinCostMatchesNaive(t *testing.T) {
 
 // TestStreamingMatchesSortedAndNaive covers the streaming MinCost path
 // directly (MinCost dispatches to it cold only above sortedMax, which no
-// practical-size test reaches): on random monotone oracles it must agree
-// with the sorted path and the naive loop on found/cost AND on the
-// lexicographic tie-break, and keep the Checked+Pruned=2^k invariant.
+// practical-size test reaches): on random monotone oracles, at 1 and 4
+// workers, it must agree with the sorted path and the naive loop on
+// found/cost AND on the lexicographic tie-break, and both scans keep the
+// Checked+Pruned=2^k invariant.
 func TestStreamingMatchesSortedAndNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -196,14 +199,18 @@ func TestStreamingMatchesSortedAndNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted, err := s.minCostSorted(oracle, Options{Parallelism: 2}, new(atomic.Bool))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, par := range []int{1, 4} {
+			sorted, err := s.minCostSorted(oracle, Options{Parallelism: par}, new(atomic.Bool))
+			if err != nil {
+				t.Fatal(err)
+			}
 			stream, err := s.minCostStreaming(oracle, Options{Parallelism: par}, new(atomic.Bool))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sorted.Found != naive.Found || sorted.Stats.Checked+sorted.Stats.Pruned != 1<<k {
+				t.Fatalf("trial %d par %d: sorted Found=%v (naive %v), Checked %d + Pruned %d != %d",
+					trial, par, sorted.Found, naive.Found, sorted.Stats.Checked, sorted.Stats.Pruned, 1<<k)
 			}
 			if stream.Found != naive.Found {
 				t.Fatalf("trial %d par %d: streaming Found=%v, naive %v", trial, par, stream.Found, naive.Found)
@@ -428,7 +435,8 @@ func TestPrunedBeatsNaiveOnChecks(t *testing.T) {
 // node's children extend it with one element larger than its maximum, so
 // rank(S) for S = {s1 < ... < sm} adds, per element, 1 (the node itself)
 // plus the sizes 2^(k-t) of the earlier-sibling subtrees skipped. It is the
-// closed form of the walk lexMasks runs, kept here as a second reference.
+// closed form of the walk newOrder's scatter runs, kept here as a second
+// reference.
 func lexRank(perm Mask, k int) uint32 {
 	var rank uint32
 	prev := 0 // last element rank consumed
@@ -440,11 +448,10 @@ func lexRank(perm Mask, k int) uint32 {
 	return rank
 }
 
-// TestLexRankMatchesLexLess pins the engine's lex order three ways. lexRank
-// must be a monotone embedding of the lexLess order: exhaustive pairwise
-// check on a small universe, randomized on a large one. And for k = 0…16
-// over shuffled attribute names, the walk lexMasks caches must list every
-// mask exactly in LexLess order, and put each mask at its lexRank.
+// TestLexRankMatchesLexLess pins lexRank as a monotone embedding of the
+// lexLess order: exhaustive pairwise check on a small universe, randomized
+// on a large one. TestSortCandidatesOrder's all-zero model checks the walk
+// against it.
 func TestLexRankMatchesLexLess(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 6, 10} {
 		n := 1 << k
@@ -466,52 +473,26 @@ func TestLexRankMatchesLexLess(t *testing.T) {
 			t.Fatalf("k=%d x=%b y=%b: lexRank disagrees with lexLess", k, x, y)
 		}
 	}
-
-	for k := 0; k <= 16; k++ {
-		attrs := make([]string, k)
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("a%02d", i)
-		}
-		rng.Shuffle(k, func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
-		s := testSpace(t, attrs, nil)
-		walk := s.lexMasks()
-		want := make([]Mask, 1<<k)
-		for m := range want {
-			want[m] = Mask(m)
-		}
-		slices.SortFunc(want, func(a, b Mask) int {
-			switch {
-			case s.LexLess(a, b):
-				return -1
-			case s.LexLess(b, a):
-				return 1
-			}
-			return 0
-		})
-		if !slices.Equal(walk, want) {
-			t.Fatalf("k=%d attrs=%v: lexMasks walk differs from the LexLess sort", k, attrs)
-		}
-		for i, m := range walk {
-			if got := lexRank(s.perm(m), k); got != uint32(i) {
-				t.Fatalf("k=%d attrs=%v: mask %b at walk position %d, lexRank %d", k, attrs, m, i, got)
-			}
-		}
-	}
 }
 
-// TestSortCandidatesOrder checks the radix-sorted candidate list against a
-// comparison sort by (cost, LexLess) over every mask, for cost models that
-// take each radix path: all costs equal (nothing to sort), small integers
-// and zeros (a narrow key), reals (a key wider than a word holds, exact on
-// its top bits), reals from a few values (long runs of exact ties), and
-// reals beside one huge cost (different costs tying on the top bits, so the
-// low bits are sorted too).
+// TestSortCandidatesOrder checks the lazily finished candidate order against
+// a comparison sort by (cost, LexLess) over every mask, for k = 0…16 over
+// shuffled names, finishing it in random-size steps and reusing pooled
+// buffers. Each mask's cost must carry costSums' bits. The cost models take
+// each path: all zero (one bucket in pure lex order, so each mask must also
+// sit at its lexRank), all equal (a bucket per popcount, already ascending),
+// small integers and zeros (buckets of equal costs), reals (small buckets,
+// insertion-sorted), reals from a few values (long runs of exact ties),
+// reals beside one huge cost (two buckets of half the masks each, split over
+// their own cost ranges), and subnormals (a cost range too narrow to scale
+// to the bucket count).
 func TestSortCandidatesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	models := []struct {
 		name string
 		cost func(i int) float64
 	}{
+		{"zero", func(int) float64 { return 0 }},
 		{"equal", func(int) float64 { return 2 }},
 		{"ints", func(int) float64 { return float64(rng.Intn(4)) }},
 		{"reals", func(int) float64 { return 1 + rng.Float64()*4 }},
@@ -522,9 +503,10 @@ func TestSortCandidatesOrder(t *testing.T) {
 			}
 			return 1 + rng.Float64()*4
 		}},
+		{"subnormal", func(int) float64 { return math.SmallestNonzeroFloat64 * float64(rng.Intn(1000)) }},
 	}
 	for _, model := range models {
-		for _, k := range []int{0, 1, 5, 9, 13} {
+		for k := 0; k <= 16; k++ {
 			attrs := make([]string, k)
 			costs := make(map[string]float64, k)
 			for i := range attrs {
@@ -533,7 +515,15 @@ func TestSortCandidatesOrder(t *testing.T) {
 			}
 			rng.Shuffle(k, func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
 			s := testSpace(t, attrs, costs)
-			masks, sums := s.sortCandidates()
+			o := s.newOrder()
+			for o.done < 1<<k {
+				before := o.done
+				if o.finish(o.done + 1 + rng.Intn(300)); o.done == before {
+					t.Fatalf("%s k=%d: finish stalled at %d of %d masks", model.name, k, o.done, 1<<k)
+				}
+			}
+			sums := make([]float64, 1<<k)
+			s.costSums(sums)
 			want := make([]Mask, 1<<k)
 			for m := range want {
 				want[m] = Mask(m)
@@ -550,9 +540,138 @@ func TestSortCandidatesOrder(t *testing.T) {
 				}
 				return 0
 			})
-			if !slices.Equal(masks, want) {
-				t.Fatalf("%s k=%d: radix order differs from the (cost, lex) sort", model.name, k)
+			if !slices.Equal(o.masks, want) {
+				t.Fatalf("%s k=%d attrs=%v: order differs from the (cost, lex) sort", model.name, k, attrs)
 			}
+			for i, m := range o.masks {
+				if math.Float64bits(o.sums[m]) != math.Float64bits(sums[m]) {
+					t.Fatalf("%s k=%d: mask %b costs %v, costSums %v", model.name, k, m, o.sums[m], sums[m])
+				}
+				if model.name == "zero" && lexRank(s.perm(m), k) != uint32(i) {
+					t.Fatalf("k=%d attrs=%v: mask %b at position %d, lexRank %d", k, attrs, m, i, lexRank(s.perm(m), k))
+				}
+			}
+			orderPool[k].Put(o)
+		}
+	}
+}
+
+// TestMinCostWorkers runs the sorted scan at 2 and 4 workers on random
+// monotone oracles: every answer equals the single-worker one in hidden set
+// and cost bits, Checked + Pruned covers the space, and Checked counts the
+// oracle calls. A context cancelled mid-scan returns its error at any
+// worker count, without scanning the whole space.
+func TestMinCostWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		k := rng.Intn(15)
+		attrs := make([]string, k)
+		costs := make(map[string]float64, k)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf("a%02d", k-i)
+			costs[attrs[i]] = float64(rng.Intn(3))
+			if trial%2 == 0 {
+				costs[attrs[i]] = 1 + rng.Float64()*4
+			}
+		}
+		s := testSpace(t, attrs, costs)
+		oracle := monotoneOracle(s, rng)
+		one, err := s.MinCost(oracle, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{2, 4} {
+			var calls atomic.Int64
+			counted := func(v Mask) (bool, error) { calls.Add(1); return oracle(v) }
+			got, err := s.MinCost(counted, Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Found != one.Found || got.Hidden != one.Hidden || math.Float64bits(got.Cost) != math.Float64bits(one.Cost) {
+				t.Fatalf("trial %d k=%d par %d: (%v, %b, %v), single worker (%v, %b, %v)",
+					trial, k, par, got.Found, got.Hidden, got.Cost, one.Found, one.Hidden, one.Cost)
+			}
+			if st := got.Stats; st.Checked+st.Pruned != 1<<k || int64(st.Checked) != calls.Load() {
+				t.Fatalf("trial %d k=%d par %d: Checked %d + Pruned %d, want %d; oracle calls %d",
+					trial, k, par, st.Checked, st.Pruned, 1<<k, calls.Load())
+			}
+		}
+	}
+
+	const k = 14
+	attrs := make([]string, k)
+	costs := make(map[string]float64, k)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%02d", i)
+		costs[attrs[i]] = 1 + rng.Float64()*4
+	}
+	s := testSpace(t, attrs, costs)
+	for _, par := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		never := func(Mask) (bool, error) {
+			if calls.Add(1) >= 100 {
+				cancel()
+				time.Sleep(20 * time.Microsecond) // let the watcher raise the flag
+			}
+			return false, nil
+		}
+		_, err := s.MinCostCtx(ctx, never, Options{Parallelism: par})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("par %d: err = %v, want context.Canceled", par, err)
+		}
+		if calls.Load() >= 1<<k {
+			t.Fatalf("par %d: the cancelled scan tested all %d candidates", par, calls.Load())
+		}
+	}
+}
+
+// BenchmarkSkewedCosts times a single-worker MinCost when one attribute
+// costs 1e15 and the rest are reals in [1, 5), so half the masks share the
+// bottom of the cost range and half the top. The oracle accepts exactly the
+// hidden supersets of the candidate at 30% or 90% of the (cost, lex) order,
+// so the scan stops there.
+func BenchmarkSkewedCosts(b *testing.B) {
+	for _, k := range []int{14, 18} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		attrs := make([]string, k)
+		costs := make(map[string]float64, k)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf("a%02d", i)
+			costs[attrs[i]] = 1 + rng.Float64()*4
+		}
+		costs[attrs[k/2]] = 1e15
+		s, err := NewSpace(attrs, func(a string) float64 { return costs[a] })
+		if err != nil {
+			b.Fatal(err)
+		}
+		cost := make([]float64, 1<<k)
+		order := make([]Mask, 1<<k)
+		for m := range order {
+			order[m], cost[m] = Mask(m), s.CostOf(Mask(m))
+		}
+		slices.SortFunc(order, func(x, y Mask) int {
+			if c := cmp.Compare(cost[x], cost[y]); c != 0 {
+				return c
+			}
+			if s.LexLess(x, y) {
+				return -1
+			}
+			return 1
+		})
+		for _, at := range []int{30, 90} {
+			target, all := order[len(order)*at/100], s.All()
+			oracle := func(v Mask) (bool, error) { return all&^v&target == target, nil }
+			b.Run(fmt.Sprintf("k=%d/at=%d%%", k, at), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := s.MinCost(oracle, Options{Parallelism: 1})
+					if err != nil || res.Hidden != target {
+						b.Fatalf("err=%v hidden=%b, want %b", err, res.Hidden, target)
+					}
+				}
+			})
 		}
 	}
 }

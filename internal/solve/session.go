@@ -7,6 +7,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -471,15 +472,21 @@ func (s *Session) deltaSource(structKey string) *secureview.Problem {
 // requirement lists and module interfaces are shared (immutable after
 // derivation), only Costs and the public modules' PrivatizeCost change —
 // exactly the two places DeriveOptions costs land, so the clone is
-// indistinguishable from a fresh derivation with the new costs.
+// indistinguishable from a fresh derivation with the new costs. Problems
+// are never mutated after construction, so the clone shares src's module
+// specs too unless a public module's privatization cost changes.
 func deltaClone(src *secureview.Problem, costs privacy.Costs,
 	privatizeCosts map[string]float64) *secureview.Problem {
-	mods := make([]secureview.ModuleSpec, len(src.Modules))
-	copy(mods, src.Modules)
-	for i := range mods {
-		if mods[i].Public {
-			mods[i].PrivatizeCost = privatizeCosts[mods[i].Name]
+	mods := src.Modules
+	for i, m := range src.Modules {
+		c := privatizeCosts[m.Name]
+		if !m.Public || math.Float64bits(c) == math.Float64bits(m.PrivatizeCost) {
+			continue
 		}
+		if &mods[0] == &src.Modules[0] {
+			mods = slices.Clone(src.Modules)
+		}
+		mods[i].PrivatizeCost = c
 	}
 	return &secureview.Problem{Modules: mods, Costs: costs}
 }

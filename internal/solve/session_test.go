@@ -3,6 +3,8 @@ package solve_test
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"secureview/internal/gen"
+	"secureview/internal/module"
 	"secureview/internal/privacy"
 	"secureview/internal/secureview"
 	"secureview/internal/solve"
@@ -298,6 +301,79 @@ func TestSessionDeltaDerive(t *testing.T) {
 	}
 	if st := sess.Stats(); st.DeltaDerives != 1 {
 		t.Fatalf("gamma change was delta-derived (deltaDerives=%d)", st.DeltaDerives)
+	}
+}
+
+// TestDeltaSharesModuleSpecs: a cost-only edit shares its source's module
+// specs unless a public module's privatization cost changes. Such an edit
+// gets its own specs with the new cost, and the source keeps its old one.
+func TestDeltaSharesModuleSpecs(t *testing.T) {
+	ctx := context.Background()
+	sess := solve.NewSession()
+	it := tinyInstance(t, 7)
+	src, err := sess.Problem(ctx, it.W, secureview.Set, it.Gamma, it.Costs, it.PrivatizeCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := make(privacy.Costs, len(it.Costs))
+	for a, c := range it.Costs {
+		edited[a] = c + 1
+	}
+	got, err := sess.Problem(ctx, it.W, secureview.Set, it.Gamma, edited, it.PrivatizeCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.DeltaDerives != 1 {
+		t.Fatalf("deltaDerives = %d, want 1", st.DeltaDerives)
+	}
+	if &got.Modules[0] != &src.Modules[0] {
+		t.Fatal("a cost-only edit of a private-only problem copied its module specs")
+	}
+
+	var pub *gen.Instance
+	for seed := int64(0); pub == nil; seed++ {
+		it, err := gen.New(gen.Config{Topology: gen.Chain, Modules: 3, FanIn: 1, FanOut: 1, PublicFrac: 0.5}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range it.W.Modules() {
+			if m.Visibility() == module.Public {
+				pub = it
+			}
+		}
+	}
+	src, err = sess.Problem(ctx, pub.W, secureview.Set, pub.Gamma, pub.Costs, pub.PrivatizeCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited = make(privacy.Costs, len(pub.Costs))
+	for a, c := range pub.Costs {
+		edited[a] = c + 1
+	}
+	got, err = sess.Problem(ctx, pub.W, secureview.Set, pub.Gamma, edited, pub.PrivatizeCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Modules[0] != &src.Modules[0] {
+		t.Fatal("an edit that keeps every privatization cost copied the module specs")
+	}
+	i := slices.IndexFunc(src.Modules, func(m secureview.ModuleSpec) bool { return m.Public })
+	old := src.Modules[i].PrivatizeCost
+	privatize := maps.Clone(pub.PrivatizeCosts)
+	if privatize == nil {
+		privatize = map[string]float64{}
+	}
+	privatize[src.Modules[i].Name] = old + 2
+	got, err = sess.Problem(ctx, pub.W, secureview.Set, pub.Gamma, pub.Costs, privatize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.DeltaDerives != 3 {
+		t.Fatalf("deltaDerives = %d, want 3", st.DeltaDerives)
+	}
+	if &got.Modules[0] == &src.Modules[0] || got.Modules[i].PrivatizeCost != old+2 || src.Modules[i].PrivatizeCost != old {
+		t.Fatalf("privatization edit: shared=%v, new cost %v (want %v), source cost %v (want %v)",
+			&got.Modules[0] == &src.Modules[0], got.Modules[i].PrivatizeCost, old+2, src.Modules[i].PrivatizeCost, old)
 	}
 }
 
